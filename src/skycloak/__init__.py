@@ -4,7 +4,7 @@ The package is organized around five pieces:
 
 - :mod:`skycloak.channel`    fading/link math (shadowed-Rician, LoS, rates)
 - :mod:`skycloak.detection`  warden detection model, DEP bounds, covertness map
-- :mod:`skycloak.solvers`    dense simplex, log-barrier Newton, Dinkelbach
+- :mod:`skycloak.solvers`    log-barrier Newton, max-slack point, Dinkelbach
 - :mod:`skycloak.planner`    the two placement/power optimization algorithms
 - :mod:`skycloak.cli`        scenario files, sweeps, Monte Carlo validation
 """
@@ -71,13 +71,9 @@ from skycloak.scenario_io import (
 from skycloak.solvers import (
     DinkelbachResult,
     FractionalProgram,
-    LinearProgram,
-    LpResult,
     SolverError,
     dinkelbach,
     max_slack_point,
-    solve_lp,
-    solve_smooth_convex,
 )
 
 __version__ = "0.1.0"

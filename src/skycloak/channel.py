@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -138,7 +137,7 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
     alpha = num / denom
     theta = denom / (p.m * x)
     # alpha! means Gamma(alpha+1); log form avoids overflow for large shapes.
-    mu = math.exp(-gammaln(alpha + 1.0) / alpha)
+    mu = math.exp(-math.lgamma(alpha + 1.0) / alpha)
     if alpha == 1.0:
         warnings.warn(
             "Gamma surrogate shape is exactly 1; the DEP lower bound's "
@@ -150,26 +149,60 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
     return GammaApprox(alpha=alpha, theta=theta, mu=mu)
 
 
-def _series_sum(z: np.ndarray, p: SRParams, tol: float, first_term, step):
-    """Run one of the SR series with the shared truncation rule.
+def _series_sum(terms, tol: float):
+    """Sum one of the SR series with the shared truncation rule.
 
-    Stops once every element's current term is <= tol times its running sum,
-    with at least 20 terms taken, capped at 500. ``first_term`` maps z to the
-    n = 0 term; ``step(term, n, z)`` maps term n to term n+1 elementwise.
+    ``terms`` yields the series terms (arrays or scalars) in order. The sum
+    stops once every element's current term is <= tol times its running
+    sum, with at least 20 terms taken, capped at 500.
     """
-    term = first_term(z)
-    total = term.copy()
-    for n in range(_SERIES_CAP - 1):
+    total = 0.0
+    for n, term in zip(range(_SERIES_CAP), terms):
+        total = total + term
         if n >= _SERIES_MIN_TERMS - 1 and np.all(term <= tol * total):
             return total
-        term = step(term, n, z)
-        total += term
     if np.any(term > 1e-6 * total):
         raise SeriesConvergenceError(
             f"SR series not settled after {_SERIES_CAP} terms "
             f"(worst term/sum = {float(np.max(term / np.maximum(total, 1e-300))):.3e})"
         )
     return total
+
+
+def _series_constants(p: SRParams):
+    """(pref, y): the squared SR law is a mixture of Gamma(n+1, 2b) laws
+    with weights pref * c_n, c_0 = 1, c_{n+1} = c_n * y * (m+n)/(n+1)."""
+    y = p.omega / (2.0 * p.b * p.m + p.omega)
+    pref = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
+    return pref, y
+
+
+def _mixture_weights(p: SRParams):
+    """Yield the mixture weights pref * c_n for n = 0, 1, 2, ..."""
+    w, y = _series_constants(p)
+    n = 0
+    while True:
+        yield w
+        w *= y * (p.m + n) / (n + 1.0)
+        n += 1
+
+
+def _gammainc_orders(z):
+    """Yield P(1, z), P(2, z), ...: the regularized lower incomplete gamma
+    function at integer orders, elementwise for scalar or array z >= 0.
+
+    P(1, z) = 1 - e^(-z) and P(k+1, z) = P(k, z) - e^(-z) z^k / k!, so each
+    order costs three flops; the absolute error of order k stays within
+    about k ulps of P(1, z).
+    """
+    pmf = np.exp(-z)
+    lower = -np.expm1(-z)
+    k = 1
+    while True:
+        yield lower
+        pmf = pmf * z / k
+        lower = lower - pmf
+        k += 1
 
 
 def sr_cdf(x, p: SRParams, tol: float = 1e-10):
@@ -190,23 +223,9 @@ def sr_cdf(x, p: SRParams, tol: float = 1e-10):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise ValueError("x must be nonnegative")
-    y = p.omega / (2.0 * p.b * p.m + p.omega)
-    pref = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
     z = xs / (2.0 * p.b)
-
-    # Coefficient lives in a closure cell so step() can advance it while the
-    # per-point term still carries the incomplete-gamma factor.
-    state = {"coef": 1.0}
-
-    def first(zz):
-        return np.asarray(gammainc(1.0, zz), dtype=float)
-
-    def step(term, n, zz):
-        state["coef"] *= y * (p.m + n) / (n + 1.0)
-        return state["coef"] * np.asarray(gammainc(n + 2.0, zz), dtype=float)
-
-    total = pref * _series_sum(z, p, tol, first, step)
-    out = np.clip(total, 0.0, 1.0)
+    terms = (w * lower for w, lower in zip(_mixture_weights(p), _gammainc_orders(z)))
+    out = np.clip(_series_sum(terms, tol), 0.0, 1.0)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -222,18 +241,19 @@ def sr_pdf(x, p: SRParams, tol: float = 1e-10):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise ValueError("x must be nonnegative")
-    y = p.omega / (2.0 * p.b * p.m + p.omega)
-    pref = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
+    pref, y = _series_constants(p)
     two_b = 2.0 * p.b
     z = xs / two_b
 
-    def first(zz):
-        return np.exp(-zz) / two_b
+    def terms():
+        term = np.exp(-z) / two_b
+        n = 0
+        while True:
+            yield term
+            term = term * (y * z * (p.m + n) / (n + 1.0) ** 2)
+            n += 1
 
-    def step(term, n, zz):
-        return term * (y * zz * (p.m + n) / (n + 1.0) ** 2)
-
-    total = pref * _series_sum(z, p, tol, first, step)
+    total = pref * _series_sum(terms(), tol)
     return float(total) if np.isscalar(x) or np.ndim(x) == 0 else total
 
 

@@ -9,7 +9,7 @@ interval, and both error probabilities are piecewise linear in tau.
 The quantity of interest is the detection error probability (false alarm
 plus missed detection) minimized over tau, averaged over the satellite-
 warden fading. This module provides the exact piecewise expressions, an
-adaptive-quadrature evaluation of the fading average, the closed-form lower
+exact incomplete-gamma series for the fading average, the closed-form lower
 bound obtained from the fitted gamma surrogate of the fading law, and the
 inverse of that bound's tightness function used by the planner.
 """
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GammaApprox, SRParams, sr_cdf, sr_pdf
+from .channel import (GammaApprox, SRParams, _gammainc_orders,
+                      _mixture_weights, _series_sum)
 from .solvers import bisect
 
 __all__ = [
@@ -158,66 +159,42 @@ def min_dep(model: DetectionModel):
     return xi_star, tau_star
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    fa_ = f(a)
-    fm = f(0.5 * (a + b))
-    fb_ = f(b)
-    whole = (b - a) / 6.0 * (fa_ + 4.0 * fm + fb_)
-    return _asr(f, a, b, fa_, fm, fb_, whole, tol, max_depth)
-
-
-def _asr(f, a, b, fa_, fm, fb_, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa_ + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb_)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_asr(f, a, mid, fa_, flm, fm, left, 0.5 * tol, depth - 1)
-            + _asr(f, mid, b, fm, frm, fb_, right, 0.5 * tol, depth - 1))
-
-
-def _upper_support(params: SRParams, tail: float) -> float:
-    """Smallest grid point where the fading CDF exceeds 1 - tail."""
-    x = 10.0 * params.mean_power + 1.0
-    for _ in range(200):
-        if sr_cdf(x, params, tol=1e-12) >= 1.0 - tail:
-            return x
-        x *= 2.0
-    raise RuntimeError("fading tail did not close; parameters look degenerate")
-
-
 def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
-                           params: SRParams, tol: float = 1e-8) -> float:
-    """Fading-averaged minimum detection error probability, by quadrature.
+                           params: SRParams) -> float:
+    """Fading-averaged minimum detection error probability, exactly.
 
     The satellite-warden gain is ``ell_aw`` times a unit-mean-scale fading
     power X, so the per-slot optimum error is ``max(0, 1 - X/r)`` with
-    ``r = pj_hat*g_uw / (pa*ell_aw)``. The average over X is evaluated with
-    adaptive Simpson quadrature against the fading density to absolute
-    tolerance ``tol``.
+    ``r = pj_hat*g_uw / (pa*ell_aw)``. The squared SR law is a mixture of
+    Gamma(n+1, 2b) laws with weights pref*c_n (see :func:`sr_cdf`), and for
+    each of them E[(1 - X/r)^+] = P(n+1, z) - (n+1)/z * P(n+2, z) with
+    z = r/(2b), so the average is the series
+
+        pref * sum_n c_n * [P(n+1, z) - (n+1)/z * P(n+2, z)],
+
+    summed to machine precision. Its value fills the ``quadrature`` column
+    of ``dep_sweep.csv``.
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
         if not np.isfinite(v) or v < 0.0:
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
     if pa * ell_aw == 0.0:
         return 1.0  # no incident signal power: the warden can only guess
     jam = pj_hat * g_uw
     if jam == 0.0:
         return 0.0  # unjammed: detected with probability one
-    r = jam / (pa * ell_aw)
-    hi = min(r, _upper_support(params, 0.1 * tol))
+    z = jam / (pa * ell_aw) / (2.0 * params.b)
 
-    def integrand(x):
-        return (1.0 - x / r) * sr_pdf(x, params, tol=1e-12)
+    def terms():
+        orders = _gammainc_orders(z)
+        lower = next(orders)
+        for k, (w, upper) in enumerate(zip(_mixture_weights(params), orders), 1):
+            yield w * (lower - k / z * upper)
+            lower = upper
 
-    val = _adaptive_simpson(integrand, 0.0, hi, 0.8 * tol)
-    return float(min(1.0, max(0.0, val)))
+    val = float(_series_sum(terms(), np.finfo(float).eps))
+    return min(1.0, max(0.0, val))
 
 
 @dataclass(frozen=True)
@@ -244,8 +221,8 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
         bound = 1 - alpha * exp(-mu*r/theta) - alpha*theta/r.
 
     The first correction dominates the CDF of the surrogate at r and the
-    second its partial mean, so the bound never exceeds the quadrature
-    value computed from the exact fading law.
+    second its partial mean, so the bound never exceeds the exact value
+    from :func:`avg_min_dep_quadrature`.
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):

@@ -16,18 +16,18 @@ maximize Bob's covert rate subject to:
 Two solution paths are provided. ``bcd_optimize`` alternates a placement
 step (maximize distance to Bob, a convex objective handled by successive
 linearization over the second-order-cone feasible set) with a power step (a
-linear-fractional program made linear by the Charnes-Cooper substitution).
-``perfect_cancellation_optimize`` covers the case where Bob strips the
-jamming entirely (varpi = 0): the rate then depends on the placement only
-through the covertness ceiling on Pa, a ratio of a concave to a convex
-quadratic maximized exactly by Dinkelbach iteration, after which the power
-split follows in closed form.
+linear-fractional program whose optimum is explicit: UE floors, then
+jamming up to the satellite cap). ``perfect_cancellation_optimize`` covers
+the case where Bob strips the jamming entirely (varpi = 0): the rate then
+depends on the placement only through the covertness ceiling on Pa, a
+ratio of a concave to a convex quadratic maximized exactly by Dinkelbach
+iteration, after which the power split follows in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,12 @@ from .solvers import (
     AffineConstraint,
     FractionalProgram,
     LinearObjective,
-    LinearProgram,
     QuadraticSum,
     SocConstraint,
     _barrier_maximize,
     ball_constraint,
     dinkelbach,
     max_slack_point,
-    solve_lp,
 )
 
 __all__ = [
@@ -158,7 +156,8 @@ class PowerAllocation:
 
     def __post_init__(self) -> None:
         pk = np.asarray(self.Pk, dtype=float).ravel()
-        # LP recovery can leave harmless -1e-18 dust on active bounds
+        # rounding on an active bound (e.g. UE floors that use the whole
+        # budget) can leave harmless -1e-18 dust
         pk = np.where((pk < 0.0) & (pk > -1e-12), 0.0, pk)
         object.__setattr__(self, "Pk", pk)
         for name in ("Pj_hat", "Pa"):
@@ -313,83 +312,48 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
 
 
 # ---------------------------------------------------------------------------
-# power subproblem (linear-fractional -> LP via Charnes-Cooper)
+# power subproblem (linear-fractional, solved in closed form)
+
+
+def _power_terms(s: Scenario, pl: UavPlacement):
+    """UE rate floors (W) and the covertness cap ups = Pa/Pj_hat at ``pl``."""
+    d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
+    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
+    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
+    return s.xi_coeff * d2, ups
 
 
 def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
     """Optimal powers at a fixed placement.
 
-    Bob's SINR is linear-fractional in (Pa, Pj_hat): numerator Pa times
-    constants, denominator varpi*g_ub*Pj_hat + sigma_b2. Substituting
-    scaled variables P~ = t*P with the denominator normalized to one turns
-    the problem into an LP over [Pk~..., Pj~, Pa~, t]:
+    Bob's SINR Pa*g_ab / (varpi*g_ub*Pj_hat + sigma_b2) is linear-fractional
+    in the powers, maximized subject to
 
-        max Pa~   s.t.  Pa~ <= ups * Pj~                (covertness cap)
-                        xi*d_k^2 * t <= Pk~             (UE rate floors)
-                        sum Pk~ + Pj~ <= P_tot * t      (UAV budget)
-                        Pa~ <= Pa_max * t               (satellite cap)
-                        varpi*g_ub*Pj~ + sigma_b2*t = 1 (normalization)
-                        t >= 1e-12, all variables >= 0
+        Pa <= ups * Pj_hat                (covertness cap)
+        Pk >= xi * d_k^2                  (UE rate floors)
+        sum Pk + Pj_hat <= P_tot          (UAV budget)
+        Pa <= Pa_max                      (satellite cap)
 
-    where ups = Phi_inverse(eps)*g_uw/(theta*ell_aw). The physical powers
-    are recovered as P = P~/t. Coefficients span many orders of magnitude
-    (noise floors ~1e-14 W against unit ratios), which the LP solver's
-    equilibration absorbs. Raises PlannerInfeasible when the UE rate floors
-    exceed the budget at this placement.
+    with ups = Phi_inverse(eps)*g_uw/(theta*ell_aw). The optimum is
+    explicit: UE powers sit at their floors, Pj_hat = min(P_tot - sum
+    floors, Pa_max/ups) and Pa = ups*Pj_hat (kept <= Pa_max against
+    rounding). Below the satellite cap the SINR
+    ups*Pj/(varpi*g_ub*Pj + sigma_b2) grows with Pj_hat, so the whole
+    remaining budget jams; at the cap more jamming cannot help Bob, and the
+    unspent budget is credited to UE 0 (it raises that UE's rate above its
+    floor and changes nothing else). Raises PlannerInfeasible when the UE
+    rate floors exceed the budget at this placement.
     """
-    k = s.K
-    g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
-    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
-    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
-    d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
-    floors = s.xi_coeff * d2
-
-    n = k + 3  # [Pk~ (k), Pj~, Pa~, t]
-    jj, aa, tt = k, k + 1, k + 2
-    rows, rhs = [], []
-
-    covert_row = np.zeros(n)
-    covert_row[aa] = 1.0
-    covert_row[jj] = -ups
-    rows.append(covert_row)
-    rhs.append(0.0)
-    for i in range(k):
-        r = np.zeros(n)
-        r[tt] = floors[i]
-        r[i] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    budget_row = np.zeros(n)
-    budget_row[:k] = 1.0
-    budget_row[jj] = 1.0
-    budget_row[tt] = -s.P_tot
-    rows.append(budget_row)
-    rhs.append(0.0)
-    cap_row = np.zeros(n)
-    cap_row[aa] = 1.0
-    cap_row[tt] = -s.Pa_max
-    rows.append(cap_row)
-    rhs.append(0.0)
-
-    norm_row = np.zeros(n)
-    norm_row[jj] = s.varpi * g_ub
-    norm_row[tt] = s.sigma_b2
-    lb = np.zeros(n)
-    lb[tt] = 1e-12
-
-    c = np.zeros(n)
-    c[aa] = 1.0
-    lp = LinearProgram(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                       A_eq=norm_row[None, :], b_eq=np.array([1.0]), lb=lb)
-    res = solve_lp(lp)
-    if res.status == "infeasible":
+    floors, ups = _power_terms(s, pl)
+    prem = s.P_tot - floors.sum()
+    if prem < 0.0:
         raise PlannerInfeasible(
             "ue-rate power floors",
             f"need {floors.sum():.6g} W of {s.P_tot:.6g} W at this placement")
-    if res.status != "optimal":
-        raise PlannerInfeasible("power subproblem", f"LP ended {res.status}")
-    t = res.x[tt]
-    return PowerAllocation(Pk=res.x[:k] / t, Pj_hat=res.x[jj] / t, Pa=res.x[aa] / t)
+    pj = min(prem, s.Pa_max / ups)
+    if s.K:
+        floors[0] += prem - pj
+    return PowerAllocation(Pk=floors, Pj_hat=pj, Pa=min(ups * pj, s.Pa_max))
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +381,12 @@ def _initial_placement(s: Scenario) -> UavPlacement:
 
 def _initial_powers(s: Scenario, pl: UavPlacement) -> PowerAllocation:
     """UE floors at the placement, all residual power to jamming, Pa at its cap."""
-    d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
-    pk = s.xi_coeff * d2
+    pk, ups = _power_terms(s, pl)
     pj = s.P_tot - pk.sum()
     if pj < 0.0:
         raise PlannerInfeasible(
             "ue-rate power floors",
             f"need {pk.sum():.6g} W of {s.P_tot:.6g} W at the initial placement")
-    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
-    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
     pa = min(pj * ups, s.Pa_max)
     return PowerAllocation(Pk=pk, Pj_hat=pj, Pa=pa)
 
@@ -440,7 +401,7 @@ def bcd_optimize(s: Scenario, init: PowerAllocation | None = None,
     when given). Each outer iteration runs the placement step (kept only
     when it does not reduce Bob's rate at the current powers, which makes
     the rate trace nondecreasing by construction) and then the exact power
-    LP. Stops when the rate changes by less than ``s.delta`` or after
+    step. Stops when the rate changes by less than ``s.delta`` or after
     ``s.i_max`` iterations.
     """
     try:

@@ -1,13 +1,10 @@
-"""Small dense convex solvers used by the placement/power planner.
+"""Small dense convex solvers used by the placement planner.
 
-Nothing here is large scale. The linear programs have at most K + 3
-variables (UE powers, jamming power, transmit power, one scaling variable),
-the smooth programs have 3 or 4 (UAV position, altitude, optional slack).
-So the tools are deliberately simple and transparent:
+Nothing here is large scale: the programs have 3 or 4 variables (UAV
+position, altitude, optional slack), so the tools are deliberately simple
+and transparent. The power step needs no solver; its optimum is explicit
+(see :func:`skycloak.planner.power_subproblem`).
 
-- a two-phase dense simplex with Bland's rule and geometric-mean
-  equilibration (the power subproblem mixes coefficients spanning 14 orders
-  of magnitude, from noise floors in watts to dimensionless ratios);
 - a log-barrier Newton method over second-order-cone and affine constraints,
   using the canonical SOC barrier -log((c.x+d)^2 - ||Ax-b||^2);
 - a Dinkelbach driver for concave/convex fractional objectives;
@@ -17,7 +14,7 @@ So the tools are deliberately simple and transparent:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +23,12 @@ __all__ = [
     "InfeasibleStartError",
     "LineSearchError",
     "BracketError",
-    "LinearProgram",
-    "LpResult",
-    "solve_lp",
     "AffineConstraint",
     "SocConstraint",
     "ball_constraint",
     "LinearObjective",
     "QuadraticSum",
-    "SmoothConvexProgram",
-    "solve_smooth_convex",
     "max_slack_point",
-    "strictly_feasible",
     "FractionalProgram",
     "DinkelbachResult",
     "dinkelbach",
@@ -92,263 +83,6 @@ def bisect(fn, target: float, bracket, tol: float = 1e-10, max_iter: int = 300) 
             hi = x
         x = 0.5 * (lo + hi)
     raise BracketError(f"bisection did not reach tol={tol} in {max_iter} steps")
-
-
-# ---------------------------------------------------------------------------
-# linear programming: dense two-phase simplex, Bland's rule
-
-
-@dataclass
-class LinearProgram:
-    """max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= lb."""
-
-    c: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        n = self.c.size
-        self.A_ub, self.b_ub = _norm_block(self.A_ub, self.b_ub, n, "ub")
-        self.A_eq, self.b_eq = _norm_block(self.A_eq, self.b_eq, n, "eq")
-        self.lb = (np.zeros(n) if self.lb is None
-                   else np.asarray(self.lb, dtype=float).ravel())
-        if self.lb.size != n:
-            raise ValueError("lb size mismatch")
-
-
-def _norm_block(A, b, n, name):
-    if A is None:
-        return np.zeros((0, n)), np.zeros(0)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if A.shape != (b.size, n):
-        raise ValueError(f"{name} block shape mismatch: {A.shape} vs rhs {b.size}, n={n}")
-    return A, b
-
-
-@dataclass
-class LpResult:
-    status: str                     # optimal | infeasible | unbounded | stalled
-    x: np.ndarray | None = None
-    objective: float | None = None
-    duals_ub: np.ndarray | None = None
-    duals_eq: np.ndarray | None = None
-    farkas_ub: np.ndarray | None = None
-    farkas_eq: np.ndarray | None = None
-    iterations: int = 0
-    message: str = ""
-
-
-def _equilibrate(M: np.ndarray, passes: int = 6):
-    """Geometric-mean row/column scaling, rounded to powers of two (exact)."""
-    m, n = M.shape
-    r = np.ones(m)
-    s = np.ones(n)
-    if m == 0 or n == 0:
-        return r, s
-    W = np.abs(M.copy())
-    for _ in range(passes):
-        for axis, scale in ((1, r), (0, s)):
-            mx = W.max(axis=axis)
-            mn = np.where(mx > 0, np.min(np.where(W > 0, W, np.inf), axis=axis), 1.0)
-            f = np.where(mx > 0, 1.0 / np.sqrt(mx * np.where(np.isfinite(mn), mn, mx)), 1.0)
-            f = np.exp2(np.round(np.log2(f)))
-            scale *= f
-            W = (W.T * f).T if axis == 1 else W * f
-    return r, s
-
-
-def _pivot_loop(T, basis, costs, allowed, tol, max_iter):
-    """Bland-rule pivoting on tableau T (rows = constraints, last row =
-    reduced costs with rhs = -objective). Returns (status, iterations)."""
-    m = T.shape[0] - 1
-    for it in range(max_iter):
-        obj_row = T[-1, :-1]
-        enter = -1
-        for j in range(obj_row.size):
-            if allowed[j] and obj_row[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", it
-        col = T[:m, enter]
-        best_ratio = np.inf
-        leave = -1
-        for i in range(m):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", it
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        basis[leave] = enter
-    return "stalled", max_iter
-
-
-def _set_cost_row(T, basis, costs):
-    T[-1, :] = 0.0
-    T[-1, : costs.size] = costs
-    for i, bi in enumerate(basis):
-        if costs[bi] != 0.0:
-            T[-1] -= costs[bi] * T[i]
-
-
-def solve_lp(lp: LinearProgram, tol: float = 1e-9, max_iter: int = 50_000) -> LpResult:
-    """Two-phase dense simplex for the (maximization) program in ``lp``.
-
-    Variables are shifted by their lower bounds, the constraint matrix is
-    equilibrated, and both phases pivot with Bland's rule, so degenerate
-    bases cannot cycle. On optimality the result carries dual vectors for
-    the inequality and equality blocks; on infeasibility it carries a
-    Farkas certificate (phase-1 duals).
-    """
-    n = lp.c.size
-    # shift to z >= 0
-    b_ub = lp.b_ub - lp.A_ub @ lp.lb
-    b_eq = lp.b_eq - lp.A_eq @ lp.lb
-    m_ub, m_eq = b_ub.size, b_eq.size
-    m = m_ub + m_eq
-
-    A = np.vstack([lp.A_ub, lp.A_eq]) if m else np.zeros((0, n))
-    b = np.concatenate([b_ub, b_eq])
-    r_sc, s_sc = _equilibrate(A) if m else (np.zeros(0), np.ones(n))
-    A = (A.T * r_sc).T * s_sc
-    b = b * r_sc
-    c_s = lp.c * s_sc
-
-    # orient all rhs nonnegative; remember sign per row
-    row_sign = np.where(b < 0.0, -1.0, 1.0)
-    A = (A.T * row_sign).T
-    b = b * row_sign
-
-    # columns: n originals | m_ub slacks | artificials for rows lacking an
-    # identity column (negated ub rows and all eq rows)
-    slack_cols = {}
-    art_rows = []
-    for i in range(m_ub):
-        slack_cols[i] = n + i
-    for i in range(m):
-        is_ub = i < m_ub
-        keeps_slack = is_ub and row_sign[i] > 0
-        if not keeps_slack:
-            art_rows.append(i)
-    n_slack = m_ub
-    n_art = len(art_rows)
-    width = n + n_slack + n_art + 1
-
-    T = np.zeros((m + 1, width))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_col_of_row = {}
-    for i in range(m_ub):
-        T[i, n + i] = row_sign[i]  # slack coefficient carries the row sign
-    k = 0
-    for i in range(m):
-        if i < m_ub and row_sign[i] > 0:
-            basis[i] = n + i
-        else:
-            col = n + n_slack + k
-            T[i, col] = 1.0
-            basis[i] = col
-            art_col_of_row[i] = col
-            k += 1
-
-    allowed = np.ones(width - 1, dtype=bool)
-
-    # phase 1: minimize sum of artificials
-    iters = 0
-    if n_art:
-        costs1 = np.zeros(width - 1)
-        costs1[n + n_slack:] = 1.0
-        _set_cost_row(T, basis, costs1)
-        status, it1 = _pivot_loop(T, basis, costs1, allowed, tol, max_iter)
-        iters += it1
-        if status == "stalled":
-            return LpResult(status="stalled", iterations=iters,
-                            message="phase-1 iteration cap")
-        p1_obj = -T[-1, -1]
-        if p1_obj > tol * max(1.0, np.abs(b).max(initial=0.0)):
-            # Farkas certificate from phase-1 duals: y_i = -reduced cost of
-            # the row's initial identity column (cost 0 slack / cost 1 art).
-            y = np.zeros(m)
-            for i in range(m):
-                if i in art_col_of_row:
-                    y[i] = 1.0 - T[-1, art_col_of_row[i]]
-                else:
-                    y[i] = -T[-1, slack_cols[i]] / row_sign[i]
-                y[i] *= row_sign[i]
-            y *= r_sc  # unscale rows
-            return LpResult(
-                status="infeasible",
-                farkas_ub=-y[:m_ub],
-                farkas_eq=-y[m_ub:],
-                iterations=iters,
-                message=f"phase-1 optimum {p1_obj:.3e} > 0",
-            )
-        # drive artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                piv_j = -1
-                for j in range(n + n_slack):
-                    if allowed[j] and abs(T[i, j]) > tol:
-                        piv_j = j
-                        break
-                if piv_j >= 0:
-                    piv = T[i, piv_j]
-                    T[i] /= piv
-                    for ii in range(m + 1):
-                        if ii != i and T[ii, piv_j] != 0.0:
-                            T[ii] -= T[ii, piv_j] * T[i]
-                    basis[i] = piv_j
-        allowed[n + n_slack:] = False  # artificials may never re-enter
-
-    # phase 2: minimize -c.z
-    costs2 = np.zeros(width - 1)
-    costs2[:n] = -c_s
-    _set_cost_row(T, basis, costs2)
-    status, it2 = _pivot_loop(T, basis, costs2, allowed, tol, max_iter)
-    iters += it2
-    if status != "optimal":
-        return LpResult(status=status, iterations=iters,
-                        message=f"phase-2 ended {status}")
-
-    z = np.zeros(width - 1)
-    for i, bi in enumerate(basis):
-        z[bi] = T[i, -1]
-    x = lp.lb + z[:n] * s_sc
-    objective = float(lp.c @ x)
-
-    # duals off the initial identity columns (phase-2 costs: all zero there)
-    y = np.zeros(m)
-    for i in range(m):
-        if i in art_col_of_row:
-            y[i] = -T[-1, art_col_of_row[i]]
-        else:
-            y[i] = -T[-1, slack_cols[i]] / row_sign[i]
-        y[i] *= row_sign[i]
-    y *= r_sc
-    return LpResult(
-        status="optimal",
-        x=x,
-        objective=objective,
-        duals_ub=-y[:m_ub],
-        duals_eq=-y[m_ub:],
-        iterations=iters,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +232,6 @@ class _CombinedObjective:
         return self.f.hess(x) - self.lam * self.g.hess(x)
 
 
-@dataclass
-class SmoothConvexProgram:
-    """max c.x over an intersection of SOC/affine constraints."""
-
-    c: np.ndarray
-    constraints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
-
-
-def strictly_feasible(constraints, x, margin: float = 0.0) -> bool:
-    return all(con.margin(x) > margin for con in constraints)
-
-
 def _barrier_maximize(objective, constraints, x0, tol=1e-8, t0=1.0,
                       t_factor=10.0, max_newton=200):
     """Maximize a smooth concave objective over constraints via log barrier.
@@ -593,17 +312,6 @@ def _barrier_maximize(objective, constraints, x0, tol=1e-8, t0=1.0,
         "gap_bound": m / t,
     }
     return x, info
-
-
-def solve_smooth_convex(p: SmoothConvexProgram, x0, tol: float = 1e-8):
-    """Maximize the linear objective of ``p`` from a strictly feasible x0.
-
-    Returns (x*, objective*). The barrier schedule guarantees the duality
-    gap bound m/t < tol at exit; the KKT stationarity residual is available
-    through the underlying routine and asserted in the test suite.
-    """
-    x, _ = _barrier_maximize(LinearObjective(p.c), p.constraints, x0, tol=tol)
-    return x, float(p.c @ x)
 
 
 def max_slack_point(constraints, anchor, tol: float = 1e-9, s_cap: float | None = None):

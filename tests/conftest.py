@@ -2,7 +2,7 @@
 
 The integrator and the KS statistic here are deliberately written from
 scratch (composite Simpson on a fixed grid, textbook two-sided KS) so
-the library's own adaptive quadrature and samplers are checked against
+the library's own DEP series and samplers are checked against
 an independent path.
 """
 

@@ -3,7 +3,7 @@
 Each test prints one ``ACCEPTANCE n PASS|FAIL`` line so the whole gate can
 be read off a verbose run at a glance. The numbered checks cover: the
 gamma surrogate fits, dominance and tightness of the closed-form
-detection-error bound, threshold optimality, the power LP against a grid
+detection-error bound, threshold optimality, the power step against a grid
 oracle, the ratio solver against a closed form and a placement grid, BCD
 behavior with Monte Carlo covertness validation, the jamming-cancellation
 contrast, and sampler goodness of fit.

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import REPO_ROOT
 from skycloak.cli import main
 from skycloak.scenario_io import default_scenario_dict
 
@@ -289,3 +291,13 @@ def test_module_entry_point(tmp_path, default_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dep_sweep.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy and the standard library cover every numerical primitive
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import skycloak, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -124,7 +124,7 @@ def test_quadrature_matches_independent_integrator():
     # E[max(0, 1 - X/r)] via fixed-grid Simpson on the exact density
     for params in (LIGHT_SHADOWING, AVERAGE_SHADOWING):
         for r in (0.5, 2.0, 8.0):
-            got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, params, tol=1e-10)
+            got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, params)
             want = simpson(lambda x: (1.0 - x / r) * sr_pdf(x, params),
                            0.0, r, n=20000)
             assert got == pytest.approx(want, abs=2e-9)
@@ -143,8 +143,16 @@ def test_quadrature_scale_invariance_and_edges():
     assert avg_min_dep_quadrature(1.0, 0.0, 3.0, 1.0, params) == 1.0
     # no jamming: perfect detection on every fading draw
     assert avg_min_dep_quadrature(1.0, 1.0, 0.0, 1.0, params) == 0.0
-    with pytest.raises(ValueError):
-        avg_min_dep_quadrature(1.0, 1.0, 3.0, 1.0, params, tol=1e-3)
+
+
+def test_quadrature_heavy_row_exact_exponential():
+    # m = 1 makes the fading exponential with mean mu = 2b + omega, where
+    # E[(1 - X/r)^+] = 1 - (mu/r) * (1 - exp(-r/mu)) in closed form
+    mu = HEAVY_SHADOWING.mean_power
+    for r in np.logspace(-2.0, math.log10(300.0), 60):
+        got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, HEAVY_SHADOWING)
+        want = 1.0 + (mu / r) * math.expm1(-r / mu)
+        assert abs(got - want) <= 1e-14, r
 
 
 def test_bound_closed_form_and_dominance():

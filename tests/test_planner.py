@@ -109,6 +109,23 @@ def test_placement_never_hurts_and_stays_feasible():
 # power step
 
 
+def grid_sinr(s, pl):
+    """Best SINR at Bob over a 200 x 200 (Pj_hat, Pa) grid with the UE
+    powers at their floors and the covertness cap enforced."""
+    d2 = np.sum((s.ues - pl.q[None, :]) ** 2, axis=1) + pl.H ** 2
+    prem = s.P_tot - float(np.sum(s.xi_coeff * d2))
+    assert prem > 0.0
+    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
+    g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
+    g_ab = s.sat.ell * s.sr.mean_power
+    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
+    PJ, PA = np.meshgrid(np.linspace(0.0, prem, 200),
+                         np.linspace(0.0, s.Pa_max, 200), indexing="ij")
+    sinr = PA * g_ab / (s.varpi * PJ * g_ub + s.sigma_b2)
+    sinr[PA > ups * PJ + 1e-18] = -1.0
+    return float(sinr.max())
+
+
 def test_power_subproblem_matches_grid():
     rng = np.random.default_rng(17)
     checked = 0
@@ -123,21 +140,29 @@ def test_power_subproblem_matches_grid():
             continue
         pl = UavPlacement(q=q, H=H)
         pw = power_subproblem(s, pl)
-        lp_sinr = 2.0 ** bob_rate(s, pl, pw) - 1.0
-
-        d2 = np.sum((s.ues - q[None, :]) ** 2, axis=1) + H * H
-        prem = s.P_tot - float(np.sum(s.xi_coeff * d2))
-        assert prem > 0.0
-        g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
-        g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
-        g_ab = s.sat.ell * s.sr.mean_power
-        ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
-        PJ, PA = np.meshgrid(np.linspace(0.0, prem, 200),
-                             np.linspace(0.0, s.Pa_max, 200), indexing="ij")
-        sinr = PA * g_ab / (s.varpi * PJ * g_ub + s.sigma_b2)
-        sinr[PA > ups * PJ + 1e-18] = -1.0
-        assert abs(lp_sinr - sinr.max()) / sinr.max() <= 0.01
+        sinr = 2.0 ** bob_rate(s, pl, pw) - 1.0
+        best = grid_sinr(s, pl)
+        assert abs(sinr - best) / best <= 0.01
         checked += 1
+
+
+def test_power_subproblem_satellite_cap_binds(default_scenario, bcd_solution):
+    # halve Pa_max below the covertness cap at full jamming: the jamming
+    # stops at Pa_max/ups and the unspent budget still goes to the UEs
+    pl = bcd_solution.placement
+    pa_free = power_subproblem(default_scenario, pl).Pa
+    s = dataclasses.replace(default_scenario, Pa_max=0.5 * pa_free)
+    assert s.K >= 2
+    pw = power_subproblem(s, pl)
+    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
+    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
+    assert pw.Pa == pytest.approx(s.Pa_max, rel=1e-12)
+    assert pw.Pj_hat == pytest.approx(s.Pa_max / ups, rel=1e-12)
+    assert pw.total == pytest.approx(s.P_tot, rel=1e-12)
+    assert max(constraint_residuals(s, pl, pw).values()) <= 1e-9
+    sinr = 2.0 ** bob_rate(s, pl, pw) - 1.0
+    best = grid_sinr(s, pl)
+    assert abs(sinr - best) / best <= 0.01
 
 
 def test_power_subproblem_structure(default_scenario, bcd_solution):
@@ -156,7 +181,7 @@ def test_power_subproblem_structure(default_scenario, bcd_solution):
     ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
     assert pw.Pa < s.Pa_max
     assert pw.Pa == pytest.approx(ups * pw.Pj_hat, rel=1e-8)
-    # every residual within LP recovery noise
+    # every residual within rounding noise
     res = constraint_residuals(s, pl, pw)
     assert max(res.values()) <= 1e-9
 

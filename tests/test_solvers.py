@@ -1,7 +1,4 @@
-"""Dense simplex LP, log-barrier SOC solver, Dinkelbach iteration."""
-
-import itertools
-import math
+"""Log-barrier SOC solver, max-slack point, Dinkelbach iteration."""
 
 import numpy as np
 import pytest
@@ -9,147 +6,19 @@ from numpy.testing import assert_allclose
 
 from skycloak.solvers import (AffineConstraint, BracketError, DinkelbachResult,
                               FractionalProgram, InfeasibleStartError,
-                              LinearObjective, LinearProgram, QuadraticSum,
-                              SmoothConvexProgram, SocConstraint, bisect,
-                              ball_constraint, dinkelbach, max_slack_point,
-                              solve_lp, solve_smooth_convex,
-                              strictly_feasible)
-
-
-# ---------------------------------------------------------------------------
-# linear programming
-
-
-def vertex_enumeration_max(c, A, b, lb):
-    """Brute-force LP oracle: check every basic point of {Ax<=b, x>=lb}."""
-    n = len(c)
-    rows = [(*A[i], b[i]) for i in range(len(b))]
-    rows += [(*(-np.eye(n)[j]), -lb[j]) for j in range(n)]
-    best = None
-    for subset in itertools.combinations(range(len(rows)), n):
-        M = np.array([rows[i][:n] for i in subset])
-        rhs = np.array([rows[i][n] for i in subset])
-        if abs(np.linalg.det(M)) < 1e-10:
-            continue
-        x = np.linalg.solve(M, rhs)
-        if np.all(A @ x <= b + 1e-9) and np.all(x >= lb - 1e-9):
-            val = float(c @ x)
-            if best is None or val > best:
-                best = val
-    return best
-
-
-def test_lp_analytic():
-    lp = LinearProgram(c=np.array([3.0, 2.0]),
-                       A_ub=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                       b_ub=np.array([1.0, 2.0, 2.5]))
-    r = solve_lp(lp)
-    assert r.status == "optimal"
-    assert_allclose(r.x, [1.0, 1.5], atol=1e-10)
-    assert r.objective == pytest.approx(6.0, abs=1e-10)
-    assert_allclose(r.duals_ub, [1.0, 0.0, 2.0], atol=1e-9)
-
-
-def test_lp_matches_vertex_enumeration():
-    rng = np.random.default_rng(7)
-    solved = 0
-    for _ in range(60):
-        n = int(rng.integers(2, 4))
-        m = int(rng.integers(3, 7))
-        A = rng.normal(size=(m, n))
-        # keep the feasible set bounded: cap the coordinate sum
-        A = np.vstack([A, np.ones(n)])
-        b = np.concatenate([rng.uniform(0.5, 3.0, size=m), [4.0]])
-        lb = rng.uniform(-1.0, 0.0, size=n)
-        c = rng.normal(size=n)
-        lp = LinearProgram(c=c, A_ub=A, b_ub=b, lb=lb)
-        r = solve_lp(lp)
-        want = vertex_enumeration_max(c, A, b, lb)
-        if r.status == "infeasible":
-            assert want is None
-            continue
-        assert r.status == "optimal"
-        assert want is not None
-        assert r.objective == pytest.approx(want, abs=1e-7)
-        solved += 1
-    assert solved >= 40  # the draw keeps most instances feasible
-
-
-def test_lp_strong_duality_and_complementary_slackness():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        A_ub = rng.normal(size=(m, n))
-        A_ub = np.vstack([A_ub, np.ones(n)])
-        b_ub = np.concatenate([rng.uniform(1.0, 4.0, size=m), [5.0]])
-        A_eq = rng.normal(size=(1, n))
-        lb = rng.uniform(-0.5, 0.0, size=n)
-        # make the equality satisfiable inside the box for sure
-        x_feas = lb + rng.uniform(0.05, 0.3, size=n)
-        b_eq = A_eq @ x_feas
-        c = rng.normal(size=n)
-        lp = LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                           lb=lb)
-        r = solve_lp(lp)
-        if r.status != "optimal":
-            continue
-        lam, nu = r.duals_ub, r.duals_eq
-        assert np.all(lam >= -1e-9)
-        dual_val = (lam @ (b_ub - A_ub @ lb) + nu @ (b_eq - A_eq @ lb)
-                    + c @ lb)
-        assert dual_val == pytest.approx(r.objective, abs=1e-7)
-        # complementary slackness and dual feasibility (reduced costs)
-        slack = b_ub - A_ub @ r.x
-        assert np.all(np.abs(lam * slack) < 1e-7)
-        reduced = A_ub.T @ lam + A_eq.T @ nu - c
-        assert np.all(reduced > -1e-8)
-        assert np.all(np.abs(reduced * (r.x - lb)) < 1e-6)
-
-
-def test_lp_infeasible_farkas_certificate():
-    # x1 + x2 <= -1 with x >= 0 is plainly infeasible
-    lp = LinearProgram(c=np.array([1.0, 1.0]),
-                       A_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
-                       b_ub=np.array([-1.0, 2.0]))
-    r = solve_lp(lp)
-    assert r.status == "infeasible"
-    y = r.farkas_ub
-    assert np.all(y >= -1e-12)
-    # y certifies A^T y >= 0 with b^T y < 0 in the shifted system
-    assert np.all(lp.A_ub.T @ y >= -1e-9)
-    assert y @ lp.b_ub < -1e-9
-
-
-def test_lp_unbounded_and_degenerate():
-    lp = LinearProgram(c=np.array([1.0]), A_ub=np.zeros((0, 1)),
-                       b_ub=np.zeros(0))
-    assert solve_lp(lp).status == "unbounded"
-    # equality-only system with a unique point
-    lp = LinearProgram(c=np.array([1.0, 1.0]),
-                       A_ub=np.zeros((0, 2)), b_ub=np.zeros(0),
-                       A_eq=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                       b_eq=np.array([0.25, 0.75]))
-    r = solve_lp(lp)
-    assert r.status == "optimal"
-    assert_allclose(r.x, [0.25, 0.75], atol=1e-10)
-
-
-def test_lp_poorly_scaled_rows():
-    # row scales spanning 12 orders of magnitude; equilibration must cope
-    lp = LinearProgram(c=np.array([1.0, 1.0]),
-                       A_ub=np.array([[1e-9, 0.0], [0.0, 1e6], [1.0, 1.0]]),
-                       b_ub=np.array([1e-9, 2e6, 2.5]))
-    r = solve_lp(lp)
-    assert r.status == "optimal"
-    assert r.objective == pytest.approx(2.5, rel=1e-9)
-    # duality still holds after the internal rescaling is undone
-    dual_val = r.duals_ub @ lp.b_ub
-    assert dual_val == pytest.approx(r.objective, rel=1e-7)
+                              LinearObjective, QuadraticSum, SocConstraint,
+                              _barrier_maximize, ball_constraint, bisect,
+                              dinkelbach, max_slack_point)
 
 
 # ---------------------------------------------------------------------------
 # barrier solver
+
+
+def maximize_linear(c, constraints, x0):
+    """Maximize c.x over the constraints from x0; returns (x*, c.x*)."""
+    x, _ = _barrier_maximize(LinearObjective(c), constraints, x0, tol=1e-10)
+    return x, float(np.asarray(c) @ x)
 
 
 def test_barrier_ball_supporting_hyperplane():
@@ -159,9 +28,7 @@ def test_barrier_ball_supporting_hyperplane():
         center = rng.normal(size=n)
         radius = rng.uniform(0.5, 2.0)
         c = rng.normal(size=n)
-        prog = SmoothConvexProgram(c=c, constraints=[
-            ball_constraint(center, radius)])
-        x, val = solve_smooth_convex(prog, center, tol=1e-10)
+        x, val = maximize_linear(c, [ball_constraint(center, radius)], center)
         want_x = center + radius * c / np.linalg.norm(c)
         assert_allclose(x, want_x, atol=5e-7)
         assert val == pytest.approx(float(c @ want_x), abs=1e-8)
@@ -172,9 +39,8 @@ def test_barrier_cone_and_halfspace():
     cone = SocConstraint(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                          b=np.zeros(2), c=np.array([0.0, 0.0, 0.5]), d=0.0)
     cap = AffineConstraint(a=np.array([0.0, 0.0, 1.0]), b=4.0)
-    prog = SmoothConvexProgram(c=np.array([1.0, 0.0, 0.0]),
-                               constraints=[cone, cap])
-    x, val = solve_smooth_convex(prog, np.array([0.1, 0.0, 3.0]), tol=1e-10)
+    x, val = maximize_linear(np.array([1.0, 0.0, 0.0]), [cone, cap],
+                             np.array([0.1, 0.0, 3.0]))
     assert_allclose(x, [2.0, 0.0, 4.0], atol=1e-5)
     assert val == pytest.approx(2.0, abs=1e-6)
 
@@ -183,9 +49,8 @@ def test_barrier_two_ball_intersection_vs_grid():
     b1 = ball_constraint(np.array([-0.5, 0.0]), 1.0)
     b2 = ball_constraint(np.array([0.5, 0.0]), 1.0)
     c = np.array([0.3, 1.0])
-    prog = SmoothConvexProgram(c=c, constraints=[b1, b2])
-    x, val = solve_smooth_convex(prog, np.zeros(2), tol=1e-10)
-    assert strictly_feasible([b1, b2], x, margin=-1e-9)
+    x, val = maximize_linear(c, [b1, b2], np.zeros(2))
+    assert min(b1.margin(x), b2.margin(x)) > -1e-9
     # dense-grid oracle over the lens
     xs = np.linspace(-0.6, 0.6, 1201)
     ys = np.linspace(0.0, 1.0, 1001)
@@ -198,10 +63,10 @@ def test_barrier_two_ball_intersection_vs_grid():
 
 
 def test_barrier_rejects_infeasible_start():
-    prog = SmoothConvexProgram(c=np.array([1.0, 0.0]),
-                               constraints=[ball_constraint(np.zeros(2), 1.0)])
     with pytest.raises(InfeasibleStartError):
-        solve_smooth_convex(prog, np.array([5.0, 0.0]))
+        maximize_linear(np.array([1.0, 0.0]),
+                        [ball_constraint(np.zeros(2), 1.0)],
+                        np.array([5.0, 0.0]))
 
 
 def test_max_slack_two_balls():
