@@ -4,7 +4,7 @@ The package is organized around five pieces:
 
 - :mod:`skycloak.channel`    fading/link math (shadowed-Rician, LoS, rates)
 - :mod:`skycloak.detection`  warden detection model, DEP bounds, covertness map
-- :mod:`skycloak.solvers`    log-barrier Newton, max-slack point, Dinkelbach
+- :mod:`skycloak.solvers`    stacked SOC rows, log-barrier Newton, Dinkelbach
 - :mod:`skycloak.planner`    the two placement/power optimization algorithms
 - :mod:`skycloak.cli`        scenario files, sweeps, Monte Carlo validation
 """

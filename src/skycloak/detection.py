@@ -22,7 +22,6 @@ import numpy as np
 
 from .channel import (GammaApprox, SRParams, _gammainc_orders,
                       _mixture_weights, _series_sum)
-from .solvers import bisect
 
 __all__ = [
     "DetectionModel",
@@ -243,32 +242,38 @@ def phi(x, gamma: GammaApprox):
     scalar constraint phi(x) <= eps. Accepts scalar or array input.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("phi is defined for positive arguments only")
     out = gamma.alpha * (np.exp(-gamma.mu / arr) + arr)
     return float(out) if out.ndim == 0 else out
 
 
-def phi_inverse(eps: float, gamma: GammaApprox, tol: float = 1e-10) -> float:
-    """Inverse of ``phi`` on its increasing branch.
+def phi_inverse(eps: float, gamma: GammaApprox) -> float:
+    """Inverse of ``phi`` on its increasing branch, to the last double.
 
-    Returns x with ``|phi(x) - eps| <= tol``. Requires 0 < eps < alpha so
-    the solution is unique and bounded away from the linear regime.
+    Returns the largest double x with ``phi(x) <= eps``, so the cap it
+    sets is never on the wrong side of the bound. Requires
+    0 < eps < alpha so the solution is unique and bounded away from the
+    linear regime.
     """
     if not 0.0 < eps < gamma.alpha:
         raise ValueError(f"eps must lie in (0, alpha)=(0, {gamma.alpha}), got {eps}")
-
-    def f(x):
-        return phi(x, gamma)
-
     hi = 1.0  # phi(1) = alpha*(exp(-mu) + 1) > alpha > eps always
     lo = 0.5
-    while f(lo) > eps:
+    while phi(lo, gamma) > eps:
         hi = lo
         lo *= 0.5
         if lo < 1e-300:
             raise RuntimeError("phi inverse bracket collapsed")
-    return bisect(f, eps, (lo, hi), tol=tol)
+    # invariant phi(lo) <= eps < phi(hi); stop when no double lies between
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if phi(mid, gamma) <= eps:
+            lo = mid
+        else:
+            hi = mid
 
 
 def covert_constraint_satisfied(pa: float, pj_hat: float, g_uw: float,

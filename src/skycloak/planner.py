@@ -22,6 +22,11 @@ the case where Bob strips the jamming entirely (varpi = 0): the rate then
 depends on the placement only through the covertness ceiling on Pa, a
 ratio of a concave to a convex quadratic maximized exactly by Dinkelbach
 iteration, after which the power split follows in closed form.
+
+Both paths hand the solvers one stacked constraint over the lifted
+placement (q, H): a row per elevation cone, two half-space rows for the
+altitude band, and a row per ball (UE rate, covertness, or the UE power
+budget ball of the varpi = 0 path).
 """
 
 from __future__ import annotations
@@ -44,13 +49,10 @@ from .channel import (
 )
 from .detection import covert_constraint_satisfied, phi_inverse
 from .solvers import (
-    AffineConstraint,
+    ConeConstraint,
     FractionalProgram,
-    LinearObjective,
-    QuadraticSum,
-    SocConstraint,
+    QuadraticObjective,
     _barrier_maximize,
-    ball_constraint,
     dinkelbach,
     max_slack_point,
 )
@@ -233,32 +235,40 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 # placement geometry
 
 
-def _elevation_cones(s: Scenario) -> list:
-    """One SOC per ground node: ||q - node|| <= H / tan(phi_min)."""
-    t = 1.0 / math.tan(s.budget.phi_min)
-    proj = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return [SocConstraint(proj, node, np.array([0.0, 0.0, t]), 0.0)
-            for node in s.ground_nodes]
+def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
+    """Rows over the lifted placement x = (q, H): one elevation cone per
+    ground node (||q - node|| <= H / tan(phi_min)), the altitude band
+    H_min <= H <= H_max, then one ball ||x - center|| <= radius per
+    center."""
+    nodes = s.ground_nodes
+    nc, nb = len(nodes), len(radii)
+    A = np.zeros((nc + 2 + nb, 3, 3))
+    b = np.zeros((nc + 2 + nb, 3))
+    c = np.zeros((nc + 2 + nb, 3))
+    d = np.zeros(nc + 2 + nb)
+    A[:nc] = np.diag([1.0, 1.0, 0.0])
+    b[:nc, :2] = nodes
+    c[:nc, 2] = 1.0 / math.tan(s.budget.phi_min)
+    c[nc:nc + 2, 2] = (1.0, -1.0)
+    d[nc:nc + 2] = (-s.H_min, s.H_max)
+    A[nc + 2:] = np.eye(3)
+    b[nc + 2:] = np.reshape(centers, (nb, 3))
+    d[nc + 2:] = radii
+    return ConeConstraint(A, b, c, d)
 
 
-def _altitude_band(s: Scenario) -> list:
-    return [AffineConstraint(np.array([0.0, 0.0, -1.0]), -s.H_min),
-            AffineConstraint(np.array([0.0, 0.0, 1.0]), s.H_max)]
-
-
-def _placement_constraints(s: Scenario, powers: PowerAllocation) -> list:
+def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstraint:
     """Feasible placements at fixed powers: cones, altitude band, UE-rate
     balls (radius sqrt(Pk/Xi) around each lifted UE), and the covertness
     ball around the lifted warden."""
-    cons = _elevation_cones(s) + _altitude_band(s)
-    xi = s.xi_coeff
-    for pk, u in zip(powers.Pk, s.ues):
-        cons.append(ball_constraint(_lift(u), math.sqrt(max(pk, 0.0) / xi)))
+    centers = [_lift(u) for u in s.ues]
+    radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk]
     if powers.Pa > 0.0:
         cap = (powers.Pj_hat * s.budget.beta0_chi * phi_inverse(s.eps, s.gamma)
                / (s.gamma.theta * s.sat.ell * powers.Pa))
-        cons.append(ball_constraint(_lift(s.willie), math.sqrt(max(cap, 0.0))))
-    return cons
+        centers.append(_lift(s.willie))
+        radii.append(math.sqrt(max(cap, 0.0)))
+    return _placement_set(s, centers, radii)
 
 
 def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
@@ -279,10 +289,11 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
     """
     cons = _placement_constraints(s, powers)
     x0 = q0.lifted
-    worst = min(con.margin(x0) for con in cons)
+    margins = cons.margin(x0)
+    worst = margins.min()
     if worst < -1e-8:
-        bad = min(range(len(cons)), key=lambda i: cons[i].margin(x0))
-        raise PlannerInfeasible("placement start", f"constraint {bad} margin {worst:.3e}")
+        raise PlannerInfeasible("placement start",
+                                f"constraint {margins.argmin()} margin {worst:.3e}")
     b_bar = _lift(s.bob)
 
     def true_obj(x):
@@ -299,7 +310,7 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
     for _ in range(sca_max):
         grad = 2.0 * (x - b_bar)
         grad /= np.linalg.norm(grad)  # unit objective: tolerances in meters
-        y, _ = _barrier_maximize(LinearObjective(grad), cons, x, tol=1e-7)
+        y, _ = _barrier_maximize(QuadraticObjective(grad), cons, x, tol=1e-7)
         new_val = true_obj(y)
         improvement = new_val - val
         if new_val > val:
@@ -370,9 +381,8 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     if h0 <= s.H_max:
         return UavPlacement(q=centroid, H=h0)
     # centroid cannot clear the cones below H_max: find any interior placement
-    cons = _elevation_cones(s) + _altitude_band(s)
     anchor = np.array([centroid[0], centroid[1], 0.5 * (s.H_min + s.H_max)])
-    x, slack = max_slack_point(cons, anchor)
+    x, slack = max_slack_point(_placement_set(s), anchor)
     if slack <= 0.0:
         raise PlannerInfeasible(
             "elevation cones", "no altitude in range sees every ground node")
@@ -465,9 +475,8 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
     phi_inv = phi_inverse(s.eps, s.gamma)
     xi = s.xi_coeff
-    cons = _elevation_cones(s) + _altitude_band(s)
-    centers = (np.vstack([_lift(u) for u in s.ues])
-               if s.K else np.zeros((0, 3)))
+    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
+    ball = ((), ())
     if s.K:
         centroid = centers.mean(axis=0)
         spread = float(np.sum((centers - centroid[None, :]) ** 2))
@@ -475,7 +484,8 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         if r2 <= 0.0:
             return Solution(None, None, math.nan, [], "infeasible",
                             "ue-rate power floors exceed the budget everywhere")
-        cons.append(ball_constraint(centroid, math.sqrt(r2)))
+        ball = ([centroid], [math.sqrt(r2)])
+    cons = _placement_set(s, *ball)
 
     anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
     x0, slack = max_slack_point(cons, anchor)
@@ -488,10 +498,11 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     w_bar = _lift(s.willie)
     g_raw = s.gamma.theta * s.sat.ell
     scale = 1.0 / (g_raw * float(np.sum((x0 - w_bar) ** 2)))
-    f_obj = QuadraticSum(weight=-xi * phi_inv * s.budget.beta0_chi * scale,
-                         centers=centers,
-                         const=s.P_tot * phi_inv * s.budget.beta0_chi * scale)
-    g_obj = QuadraticSum(weight=g_raw * scale, centers=w_bar[None, :])
+    f_obj = QuadraticObjective(np.zeros(3),
+                               const=s.P_tot * phi_inv * s.budget.beta0_chi * scale,
+                               w=np.full(s.K, -xi * phi_inv * s.budget.beta0_chi * scale),
+                               u=centers)
+    g_obj = QuadraticObjective(np.zeros(3), w=[g_raw * scale], u=w_bar[None, :])
     res = dinkelbach(FractionalProgram(f_obj, g_obj, cons), x0,
                      delta=s.delta, i_max=s.i_max)
 

@@ -5,15 +5,17 @@ position, altitude, optional slack), so the tools are deliberately simple
 and transparent. The power step needs no solver; its optimum is explicit
 (see :func:`skycloak.planner.power_subproblem`).
 
-- a log-barrier Newton method over second-order-cone and affine constraints,
-  using the canonical SOC barrier -log((c.x+d)^2 - ||Ax-b||^2);
-- a Dinkelbach driver for concave/convex fractional objectives;
-- scalar bisection for monotone root finding.
+- one stacked constraint type, rows ||A_i x - b_i|| <= c_i.x + d_i, with a
+  row whose A_i is zero standing for the half-space c_i.x + d_i >= 0;
+- one objective type, const + c.x + sum_k w_k ||x - u_k||^2;
+- a log-barrier Newton method over the stack, with a closed-form bound on
+  the feasible step (Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3);
+- a max-slack interior point finder and a Dinkelbach driver for
+  concave/convex fractional objectives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +24,12 @@ __all__ = [
     "SolverError",
     "InfeasibleStartError",
     "LineSearchError",
-    "BracketError",
-    "AffineConstraint",
-    "SocConstraint",
-    "ball_constraint",
-    "LinearObjective",
-    "QuadraticSum",
+    "ConeConstraint",
+    "QuadraticObjective",
     "max_slack_point",
     "FractionalProgram",
     "DinkelbachResult",
     "dinkelbach",
-    "bisect",
 ]
 
 
@@ -48,240 +45,169 @@ class LineSearchError(SolverError):
     pass
 
 
-class BracketError(SolverError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# scalar bisection
-
-
-def bisect(fn, target: float, bracket, tol: float = 1e-10, max_iter: int = 300) -> float:
-    """Solve fn(x) = target for monotone fn on the bracket.
-
-    Returns x with |fn(x) - target| <= tol. Raises BracketError when the
-    target is not enclosed by the bracket endpoints.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    flo, fhi = fn(lo), fn(hi)
-    increasing = fhi >= flo
-    fmin, fmax = (flo, fhi) if increasing else (fhi, flo)
-    if not (fmin <= target <= fmax):
-        raise BracketError(
-            f"target {target} outside fn range [{fmin}, {fmax}] on bracket"
-        )
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fx = fn(x)
-        if abs(fx - target) <= tol:
-            return x
-        if (fx < target) == increasing:
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
-    raise BracketError(f"bisection did not reach tol={tol} in {max_iter} steps")
-
-
-# ---------------------------------------------------------------------------
-# smooth convex programs: SOC/affine constraints, log-barrier Newton
+# smooth convex programs: stacked SOC rows, log-barrier Newton
 
 
 @dataclass
-class AffineConstraint:
-    """a.x <= b"""
+class ConeConstraint:
+    """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n).
 
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).ravel()
-
-    def value(self, x):
-        return float(self.a @ x - self.b)
-
-    def grad(self, x):
-        return self.a
-
-    def hess(self, x):
-        return np.zeros((self.a.size, self.a.size))
-
-    def interior(self, x):
-        return self.value(x) < 0.0
-
-    def margin(self, x):
-        """Distance-to-violation in the constraint's own units."""
-        return -self.value(x)
-
-    def lifted(self):
-        return AffineConstraint(np.append(self.a, 1.0), self.b)
-
-
-@dataclass
-class SocConstraint:
-    """||A x - b|| <= c.x + d, handled in squared smooth form.
-
-    value() returns ||Ax-b||^2 - (c.x+d)^2, whose zero-sublevel set
-    intersected with {c.x + d > 0} is the second-order cone; the barrier
-    -log(-value) is then the canonical (convex, self-concordant) SOC
-    barrier even though value() itself is not convex.
+    A cone row (A_i nonzero) has value ||A_i x - b_i||^2 - (c_i.x + d_i)^2,
+    whose zero-sublevel set intersected with {c_i.x + d_i > 0} is the
+    second-order cone; -log(-value) is then the canonical (convex,
+    self-concordant) SOC barrier even though the value itself is not
+    convex. A half-space row (A_i = 0) has value -(c_i.x + d_i) and keeps
+    the barrier -log(c_i.x + d_i).
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: float
+    d: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        self._hess = 2.0 * (self.A.T @ self.A - np.outer(self.c, self.c))
+        self.A = np.asarray(self.A, dtype=float)
+        m, k, n = self.A.shape
+        self.b = np.asarray(self.b, dtype=float).reshape(m, k)
+        self.c = np.asarray(self.c, dtype=float).reshape(m, n)
+        self.d = np.asarray(self.d, dtype=float).reshape(m)
+        self.cone = np.any(self.A != 0.0, axis=(1, 2))
+        self._hess = 2.0 * self.cone[:, None, None] * (
+            np.einsum("mki,mkj->mij", self.A, self.A)
+            - np.einsum("mi,mj->mij", self.c, self.c))
 
     def _parts(self, x):
-        return self.A @ x - self.b, float(self.c @ x + self.d)
+        return np.einsum("mkn,n->mk", self.A, x) - self.b, self.c @ x + self.d
 
     def value(self, x):
         r, t = self._parts(x)
-        return float(r @ r - t * t)
+        return np.where(self.cone, np.einsum("mk,mk->m", r, r) - t * t, -t)
 
     def grad(self, x):
         r, t = self._parts(x)
-        return 2.0 * (self.A.T @ r) - 2.0 * t * self.c
+        g = 2.0 * (np.einsum("mkn,mk->mn", self.A, r) - t[:, None] * self.c)
+        return np.where(self.cone[:, None], g, -self.c)
 
     def hess(self, x):
         return self._hess
 
     def interior(self, x):
         r, t = self._parts(x)
-        return t > 0.0 and float(r @ r) < t * t
+        return bool(np.all((t > 0.0) & (np.einsum("mk,mk->m", r, r) < t * t)))
 
     def margin(self, x):
+        """Distance-to-violation of every row in the row's own units."""
         r, t = self._parts(x)
-        return t - float(np.linalg.norm(r))
+        return t - np.sqrt(np.einsum("mk,mk->m", r, r))
 
     def lifted(self):
-        A = np.hstack([self.A, np.zeros((self.A.shape[0], 1))])
-        return SocConstraint(A, self.b, np.append(self.c, -1.0), self.d)
+        """The same rows in (x, s) with the slack s taken off every
+        right-hand side: ||A_i x - b_i|| <= c_i.x + d_i - s."""
+        m, k, _ = self.A.shape
+        return ConeConstraint(np.concatenate([self.A, np.zeros((m, k, 1))], axis=2),
+                              self.b, np.hstack([self.c, -np.ones((m, 1))]), self.d)
 
+    def max_step(self, x, s):
+        """Per row, the smallest alpha > 0 at which x + alpha*s reaches the
+        row's boundary (inf where the ray never does), for interior x.
 
-def ball_constraint(center, radius: float) -> SocConstraint:
-    """||x - center|| <= radius."""
-    center = np.asarray(center, dtype=float).ravel()
-    n = center.size
-    return SocConstraint(np.eye(n), center, np.zeros(n), float(radius))
+        Along the ray a row's value is the scalar polynomial
+        a*alpha^2 + 2*h*alpha + v (linear for a half-space). With v < 0 its
+        first positive root is -v / (h + sqrt(h^2 - a*v)), and there is
+        none when that denominator is not positive. Inside a row the
+        discriminant can be negative only with a < 0 and h < 0, where the
+        denominator is negative anyway, so clipping it at zero against
+        rounding changes no verdict.
+        """
+        r, t = self._parts(x)
+        rs, ts = np.einsum("mkn,n->mk", self.A, s), self.c @ s
+        v = self.value(x)
+        a = np.where(self.cone, np.einsum("mk,mk->m", rs, rs) - ts * ts, 0.0)
+        h = np.where(self.cone, np.einsum("mk,mk->m", r, rs) - t * ts, -0.5 * ts)
+        den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
+        with np.errstate(divide="ignore"):
+            return np.where(den > 0.0, -v / den, np.inf)
 
 
 @dataclass
-class LinearObjective:
+class QuadraticObjective:
+    """const + c.x + sum_k w[k] * ||x - u[k]||^2 (concave iff sum(w) <= 0)."""
+
     c: np.ndarray
     const: float = 0.0
+    w: np.ndarray = ()
+    u: np.ndarray = ()
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
+        self.w = np.asarray(self.w, dtype=float).ravel()
+        self.u = np.asarray(self.u, dtype=float).reshape(self.w.size, self.c.size)
 
     def value(self, x):
-        return float(self.c @ x) + self.const
+        diff = x[None, :] - self.u
+        return (self.const + float(self.c @ x)
+                + float(self.w @ np.sum(diff * diff, axis=1)))
 
     def grad(self, x):
-        return self.c
+        return self.c + 2.0 * (self.w @ (x[None, :] - self.u))
 
     def hess(self, x):
-        return np.zeros((self.c.size, self.c.size))
+        return 2.0 * self.w.sum() * np.eye(self.c.size)
 
 
-@dataclass
-class QuadraticSum:
-    """const + weight * sum_k ||x - centers[k]||^2 (concave iff weight <= 0)."""
-
-    weight: float
-    centers: np.ndarray
-    const: float = 0.0
-
-    def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-
-    def value(self, x):
-        diff = x[None, :] - self.centers
-        return self.const + self.weight * float(np.sum(diff * diff))
-
-    def grad(self, x):
-        diff = x[None, :] - self.centers
-        return 2.0 * self.weight * diff.sum(axis=0)
-
-    def hess(self, x):
-        n = self.centers.shape[1]
-        return 2.0 * self.weight * self.centers.shape[0] * np.eye(n)
-
-
-class _CombinedObjective:
-    """f - lam * g for the Dinkelbach subproblems."""
-
-    def __init__(self, f, g, lam):
-        self.f, self.g, self.lam = f, g, lam
-
-    def value(self, x):
-        return self.f.value(x) - self.lam * self.g.value(x)
-
-    def grad(self, x):
-        return self.f.grad(x) - self.lam * self.g.grad(x)
-
-    def hess(self, x):
-        return self.f.hess(x) - self.lam * self.g.hess(x)
-
-
-def _barrier_maximize(objective, constraints, x0, tol=1e-8, t0=1.0,
+def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
                       t_factor=10.0, max_newton=200):
-    """Maximize a smooth concave objective over constraints via log barrier.
+    """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop raises the barrier weight until m/t < tol (duality-gap bound);
     inner loop is damped Newton with an Armijo backtracking line search that
-    also enforces strict feasibility. Returns (x, info dict).
+    starts just inside the closed-form largest feasible step and also checks
+    strict feasibility. The inner loop ends when the Newton decrement
+    vanishes or an accepted step no longer moves x. Returns (x, info dict).
     """
     x = np.asarray(x0, dtype=float).copy()
-    m = len(constraints)
-    if not all(con.interior(x) for con in constraints):
-        worst = min(con.margin(x) for con in constraints) if m else 0.0
-        raise InfeasibleStartError(f"x0 not strictly feasible (worst margin {worst:.3e})")
+    m = cons.A.shape[0]
     if m == 0:
         raise SolverError("unconstrained maximization is unbounded here")
+    if not cons.interior(x):
+        raise InfeasibleStartError(
+            f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
+    eye = np.eye(x.size)
     t = t0
     newton_steps = 0
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i)
         for _ in range(max_newton):
-            vals = np.array([con.value(x) for con in constraints])
-            grad = -t * objective.grad(x)
-            H = -t * objective.hess(x)
-            for con, v in zip(constraints, vals):
-                gci = con.grad(x)
-                grad += gci / (-v)
-                H += np.outer(gci, gci) / (v * v) + con.hess(x) / (-v)
+            vals = cons.value(x)
+            inv = -1.0 / vals
+            gci = cons.grad(x) * inv[:, None]
+            grad = -t * objective.grad(x) + gci.sum(axis=0)
+            H = (-t * objective.hess(x) + gci.T @ gci
+                 + np.einsum("m,mij->ij", inv, cons.hess(x)))
             ridge = 0.0
             base = np.trace(H) / H.shape[0]
             while True:
                 try:
-                    np.linalg.cholesky(H + ridge * np.eye(H.shape[0]))
+                    L = np.linalg.cholesky(H + ridge * eye)
                     break
                 except np.linalg.LinAlgError:
                     ridge = max(ridge * 10.0, 1e-12 * max(base, 1.0))
-            step = np.linalg.solve(H + ridge * np.eye(H.shape[0]), -grad)
+            step = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
             decrement = float(-grad @ step)
             phi0 = -t * objective.value(x) - float(np.sum(np.log(-vals)))
             fuzz = 1e-11 * (1.0 + abs(phi0))
             if decrement <= 2.0 * fuzz:
                 break
             slope = float(grad @ step)
-            alpha = 1.0
+            alpha = min(1.0, 0.99 * float(cons.max_step(x, step).min()))
             accepted = False
             for _ls in range(70):
                 xn = x + alpha * step
-                if all(con.interior(xn) for con in constraints):
+                if cons.interior(xn):
                     phin = (-t * objective.value(xn)
-                            - sum(math.log(-con.value(xn)) for con in constraints))
+                            - float(np.sum(np.log(-cons.value(xn)))))
                     # the fuzz term absorbs cancellation noise in t*objective
                     # when the combined objective is itself a near-zero
                     # difference of large terms (Dinkelbach residuals)
@@ -294,16 +220,17 @@ def _barrier_maximize(objective, constraints, x0, tol=1e-8, t0=1.0,
                     raise LineSearchError(
                         f"no acceptable step with decrement {decrement:.3e}")
                 break  # progress is below floating-point resolution at this t
+            moved = not np.array_equal(xn, x)
             x = xn
             newton_steps += 1
+            if not moved:
+                break
         if m / t < tol:
             break
         t *= t_factor
 
-    lam = np.array([1.0 / (t * (-con.value(x))) for con in constraints])
-    stat = objective.grad(x) - sum(
-        li * con.grad(x) for li, con in zip(lam, constraints)
-    )
+    lam = 1.0 / (t * -cons.value(x))
+    stat = objective.grad(x) - lam @ cons.grad(x)
     info = {
         "t": t,
         "newton_steps": newton_steps,
@@ -314,28 +241,32 @@ def _barrier_maximize(objective, constraints, x0, tol=1e-8, t0=1.0,
     return x, info
 
 
-def max_slack_point(constraints, anchor, tol: float = 1e-9, s_cap: float | None = None):
+def max_slack_point(cons, anchor, tol: float = 1e-9, s_cap: float | None = None):
     """Chebyshev-style strictly feasible point: maximize the minimum slack.
 
-    The slack variable is appended to the affine side of every constraint
-    (||Ax-b|| <= c.x+d-s, a.x+s <= b), which keeps the lifted problem a
-    plain SOC program; the anchor point with s below its worst margin is
-    always strictly feasible, so no further phase is needed. Returns
-    (x, s_star); s_star > 0 certifies a strictly feasible interior.
+    The slack variable is taken off the right-hand side of every row
+    (||Ax-b|| <= c.x+d-s), which keeps the lifted problem a plain SOC
+    program; the anchor point with s below its worst margin is always
+    strictly feasible, so no further phase is needed. Returns (x, s_star);
+    s_star > 0 certifies a strictly feasible interior.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
-    lifted = [con.lifted() for con in constraints]
-    margins = [con.margin(anchor) for con in constraints]
-    s0 = min(margins) - 1.0
+    margins = cons.margin(anchor)
+    s0 = margins.min() - 1.0
     cap = s_cap
     if cap is None:
         # bound s so the lifted program cannot be unbounded
-        cap = max(abs(s0), max(abs(m) for m in margins), 1.0) * 10.0 + 1.0
-    lifted.append(AffineConstraint(np.append(np.zeros(n), 1.0), cap))
-    obj = np.append(np.zeros(n), 1.0)
-    x0 = np.append(anchor, s0)
-    xs, _ = _barrier_maximize(LinearObjective(obj), lifted, x0, tol=tol)
+        cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
+    # the lifted rows and s <= cap, a half-space row
+    rows = cons.lifted()
+    k = rows.A.shape[1]
+    e_s = np.eye(n + 1)[n]
+    rows = ConeConstraint(np.concatenate([rows.A, np.zeros((1, k, n + 1))]),
+                          np.vstack([rows.b, np.zeros(k)]),
+                          np.vstack([rows.c, -e_s]), np.append(rows.d, cap))
+    xs, _ = _barrier_maximize(QuadraticObjective(e_s), rows,
+                              np.append(anchor, s0), tol=tol)
     return xs[:n], float(xs[n])
 
 
@@ -347,9 +278,9 @@ def max_slack_point(constraints, anchor, tol: float = 1e-9, s_cap: float | None 
 class FractionalProgram:
     """max f(x)/g(x) with f concave, g convex and positive on the feasible set."""
 
-    f: object
-    g: object
-    constraints: list
+    f: QuadraticObjective
+    g: QuadraticObjective
+    constraints: ConeConstraint
 
 
 @dataclass
@@ -369,13 +300,16 @@ def dinkelbach(fp: FractionalProgram, x0, delta: float = 1e-6,
     stops once |f - lam_prev*g| < delta at the new point. The returned lam
     is f(x*)/g(x*). Non-convergence within i_max is flagged, not raised.
     """
+    f, g = fp.f, fp.g
     x = np.asarray(x0, dtype=float).copy()
     lam = 0.0
     trace = []
     for it in range(1, i_max + 1):
-        obj = _CombinedObjective(fp.f, fp.g, lam)
+        obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
+                                 np.concatenate([f.w, -lam * g.w]),
+                                 np.vstack([f.u, g.u]))
         x, _ = _barrier_maximize(obj, fp.constraints, x, tol=inner_tol)
-        fv, gv = fp.f.value(x), fp.g.value(x)
+        fv, gv = f.value(x), g.value(x)
         if gv <= 0.0:
             raise SolverError(f"denominator nonpositive ({gv:.3e}) at iterate {it}")
         F = fv - lam * gv

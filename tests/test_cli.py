@@ -288,6 +288,7 @@ def test_module_entry_point(tmp_path, default_path):
         [sys.executable, "-m", "skycloak.cli", "dep-sweep",
          "--scenario", default_path, "--eps-grid", "0.1",
          "--shadowing", "heavy", "--trials", "200", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dep_sweep.csv").exists()

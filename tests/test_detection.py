@@ -187,6 +187,10 @@ def test_phi_shape_and_inverse_round_trip():
             x0 = phi_inverse(eps, g)
             assert phi(x0, g) == pytest.approx(eps, abs=2e-10)
             assert x0 == pytest.approx(PHI_INV_REF[(name, eps)], rel=1e-7)
+        # the largest double on the covert side: one ulp up crosses eps
+        for eps in np.geomspace(1e-4, 0.9 * g.alpha, 40):
+            x0 = phi_inverse(eps, g)
+            assert phi(x0, g) <= eps < phi(np.nextafter(x0, np.inf), g)
 
 
 def test_phi_inverse_rejects_out_of_range():

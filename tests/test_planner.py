@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from skycloak.channel import UavPlacement, uav_gain
+from skycloak.cli import _run_planner
 from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
                               bob_rate, constraint_residuals,
@@ -290,6 +291,67 @@ def test_perfect_cancellation_on_default(perfect_scenario, pc_solution):
     d2 = np.sum((s.ues - sol.placement.q[None, :]) ** 2, axis=1) \
         + sol.placement.H ** 2
     assert_allclose(sol.powers.Pk, s.xi_coeff * d2, rtol=1e-9)
+
+
+def test_perfect_cancellation_near_singular_newton_system():
+    # heavy shadowing with a loose eps: the Dinkelbach rounds end on the
+    # edge of two elevation cones, where the barrier Hessian reaches a
+    # condition number near 1e17; the plan must still converge to the
+    # Pa_max-capped rate
+    d = default_scenario_dict(varpi=0.0, seed=0)
+    d.update(shadowing="heavy", eps=0.28029555638734793,
+             R_tg=2.95130252870034)
+    d["P_tot"]["value"] = 10.523475196509525
+    d["bob"]["value"] = [270.86438243745556, 218.37866677458692]
+    d["willie"]["value"] = [263.27530546134824, -339.2329821955998]
+    d["ue_placement"] = {"explicit": {"unit": "m", "value": [
+        [52.911256580004306, -175.36300961228892],
+        [201.9839294102668, -241.87763881008368],
+        [-123.03285307011657, -296.8351493054498]]}}
+    with pytest.warns(RuntimeWarning, match="shape is exactly 1"):
+        s = load_scenario(d).scenario
+    sol = perfect_cancellation_optimize(s)
+    assert sol.status == "converged"
+    assert sol.powers.Pa == s.Pa_max
+    assert sol.Rb == pytest.approx(4.2586, abs=1e-4)
+    assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
+        <= 1e-8
+
+
+def smoke_corpus(n=12, seed=2024):
+    """Seeded scenarios around the stock one: K = 0..n-1 UEs, varpi
+    alternating 0 and 0.1, shadowing, eps, P_tot, R_tg, node positions
+    and square side drawn at random."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        d = default_scenario_dict(varpi=(0.0, 0.1)[k % 2], seed=k)
+        d["shadowing"] = ("light", "average", "heavy")[k % 3]
+        d["eps"] = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.4))))
+        d["P_tot"]["value"] = float(np.exp(rng.uniform(np.log(0.1),
+                                                       np.log(31.6))))
+        d["R_tg"] = float(rng.uniform(1.0, 8.0))
+        d["bob"]["value"] = rng.uniform(-400.0, 400.0, 2).tolist()
+        d["willie"]["value"] = rng.uniform(-400.0, 400.0, 2).tolist()
+        side = float(rng.uniform(100.0, 1200.0))
+        d["ue_placement"] = {"uniform_square": {
+            "side": {"value": side, "unit": "m"}, "count": k}}
+        yield d
+
+
+@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
+def test_smoke_corpus_plans_cleanly():
+    statuses = []
+    for d in smoke_corpus():
+        s = load_scenario(d).scenario
+        sol, _ = _run_planner(s)
+        statuses.append(sol.status)
+        if sol.placement is None:
+            assert sol.status == "infeasible"
+            continue
+        res = constraint_residuals(s, sol.placement, sol.powers)
+        assert max(res.values()) <= 1e-8, (d, res)
+        assert res["covert"] <= 1e-15, (d, res)
+    assert statuses.count("infeasible") < len(statuses)
 
 
 def test_covert_residual_sign_agrees_with_constraint_map(default_scenario):

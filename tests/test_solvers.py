@@ -4,11 +4,121 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skycloak.solvers import (AffineConstraint, BracketError, DinkelbachResult,
+from skycloak.solvers import (ConeConstraint, DinkelbachResult,
                               FractionalProgram, InfeasibleStartError,
-                              LinearObjective, QuadraticSum, SocConstraint,
-                              _barrier_maximize, ball_constraint, bisect,
+                              QuadraticObjective, _barrier_maximize,
                               dinkelbach, max_slack_point)
+
+
+def ball(center, radius):
+    """Row ||x - center|| <= radius as (A, b, c, d)."""
+    center = np.asarray(center, dtype=float)
+    return np.eye(center.size), center, np.zeros(center.size), radius
+
+
+def halfspace(a, b):
+    """Row a.x <= b as (A, b, c, d): A = 0, c = -a, d = b."""
+    a = np.asarray(a, dtype=float)
+    return np.zeros((1, a.size)), np.zeros(1), -a, b
+
+
+def stack(*rows):
+    """One ConeConstraint from (A, b, c, d) rows, A padded to a common k."""
+    k = max(np.atleast_2d(A).shape[0] for A, _, _, _ in rows)
+    n = np.atleast_2d(rows[0][0]).shape[1]
+    A = np.zeros((len(rows), k, n))
+    b = np.zeros((len(rows), k))
+    for i, (Ai, bi, _, _) in enumerate(rows):
+        Ai = np.atleast_2d(Ai)
+        A[i, :Ai.shape[0]] = Ai
+        b[i, :Ai.shape[0]] = bi
+    return ConeConstraint(A, b, [r[2] for r in rows], [r[3] for r in rows])
+
+
+# ---------------------------------------------------------------------------
+# the constraint stack
+
+
+def brute_exit(cons, x, s, far=1e9):
+    """Exit step of the ray x + alpha*s by bisection on interior(); inf
+    when the ray is still inside at alpha = far."""
+    if cons.interior(x + far * s):
+        return np.inf
+    lo, hi = 0.0, 1e-6
+    while cons.interior(x + hi * s):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if cons.interior(x + mid * s) else (lo, mid)
+    return hi
+
+
+def random_row(rng, n, kind):
+    """A random cone, ball or half-space row and a point strictly inside it."""
+    x = rng.normal(size=n)
+    if kind == "cone":
+        A, b, c = rng.normal(size=(2, n)), rng.normal(size=2), rng.normal(size=n)
+        d = np.linalg.norm(A @ x - b) - c @ x + rng.uniform(0.1, 2.0)
+        return (A, b, c, d), x
+    if kind == "ball":
+        center = x + rng.normal(size=n)
+        return ball(center, np.linalg.norm(x - center) + rng.uniform(0.1, 2.0)), x
+    a = rng.normal(size=n)
+    return halfspace(a, a @ x + rng.uniform(0.1, 2.0)), x
+
+
+def assert_exit_steps(cons, x, s):
+    got = cons.max_step(x, s)
+    for i in range(len(got)):
+        row = ConeConstraint(cons.A[i:i + 1], cons.b[i:i + 1],
+                             cons.c[i:i + 1], cons.d[i:i + 1])
+        want = brute_exit(row, x, s)
+        if np.isinf(want):
+            assert got[i] > 1e9
+        else:
+            assert got[i] == pytest.approx(want, rel=1e-8)
+    assert got.min() == pytest.approx(brute_exit(cons, x, s), rel=1e-8)
+
+
+def test_max_step_matches_bisection_on_interior():
+    rng = np.random.default_rng(11)
+    for kind in ("cone", "ball", "halfspace"):
+        for _ in range(30):
+            row, x = random_row(rng, 3, kind)
+            assert_exit_steps(stack(row), x, rng.normal(size=3))
+
+
+def test_max_step_on_a_lifted_stack():
+    # cones, a ball and a half-space in R^3 lifted to (x, slack)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        rows, xs = zip(*(random_row(rng, 3, kind) for kind in
+                         ("cone", "cone", "ball", "halfspace")))
+        cons = stack(*rows)
+        x = xs[0]
+        # shift every right-hand side so xs[0] is inside all rows
+        cons.d += np.maximum(0.0, -cons.margin(x)) + 0.5
+        lifted = cons.lifted()
+        z = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
+        assert lifted.interior(z)
+        assert_exit_steps(lifted, z, rng.normal(size=4))
+
+
+def test_max_step_is_inf_on_rays_that_stay_inside():
+    # the cone ||(x1, x2)|| <= x3 keeps every ray whose direction lies in
+    # the cone, and a half-space every ray parallel to or away from its
+    # boundary
+    cone = stack((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
+                  np.array([0.0, 0.0, 1.0]), 0.0))
+    x = np.array([0.1, -0.2, 1.0])
+    for s in ([0.0, 0.0, 1.0], [0.3, 0.0, 1.0], [0.0, 0.0, 0.0]):
+        assert cone.max_step(x, np.array(s))[0] == np.inf
+    half = stack(halfspace([1.0, 2.0], 3.0))
+    for s in ([-1.0, 0.0], [2.0, -1.0], [0.0, -5.0]):
+        assert half.max_step(np.zeros(2), np.array(s))[0] == np.inf
+    assert half.max_step(np.zeros(2), np.array([1.0, 0.0]))[0] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -17,7 +127,7 @@ from skycloak.solvers import (AffineConstraint, BracketError, DinkelbachResult,
 
 def maximize_linear(c, constraints, x0):
     """Maximize c.x over the constraints from x0; returns (x*, c.x*)."""
-    x, _ = _barrier_maximize(LinearObjective(c), constraints, x0, tol=1e-10)
+    x, _ = _barrier_maximize(QuadraticObjective(c), constraints, x0, tol=1e-10)
     return x, float(np.asarray(c) @ x)
 
 
@@ -28,7 +138,7 @@ def test_barrier_ball_supporting_hyperplane():
         center = rng.normal(size=n)
         radius = rng.uniform(0.5, 2.0)
         c = rng.normal(size=n)
-        x, val = maximize_linear(c, [ball_constraint(center, radius)], center)
+        x, val = maximize_linear(c, stack(ball(center, radius)), center)
         want_x = center + radius * c / np.linalg.norm(c)
         assert_allclose(x, want_x, atol=5e-7)
         assert val == pytest.approx(float(c @ want_x), abs=1e-8)
@@ -36,21 +146,20 @@ def test_barrier_ball_supporting_hyperplane():
 
 def test_barrier_cone_and_halfspace():
     # max x1 inside ||(x1,x2)|| <= x3/2 with x3 <= 4: optimum (2, 0, 4)
-    cone = SocConstraint(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                         b=np.zeros(2), c=np.array([0.0, 0.0, 0.5]), d=0.0)
-    cap = AffineConstraint(a=np.array([0.0, 0.0, 1.0]), b=4.0)
-    x, val = maximize_linear(np.array([1.0, 0.0, 0.0]), [cone, cap],
+    cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
+            np.array([0.0, 0.0, 0.5]), 0.0)
+    cap = halfspace([0.0, 0.0, 1.0], 4.0)
+    x, val = maximize_linear(np.array([1.0, 0.0, 0.0]), stack(cone, cap),
                              np.array([0.1, 0.0, 3.0]))
     assert_allclose(x, [2.0, 0.0, 4.0], atol=1e-5)
     assert val == pytest.approx(2.0, abs=1e-6)
 
 
 def test_barrier_two_ball_intersection_vs_grid():
-    b1 = ball_constraint(np.array([-0.5, 0.0]), 1.0)
-    b2 = ball_constraint(np.array([0.5, 0.0]), 1.0)
+    lens = stack(ball([-0.5, 0.0], 1.0), ball([0.5, 0.0], 1.0))
     c = np.array([0.3, 1.0])
-    x, val = maximize_linear(c, [b1, b2], np.zeros(2))
-    assert min(b1.margin(x), b2.margin(x)) > -1e-9
+    x, val = maximize_linear(c, lens, np.zeros(2))
+    assert lens.margin(x).min() > -1e-9
     # dense-grid oracle over the lens
     xs = np.linspace(-0.6, 0.6, 1201)
     ys = np.linspace(0.0, 1.0, 1001)
@@ -65,32 +174,28 @@ def test_barrier_two_ball_intersection_vs_grid():
 def test_barrier_rejects_infeasible_start():
     with pytest.raises(InfeasibleStartError):
         maximize_linear(np.array([1.0, 0.0]),
-                        [ball_constraint(np.zeros(2), 1.0)],
+                        stack(ball(np.zeros(2), 1.0)),
                         np.array([5.0, 0.0]))
 
 
 def test_max_slack_two_balls():
     # overlapping balls: deepest point is the origin with slack 0.5
-    cons = [ball_constraint(np.array([-0.5, 0.0]), 1.0),
-            ball_constraint(np.array([0.5, 0.0]), 1.0)]
+    cons = stack(ball([-0.5, 0.0], 1.0), ball([0.5, 0.0], 1.0))
     x, s = max_slack_point(cons, np.array([0.3, 0.2]))
     assert_allclose(x, [0.0, 0.0], atol=1e-5)
     assert s == pytest.approx(0.5, abs=1e-6)
     # disjoint balls: certified empty interior (negative best slack)
-    cons = [ball_constraint(np.array([-1.5, 0.0]), 1.0),
-            ball_constraint(np.array([1.5, 0.0]), 1.0)]
+    cons = stack(ball([-1.5, 0.0], 1.0), ball([1.5, 0.0], 1.0))
     _, s = max_slack_point(cons, np.zeros(2))
     assert s < 0.0
     # halfspace x1 >= 0 with the unit ball around (1,0): the ball center
     # is 1 deep in both, so it is the max-slack point
-    cons = [AffineConstraint(a=np.array([-1.0, 0.0]), b=0.0),
-            ball_constraint(np.array([1.0, 0.0]), 1.0)]
+    cons = stack(halfspace([-1.0, 0.0], 0.0), ball([1.0, 0.0], 1.0))
     x, s = max_slack_point(cons, np.array([0.5, 0.0]))
     assert s == pytest.approx(1.0, abs=1e-6)
     assert_allclose(x, [1.0, 0.0], atol=1e-5)
     # asymmetric radii: slack balances where the margins cross
-    cons = [ball_constraint(np.array([0.0, 0.0]), 2.0),
-            ball_constraint(np.array([3.0, 0.0]), 2.0)]
+    cons = stack(ball([0.0, 0.0], 2.0), ball([3.0, 0.0], 2.0))
     x, s = max_slack_point(cons, np.array([1.4, 0.1]))
     assert s == pytest.approx(0.5, abs=1e-6)
     assert x[0] == pytest.approx(1.5, abs=1e-5)
@@ -103,10 +208,9 @@ def test_max_slack_two_balls():
 def test_dinkelbach_symmetric_ratio():
     # max (1 - ||x||^2) / (1 + ||x||^2) on the unit ball: optimum x = 0,
     # ratio exactly 1
-    f = QuadraticSum(weight=-1.0, centers=np.zeros((1, 2)), const=1.0)
-    g = QuadraticSum(weight=1.0, centers=np.zeros((1, 2)), const=1.0)
-    fp = FractionalProgram(f=f, g=g,
-                           constraints=[ball_constraint(np.zeros(2), 0.9)])
+    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
+    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    fp = FractionalProgram(f=f, g=g, constraints=stack(ball(np.zeros(2), 0.9)))
     res = dinkelbach(fp, np.array([0.3, -0.2]), delta=1e-10)
     assert isinstance(res, DinkelbachResult)
     assert res.converged
@@ -119,22 +223,10 @@ def test_dinkelbach_symmetric_ratio():
 
 def test_dinkelbach_boundary_optimum():
     # max (2 - x) / (1 + x) on [0, 1]: decreasing ratio, optimum x = 0
-    f = LinearObjective(c=np.array([-1.0]), const=2.0)
-    g = QuadraticSum(weight=0.0, centers=np.zeros((1, 1)), const=1.0)
-
-    class GLin:
-        def value(self, x):
-            return 1.0 + float(x[0])
-
-        def grad(self, x):
-            return np.array([1.0])
-
-        def hess(self, x):
-            return np.zeros((1, 1))
-
-    box = [AffineConstraint(a=np.array([-1.0]), b=0.0),
-           AffineConstraint(a=np.array([1.0]), b=1.0)]
-    fp = FractionalProgram(f=f, g=GLin(), constraints=box)
+    f = QuadraticObjective([-1.0], const=2.0)
+    g = QuadraticObjective([1.0], const=1.0)
+    box = stack(halfspace([-1.0], 0.0), halfspace([1.0], 1.0))
+    fp = FractionalProgram(f=f, g=g, constraints=box)
     res = dinkelbach(fp, np.array([0.5]), delta=1e-10)
     assert res.converged
     assert res.lam == pytest.approx(2.0, abs=1e-6)
@@ -144,27 +236,15 @@ def test_dinkelbach_boundary_optimum():
 def test_dinkelbach_scale_invariance():
     # scaling numerator and denominator together leaves the ratio alone
     center = np.array([[1.0, 1.0]])
-    cons = [ball_constraint(np.zeros(2), 1.0)]
+    cons = stack(ball(np.zeros(2), 1.0))
     lam = []
     for kappa in (1.0, 250.0):
-        f = QuadraticSum(weight=-kappa, centers=center, const=6.0 * kappa)
-        g = QuadraticSum(weight=kappa, centers=np.zeros((1, 2)),
-                         const=0.5 * kappa)
+        f = QuadraticObjective(np.zeros(2), const=6.0 * kappa, w=[-kappa],
+                               u=center)
+        g = QuadraticObjective(np.zeros(2), const=0.5 * kappa, w=[kappa],
+                               u=np.zeros((1, 2)))
         res = dinkelbach(FractionalProgram(f, g, cons), np.array([0.2, 0.1]),
                          delta=1e-9 * kappa)
         assert res.converged
         lam.append(res.lam)
     assert lam[0] == pytest.approx(lam[1], rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# bisection
-
-
-def test_bisect_monotone_roots():
-    got = bisect(lambda x: x ** 3, target=8.0, bracket=(0.0, 3.0))
-    assert got == pytest.approx(2.0, abs=1e-9)
-    got = bisect(lambda x: -x, target=-1.5, bracket=(0.0, 3.0))
-    assert got == pytest.approx(1.5, abs=1e-9)
-    with pytest.raises(BracketError):
-        bisect(lambda x: x, target=10.0, bracket=(0.0, 1.0))
