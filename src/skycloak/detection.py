@@ -16,6 +16,7 @@ inverse of that bound's tightness function used by the planner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,16 +256,36 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
     sets is never on the wrong side of the bound. Requires
     0 < eps < alpha so the solution is unique and bounded away from the
     linear regime.
+
+    Since phi(x) > alpha*x the root lies below eps/alpha; Newton steps
+    from there land within a few doubles of it, a bracket of doubling
+    width around that estimate and a bisection down to adjacent doubles
+    then settle it, every verdict coming from ``phi`` itself.
     """
     if not 0.0 < eps < gamma.alpha:
         raise ValueError(f"eps must lie in (0, alpha)=(0, {gamma.alpha}), got {eps}")
-    hi = 1.0  # phi(1) = alpha*(exp(-mu) + 1) > alpha > eps always
-    lo = 0.5
-    while phi(lo, gamma) > eps:
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-300:
-            raise RuntimeError("phi inverse bracket collapsed")
+    a, mu = gamma.alpha, gamma.mu
+    x = eps / a
+    # phi is convex below mu/2, where Newton from above stays above the
+    # root; past mu/2 a step may overshoot, and halving at most keeps x > 0
+    for _ in range(50):
+        e = math.exp(-mu / x)
+        xn = max(x - (a * (e + x) - eps) / (a * (mu * e / (x * x) + 1.0)), 0.5 * x)
+        if xn == x:
+            break
+        x = xn
+    # grow a bracket lo < hi with phi(lo) <= eps < phi(hi) from x
+    d = math.ulp(x)
+    if phi(x, gamma) <= eps:
+        lo, hi = x, x + d
+        while phi(hi, gamma) <= eps:
+            lo, d = hi, 2.0 * d
+            hi = lo + d
+    else:
+        lo, hi = max(x - d, 0.5 * x), x
+        while phi(lo, gamma) > eps:
+            hi, d = lo, 2.0 * d
+            lo = max(hi - d, 0.5 * hi)
     # invariant phi(lo) <= eps < phi(hi); stop when no double lies between
     while True:
         mid = 0.5 * (lo + hi)

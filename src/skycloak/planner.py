@@ -469,7 +469,10 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     concave over convex positive, maximized by Dinkelbach iteration over
     the cones, the altitude band, and the ball where the numerator stays
     nonnegative. Powers then follow in closed form and Pa is clamped at
-    Pa_max.
+    Pa_max. Since Bob's rate then depends on nothing but Pa, the iteration
+    stops once the ratio reaches Pa_max: later rounds would only move the
+    placement within a tie for the best rate, so a capped plan may sit at
+    a different placement with the same rate.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
@@ -504,7 +507,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
                                u=centers)
     g_obj = QuadraticObjective(np.zeros(3), w=[g_raw * scale], u=w_bar[None, :])
     res = dinkelbach(FractionalProgram(f_obj, g_obj, cons), x0,
-                     delta=s.delta, i_max=s.i_max)
+                     delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
 
     pl = UavPlacement(q=res.x[:2], H=float(res.x[2]))
     d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])

@@ -16,6 +16,7 @@ and transparent. The power step needs no solver; its optimum is explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,32 +74,29 @@ class ConeConstraint:
         self.c = np.asarray(self.c, dtype=float).reshape(m, n)
         self.d = np.asarray(self.d, dtype=float).reshape(m)
         self.cone = np.any(self.A != 0.0, axis=(1, 2))
-        self._hess = 2.0 * self.cone[:, None, None] * (
+        # the rows' value Hessians, constant in x
+        self.hess = 2.0 * self.cone[:, None, None] * (
             np.einsum("mki,mkj->mij", self.A, self.A)
             - np.einsum("mi,mj->mij", self.c, self.c))
 
-    def _parts(self, x):
-        return np.einsum("mkn,n->mk", self.A, x) - self.b, self.c @ x + self.d
+    def rows(self, x):
+        """(r, t, values, interior) at x from one evaluation of the row
+        parts r = A x - b and t = c.x + d: every row's value and whether x
+        lies strictly inside every row."""
+        r = np.einsum("mkn,n->mk", self.A, x) - self.b
+        t = self.c @ x + self.d
+        rr = np.einsum("mk,mk->m", r, r)
+        vals = np.where(self.cone, rr - t * t, -t)
+        return r, t, vals, bool(np.all((t > 0.0) & (rr < t * t)))
 
-    def value(self, x):
-        r, t = self._parts(x)
-        return np.where(self.cone, np.einsum("mk,mk->m", r, r) - t * t, -t)
-
-    def grad(self, x):
-        r, t = self._parts(x)
+    def grad(self, r, t):
+        """Every row's value gradient at the point with row parts r, t."""
         g = 2.0 * (np.einsum("mkn,mk->mn", self.A, r) - t[:, None] * self.c)
         return np.where(self.cone[:, None], g, -self.c)
 
-    def hess(self, x):
-        return self._hess
-
-    def interior(self, x):
-        r, t = self._parts(x)
-        return bool(np.all((t > 0.0) & (np.einsum("mk,mk->m", r, r) < t * t)))
-
     def margin(self, x):
         """Distance-to-violation of every row in the row's own units."""
-        r, t = self._parts(x)
+        r, t, _, _ = self.rows(x)
         return t - np.sqrt(np.einsum("mk,mk->m", r, r))
 
     def lifted(self):
@@ -108,9 +106,10 @@ class ConeConstraint:
         return ConeConstraint(np.concatenate([self.A, np.zeros((m, k, 1))], axis=2),
                               self.b, np.hstack([self.c, -np.ones((m, 1))]), self.d)
 
-    def max_step(self, x, s):
+    def max_step(self, r, t, v, s):
         """Per row, the smallest alpha > 0 at which x + alpha*s reaches the
-        row's boundary (inf where the ray never does), for interior x.
+        row's boundary (inf where the ray never does), for an interior x
+        whose ``rows(x)`` gave r, t and the values v.
 
         Along the ray a row's value is the scalar polynomial
         a*alpha^2 + 2*h*alpha + v (linear for a half-space). With v < 0 its
@@ -120,14 +119,11 @@ class ConeConstraint:
         denominator is negative anyway, so clipping it at zero against
         rounding changes no verdict.
         """
-        r, t = self._parts(x)
         rs, ts = np.einsum("mkn,n->mk", self.A, s), self.c @ s
-        v = self.value(x)
         a = np.where(self.cone, np.einsum("mk,mk->m", rs, rs) - ts * ts, 0.0)
         h = np.where(self.cone, np.einsum("mk,mk->m", r, rs) - t * ts, -0.5 * ts)
         den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
-        with np.errstate(divide="ignore"):
-            return np.where(den > 0.0, -v / den, np.inf)
+        return np.divide(-v, den, out=np.full_like(v, np.inf), where=den > 0.0)
 
 
 @dataclass
@@ -170,22 +166,26 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
     m = cons.A.shape[0]
     if m == 0:
         raise SolverError("unconstrained maximization is unbounded here")
-    if not cons.interior(x):
+    r, u, vals, inside = cons.rows(x)
+    if not inside:
         raise InfeasibleStartError(
             f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
     eye = np.eye(x.size)
+    obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
+    fx = objective.value(x)
     t = t0
     newton_steps = 0
     while True:
-        # minimize phi(x) = -t*obj + sum -log(-g_i)
+        # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
+        # r = A x - b, u = c.x + d, the row values and the objective value
+        # at x are those of the trial point accepted last
         for _ in range(max_newton):
-            vals = cons.value(x)
             inv = -1.0 / vals
-            gci = cons.grad(x) * inv[:, None]
+            gci = cons.grad(r, u) * inv[:, None]
             grad = -t * objective.grad(x) + gci.sum(axis=0)
-            H = (-t * objective.hess(x) + gci.T @ gci
-                 + np.einsum("m,mij->ij", inv, cons.hess(x)))
+            H = (-t * obj_hess + gci.T @ gci
+                 + np.einsum("m,mij->ij", inv, cons.hess))
             ridge = 0.0
             base = np.trace(H) / H.shape[0]
             while True:
@@ -196,18 +196,19 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
                     ridge = max(ridge * 10.0, 1e-12 * max(base, 1.0))
             step = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
             decrement = float(-grad @ step)
-            phi0 = -t * objective.value(x) - float(np.sum(np.log(-vals)))
+            phi0 = -t * fx - float(np.log(-vals).sum())
             fuzz = 1e-11 * (1.0 + abs(phi0))
             if decrement <= 2.0 * fuzz:
                 break
             slope = float(grad @ step)
-            alpha = min(1.0, 0.99 * float(cons.max_step(x, step).min()))
+            alpha = min(1.0, 0.99 * float(cons.max_step(r, u, vals, step).min()))
             accepted = False
             for _ls in range(70):
                 xn = x + alpha * step
-                if cons.interior(xn):
-                    phin = (-t * objective.value(xn)
-                            - float(np.sum(np.log(-cons.value(xn)))))
+                rn, un, valsn, inside = cons.rows(xn)
+                if inside:
+                    fn = objective.value(xn)
+                    phin = -t * fn - float(np.log(-valsn).sum())
                     # the fuzz term absorbs cancellation noise in t*objective
                     # when the combined objective is itself a near-zero
                     # difference of large terms (Dinkelbach residuals)
@@ -221,7 +222,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
                         f"no acceptable step with decrement {decrement:.3e}")
                 break  # progress is below floating-point resolution at this t
             moved = not np.array_equal(xn, x)
-            x = xn
+            x, r, u, vals, fx = xn, rn, un, valsn, fn
             newton_steps += 1
             if not moved:
                 break
@@ -229,8 +230,8 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
             break
         t *= t_factor
 
-    lam = 1.0 / (t * -cons.value(x))
-    stat = objective.grad(x) - lam @ cons.grad(x)
+    lam = 1.0 / (t * -vals)
+    stat = objective.grad(x) - lam @ cons.grad(r, u)
     info = {
         "t": t,
         "newton_steps": newton_steps,
@@ -293,12 +294,16 @@ class DinkelbachResult:
 
 
 def dinkelbach(fp: FractionalProgram, x0, delta: float = 1e-6,
-               i_max: int = 50, inner_tol: float = 1e-9) -> DinkelbachResult:
+               i_max: int = 50, inner_tol: float = 1e-9,
+               lam_max: float = math.inf) -> DinkelbachResult:
     """Dinkelbach iteration for ``fp`` starting from strictly feasible x0.
 
     lam starts at 0; each round maximizes f - lam*g over the constraints and
-    stops once |f - lam_prev*g| < delta at the new point. The returned lam
-    is f(x*)/g(x*). Non-convergence within i_max is flagged, not raised.
+    stops once |f - lam_prev*g| < delta at the new point, or once lam
+    reaches ``lam_max`` (for a caller that clamps the ratio there, any
+    point past the clamp is as good as the optimum). The returned lam is
+    f(x)/g(x) at the returned point. Non-convergence within i_max is
+    flagged, not raised.
     """
     f, g = fp.f, fp.g
     x = np.asarray(x0, dtype=float).copy()
@@ -315,7 +320,7 @@ def dinkelbach(fp: FractionalProgram, x0, delta: float = 1e-6,
         F = fv - lam * gv
         lam = fv / gv
         trace.append(lam)
-        if abs(F) < delta:
+        if abs(F) < delta or lam >= lam_max:
             return DinkelbachResult(x=x, lam=lam, converged=True,
                                     iterations=it, lam_trace=trace)
     return DinkelbachResult(x=x, lam=lam, converged=False,

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import simpson
+from skycloak import detection
 from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
                               LIGHT_SHADOWING, SHADOWING_ROWS, gamma_from_sr,
                               sr_cdf, sr_pdf)
@@ -191,6 +192,38 @@ def test_phi_shape_and_inverse_round_trip():
         for eps in np.geomspace(1e-4, 0.9 * g.alpha, 40):
             x0 = phi_inverse(eps, g)
             assert phi(x0, g) <= eps < phi(np.nextafter(x0, np.inf), g)
+
+
+def bisect_phi_inverse(eps, g):
+    """Largest double x with phi(x) <= eps by plain bisection from a
+    halving bracket below 1, an independent path to phi_inverse's answer."""
+    hi, lo = 1.0, 0.5
+    while phi(lo, g) > eps:
+        hi, lo = lo, 0.5 * lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        lo, hi = (mid, hi) if phi(mid, g) <= eps else (lo, mid)
+
+
+def test_phi_inverse_matches_bisection_in_few_phi_calls(monkeypatch):
+    calls = []
+
+    def counted(x, g):
+        calls.append(x)
+        return phi(x, g)
+
+    for params in SHADOWING_ROWS.values():
+        g = gamma_from_sr(params)
+        for eps in np.geomspace(1e-4, min(0.49, 0.999 * g.alpha), 300):
+            want = bisect_phi_inverse(eps, g)
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(detection, "phi", counted)
+                got = phi_inverse(eps, g)
+            assert got == want, (params, eps)
+            assert len(calls) <= 12, (params, eps, len(calls))
 
 
 def test_phi_inverse_rejects_out_of_range():

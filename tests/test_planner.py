@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from skycloak import planner, solvers
 from skycloak.channel import UavPlacement, uav_gain
 from skycloak.cli import _run_planner
 from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
@@ -16,6 +17,7 @@ from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
                               placement_subproblem, power_subproblem,
                               validate_solution)
 from skycloak.scenario_io import default_scenario_dict, load_scenario
+from skycloak.solvers import _barrier_maximize, dinkelbach
 
 
 def scenario_with(varpi=0.1, seed=0, *, bob=None, willie=None, ues=None):
@@ -293,11 +295,21 @@ def test_perfect_cancellation_on_default(perfect_scenario, pc_solution):
     assert_allclose(sol.powers.Pk, s.xi_coeff * d2, rtol=1e-9)
 
 
-def test_perfect_cancellation_near_singular_newton_system():
-    # heavy shadowing with a loose eps: the Dinkelbach rounds end on the
-    # edge of two elevation cones, where the barrier Hessian reaches a
-    # condition number near 1e17; the plan must still converge to the
-    # Pa_max-capped rate
+def test_perfect_cancellation_stops_at_the_satellite_cap(perfect_scenario,
+                                                        pc_solution):
+    # the ratio passes Pa_max in round 1; later rounds would only move
+    # the placement within a tie for the capped rate
+    s, sol = perfect_scenario, pc_solution
+    assert len(sol.trace) == 1
+    assert sol.powers.Pa == s.Pa_max
+    assert sol.Rb == 7.8492332732661625
+    assert constraint_residuals(s, sol.placement, sol.powers)["covert"] <= 0.0
+
+
+def near_singular_scenario():
+    """Heavy shadowing with a loose eps: uncapped, the Dinkelbach rounds
+    end on the edge of two elevation cones, where the barrier Hessian
+    reaches a condition number near 1e17."""
     d = default_scenario_dict(varpi=0.0, seed=0)
     d.update(shadowing="heavy", eps=0.28029555638734793,
              R_tg=2.95130252870034)
@@ -309,13 +321,56 @@ def test_perfect_cancellation_near_singular_newton_system():
         [201.9839294102668, -241.87763881008368],
         [-123.03285307011657, -296.8351493054498]]}}
     with pytest.warns(RuntimeWarning, match="shape is exactly 1"):
-        s = load_scenario(d).scenario
-    sol = perfect_cancellation_optimize(s)
+        return load_scenario(d).scenario
+
+
+def assert_capped_near_singular_plan(s, sol):
     assert sol.status == "converged"
     assert sol.powers.Pa == s.Pa_max
     assert sol.Rb == pytest.approx(4.2586, abs=1e-4)
     assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
         <= 1e-8
+
+
+def test_perfect_cancellation_near_singular_newton_system():
+    s = near_singular_scenario()
+    assert_capped_near_singular_plan(s, perfect_cancellation_optimize(s))
+
+
+def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
+    # without the stop at Pa_max the rounds go on to the near-singular
+    # Newton systems; the plan must still converge to the same rate
+    def uncapped(*args, **kwargs):
+        return dinkelbach(*args, **dict(kwargs, lam_max=math.inf))
+
+    monkeypatch.setattr(planner, "dinkelbach", uncapped)
+    s = near_singular_scenario()
+    sol = perfect_cancellation_optimize(s)
+    assert len(sol.trace) == 7
+    assert_capped_near_singular_plan(s, sol)
+
+
+def newton_steps_of(monkeypatch, plan, s):
+    """Total Newton steps of every barrier solve that ``plan(s)`` makes."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        x, info = _barrier_maximize(*args, **kwargs)
+        steps.append(info["newton_steps"])
+        return x, info
+
+    monkeypatch.setattr(solvers, "_barrier_maximize", counted)
+    monkeypatch.setattr(planner, "_barrier_maximize", counted)
+    plan(s)
+    return sum(steps)
+
+
+def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario,
+                                                   perfect_scenario):
+    # counts stable across machines; a change must not raise them
+    assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 641
+    assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
+                           perfect_scenario) <= 400
 
 
 def smoke_corpus(n=12, seed=2024):

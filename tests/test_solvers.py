@@ -1,5 +1,7 @@
 """Log-barrier SOC solver, max-slack point, Dinkelbach iteration."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,19 +41,29 @@ def stack(*rows):
 # the constraint stack
 
 
+def inside(cons, x):
+    return cons.rows(x)[3]
+
+
+def exit_steps(cons, x, s):
+    """Per-row closed-form exit steps of the ray x + alpha*s."""
+    r, t, v, _ = cons.rows(x)
+    return cons.max_step(r, t, v, np.asarray(s, dtype=float))
+
+
 def brute_exit(cons, x, s, far=1e9):
-    """Exit step of the ray x + alpha*s by bisection on interior(); inf
-    when the ray is still inside at alpha = far."""
-    if cons.interior(x + far * s):
+    """Exit step of the ray x + alpha*s by bisection on the interior
+    test; inf when the ray is still inside at alpha = far."""
+    if inside(cons, x + far * s):
         return np.inf
     lo, hi = 0.0, 1e-6
-    while cons.interior(x + hi * s):
+    while inside(cons, x + hi * s):
         lo, hi = hi, 2.0 * hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        lo, hi = (mid, hi) if cons.interior(x + mid * s) else (lo, mid)
+        lo, hi = (mid, hi) if inside(cons, x + mid * s) else (lo, mid)
     return hi
 
 
@@ -70,7 +82,7 @@ def random_row(rng, n, kind):
 
 
 def assert_exit_steps(cons, x, s):
-    got = cons.max_step(x, s)
+    got = exit_steps(cons, x, s)
     for i in range(len(got)):
         row = ConeConstraint(cons.A[i:i + 1], cons.b[i:i + 1],
                              cons.c[i:i + 1], cons.d[i:i + 1])
@@ -102,7 +114,7 @@ def test_max_step_on_a_lifted_stack():
         cons.d += np.maximum(0.0, -cons.margin(x)) + 0.5
         lifted = cons.lifted()
         z = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
-        assert lifted.interior(z)
+        assert inside(lifted, z)
         assert_exit_steps(lifted, z, rng.normal(size=4))
 
 
@@ -114,11 +126,11 @@ def test_max_step_is_inf_on_rays_that_stay_inside():
                   np.array([0.0, 0.0, 1.0]), 0.0))
     x = np.array([0.1, -0.2, 1.0])
     for s in ([0.0, 0.0, 1.0], [0.3, 0.0, 1.0], [0.0, 0.0, 0.0]):
-        assert cone.max_step(x, np.array(s))[0] == np.inf
+        assert exit_steps(cone, x, s)[0] == np.inf
     half = stack(halfspace([1.0, 2.0], 3.0))
     for s in ([-1.0, 0.0], [2.0, -1.0], [0.0, -5.0]):
-        assert half.max_step(np.zeros(2), np.array(s))[0] == np.inf
-    assert half.max_step(np.zeros(2), np.array([1.0, 0.0]))[0] == 3.0
+        assert exit_steps(half, np.zeros(2), s)[0] == np.inf
+    assert exit_steps(half, np.zeros(2), [1.0, 0.0])[0] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,39 @@ def test_dinkelbach_symmetric_ratio():
     # the parametric values are nondecreasing along the iteration
     assert all(b >= a - 1e-12 for a, b in zip(res.lam_trace,
                                               res.lam_trace[1:]))
+
+
+def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
+    # the symmetric program reaches its optimum ratio 1 in round 1 and
+    # confirms it in round 2; any cap up to 1 ends the run after round 1
+    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
+    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    fp = FractionalProgram(f=f, g=g, constraints=stack(ball(np.zeros(2), 0.9)))
+    x0 = np.array([0.3, -0.2])
+    full = dinkelbach(fp, x0, delta=1e-10)
+    assert full.iterations == 2
+    for lam_max in (0.5, 1.0):
+        res = dinkelbach(fp, x0, delta=1e-10, lam_max=lam_max)
+        assert res.converged and res.iterations == 1
+        assert res.lam_trace == full.lam_trace[:1] and res.lam >= lam_max
+    uncapped = dinkelbach(fp, x0, delta=1e-10, lam_max=math.inf)
+    assert uncapped.lam_trace == full.lam_trace
+    assert np.array_equal(uncapped.x, full.x)
+    # a five-round run stops at the first round whose ratio reaches the cap
+    cons = stack(ball(np.zeros(2), 1.0))
+    fp = FractionalProgram(
+        QuadraticObjective(np.zeros(2), const=6.0, w=[-1.0], u=[[1.0, 1.0]]),
+        QuadraticObjective(np.zeros(2), const=0.5, w=[1.0], u=np.zeros((1, 2))),
+        cons)
+    x0 = np.array([0.2, 0.1])
+    full = dinkelbach(fp, x0, delta=1e-9)
+    assert full.converged and full.iterations == 5
+    lams = full.lam_trace
+    for k in range(1, 5):
+        lam_max = 0.5 * (lams[k - 1] + lams[k])
+        res = dinkelbach(fp, x0, delta=1e-9, lam_max=lam_max)
+        assert res.converged and res.iterations == k + 1
+        assert res.lam_trace == lams[:k + 1] and res.lam >= lam_max
 
 
 def test_dinkelbach_boundary_optimum():
