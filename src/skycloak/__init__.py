@@ -1,12 +1,13 @@
 """skycloak: planner and simulator for UAV-assisted covert satellite downlinks.
 
-The package is organized around five pieces:
+The package is organized around six modules:
 
-- :mod:`skycloak.channel`    fading/link math (shadowed-Rician, LoS, rates)
-- :mod:`skycloak.detection`  warden detection model, DEP bounds, covertness map
-- :mod:`skycloak.solvers`    stacked SOC rows, log-barrier Newton, Dinkelbach
-- :mod:`skycloak.planner`    the two placement/power optimization algorithms
-- :mod:`skycloak.cli`        scenario files, sweeps, Monte Carlo validation
+- :mod:`skycloak.channel`      fading/link math (shadowed-Rician, LoS, rates)
+- :mod:`skycloak.detection`    warden detection model, DEP bounds, covertness map
+- :mod:`skycloak.solvers`      stacked SOC rows, log-barrier Newton, Dinkelbach
+- :mod:`skycloak.planner`      the two placement/power optimization algorithms
+- :mod:`skycloak.scenario_io`  unit-tagged JSON scenario files, scenario hashing
+- :mod:`skycloak.cli`          subcommands: DEP table, plan, validate, sweep
 """
 
 from skycloak.channel import (
@@ -20,12 +21,10 @@ from skycloak.channel import (
     UavLinkBudget,
     UavPlacement,
     covert_rate,
-    elevation_feasible,
     gamma_from_sr,
     sample_sr_power,
     satellite_large_scale,
     sr_cdf,
-    sr_pdf,
     uav_gain,
     ue_rate,
 )
@@ -61,16 +60,11 @@ from skycloak.scenario_io import (
     ScenarioError,
     dbm_to_watts,
     db_to_linear,
-    default_scenario_dict,
-    linear_to_db,
     load_scenario,
     scenario_hash,
-    scenario_to_dict,
-    watts_to_dbm,
 )
 from skycloak.solvers import (
     DinkelbachResult,
-    FractionalProgram,
     SolverError,
     dinkelbach,
     max_slack_point,

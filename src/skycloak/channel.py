@@ -39,11 +39,9 @@ __all__ = [
     "SeriesConvergenceError",
     "gamma_from_sr",
     "sr_cdf",
-    "sr_pdf",
     "sample_sr_power",
     "satellite_large_scale",
     "uav_gain",
-    "elevation_feasible",
     "covert_rate",
     "ue_rate",
 ]
@@ -113,10 +111,6 @@ class GammaApprox:
             raise ValueError("need alpha >= 1 and theta > 0")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu out of (0, 1]: {self.mu}")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha * self.theta
 
 
 def gamma_from_sr(p: SRParams) -> GammaApprox:
@@ -229,34 +223,6 @@ def sr_cdf(x, p: SRParams, tol: float = 1e-10):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def sr_pdf(x, p: SRParams, tol: float = 1e-10):
-    """Density of the squared-SR envelope, the term-wise series derivative.
-
-    Each CDF term differentiates to c_n * (x/2b)^n * e^(-x/2b) / (2b); the
-    iteration multiplies by y*z*(m+n)/(n+1)^2 per step, which keeps every
-    intermediate bounded by the running sum (no z^n overflow).
-    """
-    if not (0.0 < tol <= 1e-8):
-        raise ValueError(f"tol must be in (0, 1e-8], got {tol}")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("x must be nonnegative")
-    pref, y = _series_constants(p)
-    two_b = 2.0 * p.b
-    z = xs / two_b
-
-    def terms():
-        term = np.exp(-z) / two_b
-        n = 0
-        while True:
-            yield term
-            term = term * (y * z * (p.m + n) / (n + 1.0) ** 2)
-            n += 1
-
-    total = pref * _series_sum(terms(), tol)
-    return float(total) if np.isscalar(x) or np.ndim(x) == 0 else total
-
-
 def sample_sr_power(p: SRParams, rng: np.random.Generator, size=None):
     """Draw |h|^2 under the squared-SR law.
 
@@ -337,18 +303,6 @@ def uav_gain(pl: UavPlacement, target, beta0: float) -> float:
     t = np.asarray(target, dtype=float).reshape(2)
     d2 = float(np.sum((pl.q - t) ** 2)) + pl.H * pl.H
     return beta0 / d2
-
-
-def elevation_feasible(pl: UavPlacement, nodes, phi_min: float, tol: float = 1e-9):
-    """Check the elevation cones: ||q - n|| <= H / tan(phi_min) per node.
-
-    Returns (feasible, slacks) where slacks[i] = H/tan(phi_min) - ||q - n_i||
-    in meters; feasible is True when every slack is >= -tol.
-    """
-    pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-    reach = pl.H / math.tan(phi_min)
-    slacks = reach - np.linalg.norm(pts - pl.q[None, :], axis=1)
-    return bool(np.all(slacks >= -tol)), slacks
 
 
 def covert_rate(Pa: float, g_ab: float, varpi: float, Pj: float,

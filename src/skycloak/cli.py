@@ -308,6 +308,14 @@ def cmd_sweep(args, outdir: Path) -> int:
 # argument parsing
 
 
+def _trials(text: str) -> int:
+    """A Monte Carlo trial count; a standard error needs at least 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 trials, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skycloak",
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shadowing", default=DEFAULT_SHADOWING,
                    help="comma-separated shadowing rows "
                         f"(default {DEFAULT_SHADOWING})")
-    p.add_argument("--trials", type=int, default=10_000,
+    p.add_argument("--trials", type=_trials, default=10_000,
                    help="Monte Carlo trials per grid point (default 10000)")
     p.set_defaults(func=cmd_dep_sweep)
 
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--solution", required=True,
                    help="path to a solution.json written by optimize")
-    p.add_argument("--trials", type=int, default=10_000,
+    p.add_argument("--trials", type=_trials, default=10_000,
                    help="Monte Carlo trials (default 10000)")
     p.set_defaults(func=cmd_validate)
 

@@ -202,13 +202,10 @@ class CovertBound:
     """Closed-form lower bound on the fading-averaged minimum error.
 
     ``value_lb`` is the bound itself (can be negative, in which case it is
-    vacuous but still valid), ``ratio`` the jamming-to-signal power ratio it
-    was evaluated at, and ``gamma`` the surrogate fading fit used.
+    vacuous but still valid).
     """
 
     value_lb: float
-    ratio: float
-    gamma: GammaApprox
 
 
 def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
@@ -231,7 +228,7 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
     r = pj_hat * g_uw / (pa * ell_aw)
     value = 1.0 - gamma.alpha * np.exp(-gamma.mu * r / gamma.theta) \
         - gamma.alpha * gamma.theta / r
-    return CovertBound(value_lb=float(value), ratio=float(r), gamma=gamma)
+    return CovertBound(value_lb=float(value))
 
 
 def phi(x, gamma: GammaApprox):

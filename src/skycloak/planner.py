@@ -32,7 +32,7 @@ budget ball of the varpi = 0 path).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .channel import (
     UavLinkBudget,
     UavPlacement,
     covert_rate,
+    gamma_from_sr,
     sample_sr_power,
     uav_gain,
     ue_rate,
@@ -50,7 +51,6 @@ from .channel import (
 from .detection import covert_constraint_satisfied, phi_inverse
 from .solvers import (
     ConeConstraint,
-    FractionalProgram,
     QuadraticObjective,
     _barrier_maximize,
     dinkelbach,
@@ -77,7 +77,6 @@ class PlannerInfeasible(RuntimeError):
     """Raised when a subproblem's constraint set is empty; names the culprit."""
 
     def __init__(self, constraint: str, detail: str = ""):
-        self.constraint = constraint
         super().__init__(f"infeasible: {constraint}" + (f" ({detail})" if detail else ""))
 
 
@@ -85,15 +84,16 @@ class PlannerInfeasible(RuntimeError):
 class Scenario:
     """Complete problem instance in SI units.
 
-    ``sr``/``gamma`` describe the satellite fading law and its two-moment
-    surrogate, ``sat`` the satellite large-scale link, ``budget`` the UAV
-    reference gains and minimum elevation angle. Positions are ground-plane
-    coordinates in meters; ``willie`` is the warden. ``varpi`` is the
-    fraction of the jamming power Bob cannot cancel.
+    ``sr`` is the satellite fading law and ``gamma`` its two-moment
+    surrogate, derived from ``sr``; ``sat`` is the satellite large-scale
+    link, ``budget`` the UAV reference gains and minimum elevation angle.
+    Positions are ground-plane coordinates in meters; ``willie`` is the
+    warden. ``varpi`` is the fraction of the jamming power Bob cannot
+    cancel.
     """
 
     sr: SRParams
-    gamma: GammaApprox
+    gamma: GammaApprox = field(init=False)
     sat: SatelliteLink
     budget: UavLinkBudget
     bob: np.ndarray
@@ -113,6 +113,7 @@ class Scenario:
     i_max: int = 50
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", gamma_from_sr(self.sr))
         object.__setattr__(self, "bob", np.asarray(self.bob, dtype=float).reshape(2))
         object.__setattr__(self, "willie", np.asarray(self.willie, dtype=float).reshape(2))
         ues = np.asarray(self.ues, dtype=float).reshape(-1, 2)
@@ -234,6 +235,9 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 # ---------------------------------------------------------------------------
 # placement geometry
 
+_SCA_TOL = 1e-6  # m^2: the placement step stops below this gain
+_SCA_MAX = 30
+
 
 def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
     """Rows over the lifted placement x = (q, H): one elevation cone per
@@ -272,14 +276,14 @@ def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstrai
 
 
 def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
-                         sca_tol: float = 1e-6, sca_max: int = 30) -> UavPlacement:
+                         sca_max: int = _SCA_MAX) -> UavPlacement:
     """Move the UAV as far from Bob as the current powers allow.
 
     Maximizes the convex objective ||x - bob_lifted||^2 over the SOC
     feasible set by successive linearization: each round maximizes the
     touching linear minorant (exact first-order expansion at the incumbent)
     with the log-barrier solver, which can only increase the true objective.
-    Stops when the gain drops below ``sca_tol`` (m^2) or after ``sca_max``
+    Stops when the gain drops below ``_SCA_TOL`` (m^2) or after ``sca_max``
     rounds.
 
     The incumbent typically sits exactly on the covertness and UE-rate ball
@@ -315,7 +319,7 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
         improvement = new_val - val
         if new_val > val:
             x, val = y, new_val
-        if improvement < sca_tol:
+        if improvement < _SCA_TOL:
             break
     if val <= start_val:
         return q0
@@ -401,38 +405,30 @@ def _initial_powers(s: Scenario, pl: UavPlacement) -> PowerAllocation:
     return PowerAllocation(Pk=pk, Pj_hat=pj, Pa=pa)
 
 
-def bcd_optimize(s: Scenario, init: PowerAllocation | None = None,
-                 sca_tol: float = 1e-6, sca_max: int = 30,
-                 single_sca_iterate: bool = False) -> Solution:
+def bcd_optimize(s: Scenario, single_sca_iterate: bool = False) -> Solution:
     """Alternate placement and power steps until Bob's rate settles.
 
     Starts at the ground-node centroid with UE powers at their rate floors,
-    the residual as jamming, and Pa at its covertness cap (or from ``init``
-    when given). Each outer iteration runs the placement step (kept only
-    when it does not reduce Bob's rate at the current powers, which makes
-    the rate trace nondecreasing by construction) and then the exact power
-    step. Stops when the rate changes by less than ``s.delta`` or after
+    the residual as jamming, and Pa at its covertness cap. Each outer
+    iteration runs the placement step (kept only when it does not reduce
+    Bob's rate at the current powers, which makes the rate trace
+    nondecreasing by construction) and then the exact power step. Stops
+    when the rate changes by less than ``s.delta`` or after
     ``s.i_max`` iterations.
     """
     try:
         pl = _initial_placement(s)
-        powers = _initial_powers(s, pl) if init is None else init
+        powers = _initial_powers(s, pl)
     except PlannerInfeasible as e:
         return Solution(None, None, math.nan, [], "infeasible", str(e))
-    if init is not None:
-        res = constraint_residuals(s, pl, powers)
-        worst = max(res, key=res.get)
-        if res[worst] > 1e-8:
-            return Solution(None, None, math.nan, [], "infeasible",
-                            f"initial powers violate {worst} by {res[worst]:.3e}")
 
     rb = bob_rate(s, pl, powers)
     trace = [rb]
     status = "iteration-capped"
-    eff_sca_max = 1 if single_sca_iterate else sca_max
+    sca_max = 1 if single_sca_iterate else _SCA_MAX
     for _ in range(s.i_max):
         try:
-            pl_new = placement_subproblem(s, powers, pl, sca_tol, eff_sca_max)
+            pl_new = placement_subproblem(s, powers, pl, sca_max)
         except PlannerInfeasible as e:
             return Solution(None, None, math.nan, trace, "infeasible", str(e))
         if bob_rate(s, pl_new, powers) > bob_rate(s, pl, powers):
@@ -506,7 +502,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
                                w=np.full(s.K, -xi * phi_inv * s.budget.beta0_chi * scale),
                                u=centers)
     g_obj = QuadraticObjective(np.zeros(3), w=[g_raw * scale], u=w_bar[None, :])
-    res = dinkelbach(FractionalProgram(f_obj, g_obj, cons), x0,
+    res = dinkelbach(f_obj, g_obj, cons, x0,
                      delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
 
     pl = UavPlacement(q=res.x[:2], H=float(res.x[2]))
@@ -559,10 +555,13 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     fading-averaged minimum detection error under the solution's powers and
     placement, and (b) Bob's mean rate with the jamming power drawn uniform
     on [0, Pj_hat] per slot. The covertness verdict requires the estimate
-    to clear 1 - eps minus two standard errors.
+    to clear 1 - eps minus two standard errors, so at least 2 trials are
+    needed.
     """
     if sol.placement is None or sol.powers is None:
         raise ValueError("cannot validate an infeasible solution")
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
     if rng is None:
         rng = np.random.default_rng(0)
     pl, pw = sol.placement, sol.powers

@@ -29,7 +29,6 @@ from .channel import (
     SatelliteLink,
     SRParams,
     UavLinkBudget,
-    gamma_from_sr,
 )
 from .planner import Scenario
 
@@ -37,13 +36,9 @@ __all__ = [
     "ScenarioError",
     "LoadedScenario",
     "load_scenario",
-    "scenario_to_dict",
     "scenario_hash",
-    "default_scenario_dict",
     "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -55,20 +50,8 @@ def dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
 
 
-def watts_to_dbm(w: float) -> float:
-    if w <= 0.0:
-        raise ValueError("dBm is undefined for nonpositive power")
-    return 10.0 * math.log10(w) + 30.0
-
-
 def db_to_linear(x: float) -> float:
     return 10.0 ** (x / 10.0)
-
-
-def linear_to_db(g: float) -> float:
-    if g <= 0.0:
-        raise ValueError("dB is undefined for nonpositive gain")
-    return 10.0 * math.log10(g)
 
 
 _FREQ = {"Hz": lambda v: v, "GHz": lambda v: v * 1e9}
@@ -130,9 +113,7 @@ class LoadedScenario:
 
     scenario: Scenario
     seed: int
-    ue_mode: str          # "explicit" | "uniform_square"
-    raw: dict             # the file contents as read
-    hash: str             # canonical-JSON SHA-256 of raw
+    hash: str             # canonical-JSON SHA-256 of the file contents
 
 
 def scenario_hash(raw: dict) -> str:
@@ -169,7 +150,7 @@ def _resolve_ues(node, seed: int, path: str):
         arr = np.asarray(v, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ScenarioError(f"{path}.explicit: value must be a list of [x, y] pairs")
-        return conv(arr), "explicit"
+        return conv(arr)
     sq = node["uniform_square"]
     _check_keys(sq, ("side", "count"), ("side", "count"), f"{path}.uniform_square")
     side = _scalar(sq["side"], _DIST, f"{path}.uniform_square.side")
@@ -178,7 +159,7 @@ def _resolve_ues(node, seed: int, path: str):
         raise ScenarioError(f"{path}.uniform_square.count: must be a nonnegative integer")
     rng = np.random.default_rng([1, seed])  # stream 1: UE placement
     ues = rng.uniform(-side / 2.0, side / 2.0, size=(count, 2))
-    return ues, "uniform_square"
+    return ues
 
 
 def load_scenario(source, seed: int | None = None) -> LoadedScenario:
@@ -223,7 +204,7 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     if not isinstance(rng_seed, int) or isinstance(rng_seed, bool) or rng_seed < 0:
         raise ScenarioError("rng_seed: must be a nonnegative integer")
     resolved_seed = rng_seed if seed is None else int(seed)
-    ues, ue_mode = _resolve_ues(raw["ue_placement"], resolved_seed, "ue_placement")
+    ues = _resolve_ues(raw["ue_placement"], resolved_seed, "ue_placement")
 
     i_max = raw.get("i_max", 50)
     if not isinstance(i_max, int) or isinstance(i_max, bool):
@@ -231,7 +212,6 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
 
     scenario = Scenario(
         sr=sr,
-        gamma=gamma_from_sr(sr),
         sat=sat,
         budget=budget,
         bob=_point2(raw["bob"], "bob"),
@@ -250,89 +230,6 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
         delta=_plain_number(raw, "delta", 1e-6),
         i_max=i_max,
     )
-    return LoadedScenario(scenario=scenario, seed=resolved_seed, ue_mode=ue_mode,
-                          raw=raw, hash=scenario_hash(raw))
+    return LoadedScenario(scenario=scenario, seed=resolved_seed,
+                          hash=scenario_hash(raw))
 
-
-def scenario_to_dict(ls: LoadedScenario) -> dict:
-    """Serialize back to the file schema in canonical SI units.
-
-    UE positions are always written out explicitly (resolved), so the
-    round trip load -> dict -> load reproduces the same Scenario without
-    reconsuming the RNG.
-    """
-    s = ls.scenario
-    return {
-        "shadowing": {"b": s.sr.b, "m": s.sr.m, "omega": s.sr.omega},
-        "satellite": {
-            "fc": {"value": s.sat.fc, "unit": "Hz"},
-            "d": {"value": s.sat.d, "unit": "m"},
-            "G": {"value": s.sat.G, "unit": "linear"},
-        },
-        "uav": {
-            "beta0_chi": {"value": s.budget.beta0_chi, "unit": "linear"},
-            "beta0_kappa": {"value": s.budget.beta0_kappa, "unit": "linear"},
-            "phi_min": {"value": s.budget.phi_min, "unit": "rad"},
-        },
-        "bob": {"value": list(s.bob), "unit": "m"},
-        "willie": {"value": list(s.willie), "unit": "m"},
-        "ue_placement": {"explicit": {"value": s.ues.tolist(), "unit": "m"}},
-        "noise": {
-            "sigma_kappa2": {"value": s.sigma_kappa2, "unit": "W"},
-            "sigma_b2": {"value": s.sigma_b2, "unit": "W"},
-            "sigma_w2": {"value": s.sigma_w2, "unit": "W"},
-        },
-        "varpi": s.varpi,
-        "eps": s.eps,
-        "P_tot": {"value": s.P_tot, "unit": "W"},
-        "Pa_max": {"value": s.Pa_max, "unit": "W"},
-        "H_min": {"value": s.H_min, "unit": "m"},
-        "H_max": {"value": s.H_max, "unit": "m"},
-        "R_tg": s.R_tg,
-        "delta": s.delta,
-        "i_max": s.i_max,
-        "rng_seed": ls.seed,
-    }
-
-
-def default_scenario_dict(varpi: float = 0.1, seed: int = 12) -> dict:
-    """The stock evaluation scenario in engineering units.
-
-    K = 5 UEs drawn uniformly on a 600 m square, Bob at [200, -100] m,
-    the warden at [100, -200] m, a 2 GHz satellite at 500 km with 30 dBi
-    combined gain, light shadowing, eps = 0.01, 1 W UAV budget, 10 W
-    satellite cap, altitude 50..500 m with a 50 degree elevation mask.
-    """
-    return {
-        "shadowing": "light",
-        "satellite": {
-            "fc": {"value": 2.0, "unit": "GHz"},
-            "d": {"value": 500.0, "unit": "km"},
-            "G": {"value": 30.0, "unit": "dBi"},
-        },
-        "uav": {
-            "beta0_chi": {"value": -38.5, "unit": "dB"},
-            "beta0_kappa": {"value": -60.0, "unit": "dB"},
-            "phi_min": {"value": 50.0, "unit": "deg"},
-        },
-        "bob": {"value": [200.0, -100.0], "unit": "m"},
-        "willie": {"value": [100.0, -200.0], "unit": "m"},
-        "ue_placement": {
-            "uniform_square": {"side": {"value": 600.0, "unit": "m"}, "count": 5},
-        },
-        "noise": {
-            "sigma_kappa2": {"value": -114.0, "unit": "dBm"},
-            "sigma_b2": {"value": -104.0, "unit": "dBm"},
-            "sigma_w2": {"value": -104.0, "unit": "dBm"},
-        },
-        "varpi": varpi,
-        "eps": 0.01,
-        "P_tot": {"value": 1.0, "unit": "W"},
-        "Pa_max": {"value": 10.0, "unit": "W"},
-        "H_min": {"value": 50.0, "unit": "m"},
-        "H_max": {"value": 500.0, "unit": "m"},
-        "R_tg": 6.0,
-        "delta": 1e-6,
-        "i_max": 50,
-        "rng_seed": seed,
-    }

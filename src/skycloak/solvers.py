@@ -28,7 +28,6 @@ __all__ = [
     "ConeConstraint",
     "QuadraticObjective",
     "max_slack_point",
-    "FractionalProgram",
     "DinkelbachResult",
     "dinkelbach",
 ]
@@ -152,8 +151,15 @@ class QuadraticObjective:
         return 2.0 * self.w.sum() * np.eye(self.c.size)
 
 
-def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
-                      t_factor=10.0, max_newton=200):
+# barrier schedule: start weight, growth factor, Newton steps per centring
+_T0 = 1.0
+_T_FACTOR = 10.0
+_MAX_NEWTON = 200
+# duality-gap bound of the max-slack and Dinkelbach barrier solves
+_GAP_TOL = 1e-9
+
+
+def _barrier_maximize(objective, cons, x0, tol=1e-8):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop raises the barrier weight until m/t < tol (duality-gap bound);
@@ -174,13 +180,13 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
     eye = np.eye(x.size)
     obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
     fx = objective.value(x)
-    t = t0
+    t = _T0
     newton_steps = 0
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
         # r = A x - b, u = c.x + d, the row values and the objective value
         # at x are those of the trial point accepted last
-        for _ in range(max_newton):
+        for _ in range(_MAX_NEWTON):
             inv = -1.0 / vals
             gci = cons.grad(r, u) * inv[:, None]
             grad = -t * objective.grad(x) + gci.sum(axis=0)
@@ -228,7 +234,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
                 break
         if m / t < tol:
             break
-        t *= t_factor
+        t *= _T_FACTOR
 
     lam = 1.0 / (t * -vals)
     stat = objective.grad(x) - lam @ cons.grad(r, u)
@@ -242,7 +248,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, t0=1.0,
     return x, info
 
 
-def max_slack_point(cons, anchor, tol: float = 1e-9, s_cap: float | None = None):
+def max_slack_point(cons, anchor):
     """Chebyshev-style strictly feasible point: maximize the minimum slack.
 
     The slack variable is taken off the right-hand side of every row
@@ -255,10 +261,8 @@ def max_slack_point(cons, anchor, tol: float = 1e-9, s_cap: float | None = None)
     n = anchor.size
     margins = cons.margin(anchor)
     s0 = margins.min() - 1.0
-    cap = s_cap
-    if cap is None:
-        # bound s so the lifted program cannot be unbounded
-        cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
+    # bound s so the lifted program cannot be unbounded
+    cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
     # the lifted rows and s <= cap, a half-space row
     rows = cons.lifted()
     k = rows.A.shape[1]
@@ -267,21 +271,12 @@ def max_slack_point(cons, anchor, tol: float = 1e-9, s_cap: float | None = None)
                           np.vstack([rows.b, np.zeros(k)]),
                           np.vstack([rows.c, -e_s]), np.append(rows.d, cap))
     xs, _ = _barrier_maximize(QuadraticObjective(e_s), rows,
-                              np.append(anchor, s0), tol=tol)
+                              np.append(anchor, s0), tol=_GAP_TOL)
     return xs[:n], float(xs[n])
 
 
 # ---------------------------------------------------------------------------
 # fractional programming
-
-
-@dataclass
-class FractionalProgram:
-    """max f(x)/g(x) with f concave, g convex and positive on the feasible set."""
-
-    f: QuadraticObjective
-    g: QuadraticObjective
-    constraints: ConeConstraint
 
 
 @dataclass
@@ -293,19 +288,19 @@ class DinkelbachResult:
     lam_trace: list
 
 
-def dinkelbach(fp: FractionalProgram, x0, delta: float = 1e-6,
-               i_max: int = 50, inner_tol: float = 1e-9,
-               lam_max: float = math.inf) -> DinkelbachResult:
-    """Dinkelbach iteration for ``fp`` starting from strictly feasible x0.
+def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
+               cons: ConeConstraint, x0, delta: float = 1e-6,
+               i_max: int = 50, lam_max: float = math.inf) -> DinkelbachResult:
+    """Dinkelbach iteration for max f(x)/g(x) starting from strictly
+    feasible x0, with f concave and g convex and positive over ``cons``.
 
-    lam starts at 0; each round maximizes f - lam*g over the constraints and
+    lam starts at 0; each round maximizes f - lam*g over ``cons`` and
     stops once |f - lam_prev*g| < delta at the new point, or once lam
     reaches ``lam_max`` (for a caller that clamps the ratio there, any
     point past the clamp is as good as the optimum). The returned lam is
     f(x)/g(x) at the returned point. Non-convergence within i_max is
     flagged, not raised.
     """
-    f, g = fp.f, fp.g
     x = np.asarray(x0, dtype=float).copy()
     lam = 0.0
     trace = []
@@ -313,7 +308,7 @@ def dinkelbach(fp: FractionalProgram, x0, delta: float = 1e-6,
         obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
                                  np.concatenate([f.w, -lam * g.w]),
                                  np.vstack([f.u, g.u]))
-        x, _ = _barrier_maximize(obj, fp.constraints, x, tol=inner_tol)
+        x, _ = _barrier_maximize(obj, cons, x, tol=_GAP_TOL)
         fv, gv = f.value(x), g.value(x)
         if gv <= 0.0:
             raise SolverError(f"denominator nonpositive ({gv:.3e}) at iterate {it}")

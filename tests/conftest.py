@@ -1,11 +1,14 @@
 """Shared fixtures and independent numerical helpers for the test suite.
 
-The integrator and the KS statistic here are deliberately written from
-scratch (composite Simpson on a fixed grid, textbook two-sided KS) so
-the library's own DEP series and samplers are checked against
-an independent path.
+The integrator, the KS statistic and the squared-SR density here are
+deliberately written from scratch (composite Simpson on a fixed grid,
+textbook two-sided KS, the confluent-hypergeometric density summed in
+log space) so the library's own DEP series and samplers are checked
+against an independent path.
 """
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,36 @@ def simpson(f, a, b, n=4096):
     h = (b - a) / n
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
                       + 2.0 * y[2:-1:2].sum())
+
+
+def sr_pdf(x, p):
+    """Density of the squared shadowed-Rician envelope at x >= 0:
+
+        f(x) = (2bm/(2bm+omega))^m / (2b) * e^(-x/2b)
+               * 1F1(m; 1; omega*x / (2b*(2bm+omega))),
+
+    with 1F1(m; 1; z) = sum_n (m)_n z^n / (n!)^2 taken to a fixed 400
+    terms, each formed from log-gamma values.
+    """
+    b, m, omega = p.b, p.m, p.omega
+    x = np.asarray(x, dtype=float)
+    n = np.arange(400.0)
+    z = omega * x / (2.0 * b * (2.0 * b * m + omega))
+    log_z = np.log(np.maximum(z, 1e-300))[..., None]
+    lgam = np.vectorize(math.lgamma)
+    log_terms = (lgam(m + n) - math.lgamma(m) - 2.0 * lgam(n + 1.0)
+                 + n * log_z)
+    scale = m * math.log(2.0 * b * m / (2.0 * b * m + omega)) - math.log(2.0 * b)
+    out = np.exp(log_terms + (scale - x / (2.0 * b))[..., None]).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def default_scenario_dict(varpi=0.1, seed=12) -> dict:
+    """``scenarios/default.json`` with ``varpi`` and ``rng_seed`` set."""
+    d = json.loads((REPO_ROOT / "scenarios" / "default.json").read_text())
+    d["varpi"] = varpi
+    d["rng_seed"] = seed
+    return d
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ks_statistic
+from conftest import default_scenario_dict, ks_statistic
 from skycloak.channel import (SHADOWING_ROWS, UavPlacement, gamma_from_sr,
                               sample_sr_power, sr_cdf, uav_gain)
 from skycloak.detection import (DetectionModel, avg_min_dep_lower_bound,
@@ -24,7 +24,7 @@ from skycloak.detection import (DetectionModel, avg_min_dep_lower_bound,
 from skycloak.planner import (bob_rate, constraint_residuals,
                               perfect_cancellation_optimize,
                               power_subproblem, validate_solution)
-from skycloak.scenario_io import default_scenario_dict, load_scenario
+from skycloak.scenario_io import load_scenario
 
 ROWS = ("light", "average", "heavy")
 

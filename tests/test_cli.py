@@ -9,9 +9,8 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, default_scenario_dict
 from skycloak.cli import main
-from skycloak.scenario_io import default_scenario_dict
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -274,6 +273,22 @@ def test_usage_errors_exit_1(capsys):
     assert main(["optimize"]) == 1  # missing --scenario
     assert main(["launch"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,output", [("validate", "report.json"),
+                                            ("dep-sweep", "dep_sweep.csv")])
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_trials_below_2_exit_1(opt_dir, tmp_path, default_path, capsys,
+                               command, output, trials):
+    # one trial gives no standard error: a usage error, not a NaN row
+    argv = [command, "--scenario", default_path, "--trials", trials,
+            "--out", str(tmp_path)]
+    if command == "validate":
+        argv += ["--solution", str(opt_dir / "solution.json")]
+    assert main(argv) == 1
+    assert "at least 2" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_help_exits_0(capsys):

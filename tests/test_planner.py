@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import default_scenario_dict
 from skycloak import planner, solvers
-from skycloak.channel import UavPlacement, uav_gain
+from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
+                              uav_gain)
 from skycloak.cli import _run_planner
 from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
@@ -16,7 +18,7 @@ from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
                               perfect_cancellation_optimize,
                               placement_subproblem, power_subproblem,
                               validate_solution)
-from skycloak.scenario_io import default_scenario_dict, load_scenario
+from skycloak.scenario_io import load_scenario
 from skycloak.solvers import _barrier_maximize, dinkelbach
 
 
@@ -58,7 +60,7 @@ def toy_single_ue():
 def test_placement_single_ue_matches_grid_oracle():
     s, powers, r_ue, r_cov = toy_single_ue()
     q0 = UavPlacement(q=np.array([103.5, 0.0]), H=126.0)
-    pl = placement_subproblem(s, powers, q0, sca_tol=1e-9, sca_max=60)
+    pl = placement_subproblem(s, powers, q0, sca_max=60)
     got = pl.lifted
     assert abs(got[1]) < 1e-4  # the problem is mirror-symmetric in y
 
@@ -482,8 +484,25 @@ def test_validate_rejects_infeasible(default_scenario):
         validate_solution(default_scenario, bad)
 
 
+@pytest.mark.parametrize("trials", [0, 1])
+def test_validate_needs_two_trials(default_scenario, bcd_solution, trials):
+    # one draw has no standard error, so no covertness verdict
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        validate_solution(default_scenario, bcd_solution, trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # scenario plumbing used by the planner
+
+
+def test_scenario_gamma_follows_sr(default_scenario):
+    # the surrogate is derived from sr, never carried over from a copy
+    with pytest.warns(RuntimeWarning, match="shape is exactly 1"):
+        heavy = dataclasses.replace(default_scenario, sr=HEAVY_SHADOWING)
+    assert heavy.gamma == gamma_from_sr(HEAVY_SHADOWING)
+    assert heavy.gamma != default_scenario.gamma
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(default_scenario, gamma=heavy.gamma)
 
 
 def test_residuals_flag_violations(default_scenario, bcd_solution):

@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
-                              FractionalProgram, InfeasibleStartError,
-                              QuadraticObjective, _barrier_maximize,
-                              dinkelbach, max_slack_point)
+                              InfeasibleStartError, QuadraticObjective,
+                              _barrier_maximize, dinkelbach, max_slack_point)
 
 
 def ball(center, radius):
@@ -222,8 +221,8 @@ def test_dinkelbach_symmetric_ratio():
     # ratio exactly 1
     f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
     g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
-    fp = FractionalProgram(f=f, g=g, constraints=stack(ball(np.zeros(2), 0.9)))
-    res = dinkelbach(fp, np.array([0.3, -0.2]), delta=1e-10)
+    res = dinkelbach(f, g, stack(ball(np.zeros(2), 0.9)), np.array([0.3, -0.2]),
+                     delta=1e-10)
     assert isinstance(res, DinkelbachResult)
     assert res.converged
     assert res.lam == pytest.approx(1.0, abs=1e-8)
@@ -238,30 +237,29 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     # confirms it in round 2; any cap up to 1 ends the run after round 1
     f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
     g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
-    fp = FractionalProgram(f=f, g=g, constraints=stack(ball(np.zeros(2), 0.9)))
+    fp = (f, g, stack(ball(np.zeros(2), 0.9)))
     x0 = np.array([0.3, -0.2])
-    full = dinkelbach(fp, x0, delta=1e-10)
+    full = dinkelbach(*fp, x0, delta=1e-10)
     assert full.iterations == 2
     for lam_max in (0.5, 1.0):
-        res = dinkelbach(fp, x0, delta=1e-10, lam_max=lam_max)
+        res = dinkelbach(*fp, x0, delta=1e-10, lam_max=lam_max)
         assert res.converged and res.iterations == 1
         assert res.lam_trace == full.lam_trace[:1] and res.lam >= lam_max
-    uncapped = dinkelbach(fp, x0, delta=1e-10, lam_max=math.inf)
+    uncapped = dinkelbach(*fp, x0, delta=1e-10, lam_max=math.inf)
     assert uncapped.lam_trace == full.lam_trace
     assert np.array_equal(uncapped.x, full.x)
     # a five-round run stops at the first round whose ratio reaches the cap
     cons = stack(ball(np.zeros(2), 1.0))
-    fp = FractionalProgram(
-        QuadraticObjective(np.zeros(2), const=6.0, w=[-1.0], u=[[1.0, 1.0]]),
-        QuadraticObjective(np.zeros(2), const=0.5, w=[1.0], u=np.zeros((1, 2))),
-        cons)
+    fp = (QuadraticObjective(np.zeros(2), const=6.0, w=[-1.0], u=[[1.0, 1.0]]),
+          QuadraticObjective(np.zeros(2), const=0.5, w=[1.0], u=np.zeros((1, 2))),
+          cons)
     x0 = np.array([0.2, 0.1])
-    full = dinkelbach(fp, x0, delta=1e-9)
+    full = dinkelbach(*fp, x0, delta=1e-9)
     assert full.converged and full.iterations == 5
     lams = full.lam_trace
     for k in range(1, 5):
         lam_max = 0.5 * (lams[k - 1] + lams[k])
-        res = dinkelbach(fp, x0, delta=1e-9, lam_max=lam_max)
+        res = dinkelbach(*fp, x0, delta=1e-9, lam_max=lam_max)
         assert res.converged and res.iterations == k + 1
         assert res.lam_trace == lams[:k + 1] and res.lam >= lam_max
 
@@ -271,8 +269,7 @@ def test_dinkelbach_boundary_optimum():
     f = QuadraticObjective([-1.0], const=2.0)
     g = QuadraticObjective([1.0], const=1.0)
     box = stack(halfspace([-1.0], 0.0), halfspace([1.0], 1.0))
-    fp = FractionalProgram(f=f, g=g, constraints=box)
-    res = dinkelbach(fp, np.array([0.5]), delta=1e-10)
+    res = dinkelbach(f, g, box, np.array([0.5]), delta=1e-10)
     assert res.converged
     assert res.lam == pytest.approx(2.0, abs=1e-6)
     assert res.x[0] == pytest.approx(0.0, abs=1e-5)
@@ -288,7 +285,7 @@ def test_dinkelbach_scale_invariance():
                                u=center)
         g = QuadraticObjective(np.zeros(2), const=0.5 * kappa, w=[kappa],
                                u=np.zeros((1, 2)))
-        res = dinkelbach(FractionalProgram(f, g, cons), np.array([0.2, 0.1]),
+        res = dinkelbach(f, g, cons, np.array([0.2, 0.1]),
                          delta=1e-9 * kappa)
         assert res.converged
         lam.append(res.lam)
