@@ -290,6 +290,12 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
     boundaries right after a power step, so the start point is nudged to a
     max-slack interior point first; if the feasible set has no interior the
     placement cannot move and q0 is returned unchanged.
+
+    Every round restarts the barrier solver from this start point (the
+    incumbent, or the max-slack point it was nudged to), not from the
+    previous round's optimum: that optimum sits about 1e-9 from the
+    boundary, where the first centring would spend its Newton steps
+    dragging it back inside. Only the linearization point moves.
     """
     cons = _placement_constraints(s, powers)
     x0 = q0.lifted
@@ -314,7 +320,7 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
     for _ in range(sca_max):
         grad = 2.0 * (x - b_bar)
         grad /= np.linalg.norm(grad)  # unit objective: tolerances in meters
-        y, _ = _barrier_maximize(QuadraticObjective(grad), cons, x, tol=1e-7)
+        y, _ = _barrier_maximize(QuadraticObjective(grad), cons, x0, tol=1e-7)
         new_val = true_obj(y)
         improvement = new_val - val
         if new_val > val:

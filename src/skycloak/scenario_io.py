@@ -166,8 +166,9 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     """Parse a scenario file (path, JSON string content not accepted) or dict.
 
     ``seed`` overrides the file's ``rng_seed`` for UE sampling and any
-    downstream Monte Carlo. Raises ScenarioError on any unknown field,
-    missing field, or unmappable unit.
+    downstream Monte Carlo, and must be a nonnegative integer as well.
+    Raises ScenarioError on any unknown field, missing field, unmappable
+    unit or negative seed.
     """
     if isinstance(source, dict):
         raw = source
@@ -201,9 +202,10 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
                 ("sigma_kappa2", "sigma_b2", "sigma_w2"), "noise")
 
     rng_seed = raw.get("rng_seed", 0)
-    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool) or rng_seed < 0:
-        raise ScenarioError("rng_seed: must be a nonnegative integer")
     resolved_seed = rng_seed if seed is None else int(seed)
+    if (not isinstance(rng_seed, int) or isinstance(rng_seed, bool)
+            or min(rng_seed, resolved_seed) < 0):
+        raise ScenarioError("rng_seed: must be a nonnegative integer")
     ues = _resolve_ues(raw["ue_placement"], resolved_seed, "ue_placement")
 
     i_max = raw.get("i_max", 50)

@@ -10,6 +10,9 @@ and transparent. The power step needs no solver; its optimum is explicit
 - one objective type, const + c.x + sum_k w_k ||x - u_k||^2;
 - a log-barrier Newton method over the stack, with a closed-form bound on
   the feasible step (Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3);
+  each Newton system is solved by an unrolled Cholesky factorization on
+  Python floats, with a growing ridge when rounding leaves the Hessian
+  singular or indefinite;
 - a max-slack interior point finder and a Dinkelbach driver for
   concave/convex fractional objectives.
 """
@@ -49,6 +52,11 @@ class LineSearchError(SolverError):
 # smooth convex programs: stacked SOC rows, log-barrier Newton
 
 
+def _rowdot(p, q):
+    """Row-wise dot products of two (m, k) arrays."""
+    return np.matmul(p[:, None, :], q[:, :, None]).ravel()
+
+
 @dataclass
 class ConeConstraint:
     """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n).
@@ -73,30 +81,39 @@ class ConeConstraint:
         self.c = np.asarray(self.c, dtype=float).reshape(m, n)
         self.d = np.asarray(self.d, dtype=float).reshape(m)
         self.cone = np.any(self.A != 0.0, axis=(1, 2))
+        # row layouts for the per-step products: A as one (m*k, n) matrix
+        # for A x, and per row A_i^T, shape (m, n, k), for A_i^T r_i
+        self._A_flat = self.A.reshape(m * k, n)
+        self._A_T = np.ascontiguousarray(self.A.transpose(0, 2, 1))
         # the rows' value Hessians, constant in x
         self.hess = 2.0 * self.cone[:, None, None] * (
             np.einsum("mki,mkj->mij", self.A, self.A)
             - np.einsum("mi,mj->mij", self.c, self.c))
 
+    def _apply(self, x):
+        """The stacked products A_i x, shape (m, k)."""
+        return (self._A_flat @ x).reshape(self.b.shape)
+
     def rows(self, x):
         """(r, t, values, interior) at x from one evaluation of the row
         parts r = A x - b and t = c.x + d: every row's value and whether x
         lies strictly inside every row."""
-        r = np.einsum("mkn,n->mk", self.A, x) - self.b
+        r = self._apply(x) - self.b
         t = self.c @ x + self.d
-        rr = np.einsum("mk,mk->m", r, r)
+        rr = _rowdot(r, r)
         vals = np.where(self.cone, rr - t * t, -t)
         return r, t, vals, bool(np.all((t > 0.0) & (rr < t * t)))
 
     def grad(self, r, t):
         """Every row's value gradient at the point with row parts r, t."""
-        g = 2.0 * (np.einsum("mkn,mk->mn", self.A, r) - t[:, None] * self.c)
+        g = 2.0 * (np.matmul(self._A_T, r[:, :, None])[:, :, 0]
+                   - t[:, None] * self.c)
         return np.where(self.cone[:, None], g, -self.c)
 
     def margin(self, x):
         """Distance-to-violation of every row in the row's own units."""
         r, t, _, _ = self.rows(x)
-        return t - np.sqrt(np.einsum("mk,mk->m", r, r))
+        return t - np.sqrt(_rowdot(r, r))
 
     def lifted(self):
         """The same rows in (x, s) with the slack s taken off every
@@ -118,9 +135,9 @@ class ConeConstraint:
         denominator is negative anyway, so clipping it at zero against
         rounding changes no verdict.
         """
-        rs, ts = np.einsum("mkn,n->mk", self.A, s), self.c @ s
-        a = np.where(self.cone, np.einsum("mk,mk->m", rs, rs) - ts * ts, 0.0)
-        h = np.where(self.cone, np.einsum("mk,mk->m", r, rs) - t * ts, -0.5 * ts)
+        rs, ts = self._apply(s), self.c @ s
+        a = np.where(self.cone, _rowdot(rs, rs) - ts * ts, 0.0)
+        h = np.where(self.cone, _rowdot(r, rs) - t * ts, -0.5 * ts)
         den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
         return np.divide(-v, den, out=np.full_like(v, np.inf), where=den > 0.0)
 
@@ -151,6 +168,57 @@ class QuadraticObjective:
         return 2.0 * self.w.sum() * np.eye(self.c.size)
 
 
+def _newton_solve(H, g):
+    """y with (H + ridge*I) y = g, from a Cholesky factorization on Python
+    floats (the systems are 3x3 or 4x4, where numpy's per-call overhead
+    dominates LAPACK's arithmetic).
+
+    ridge is the first of 0, then 1e-12 * max(trace(H)/n, 1) * 10^j for
+    j = 0, 1, ..., at which every pivot comes out > 0 (a NaN pivot fails);
+    it keeps the step a descent direction when rounding leaves the
+    barrier Hessian singular or slightly indefinite.
+    """
+    n = len(g)
+    a = H.tolist()
+    floor = 1e-12 * max(sum(a[i][i] for i in range(n)) / n, 1.0)
+    ridge = 0.0
+    while True:
+        L = []
+        for i in range(n):
+            ai, li = a[i], []
+            for j in range(i):
+                lj, v = L[j], ai[j]
+                for k in range(j):
+                    v -= li[k] * lj[k]
+                li.append(v / lj[j])
+            v = ai[i] + ridge
+            for k in range(i):
+                v -= li[k] * li[k]
+            if not v > 0.0:
+                break
+            li.append(math.sqrt(v))
+            L.append(li)
+        else:
+            break
+        ridge = ridge * 10.0 if ridge else floor
+        if not ridge < math.inf:
+            raise SolverError("Newton system does not factor at any finite ridge")
+    # L z = g, then L^T y = z
+    z = g.tolist()
+    for i in range(n):
+        li = L[i]
+        v = z[i]
+        for k in range(i):
+            v -= li[k] * z[k]
+        z[i] = v / li[i]
+    for i in reversed(range(n)):
+        v = z[i]
+        for k in range(i + 1, n):
+            v -= L[k][i] * z[k]
+        z[i] = v / L[i][i]
+    return np.array(z)
+
+
 # barrier schedule: start weight, growth factor, Newton steps per centring
 _T0 = 1.0
 _T_FACTOR = 10.0
@@ -177,8 +245,9 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
         raise InfeasibleStartError(
             f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
-    eye = np.eye(x.size)
+    n = x.size
     obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
+    row_hess = cons.hess.reshape(m, n * n)
     fx = objective.value(x)
     t = _T0
     newton_steps = 0
@@ -190,17 +259,8 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
             inv = -1.0 / vals
             gci = cons.grad(r, u) * inv[:, None]
             grad = -t * objective.grad(x) + gci.sum(axis=0)
-            H = (-t * obj_hess + gci.T @ gci
-                 + np.einsum("m,mij->ij", inv, cons.hess))
-            ridge = 0.0
-            base = np.trace(H) / H.shape[0]
-            while True:
-                try:
-                    L = np.linalg.cholesky(H + ridge * eye)
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(ridge * 10.0, 1e-12 * max(base, 1.0))
-            step = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+            H = -t * obj_hess + gci.T @ gci + (inv @ row_hess).reshape(n, n)
+            step = -_newton_solve(H, grad)
             decrement = float(-grad @ step)
             phi0 = -t * fx - float(np.log(-vals).sum())
             fuzz = 1e-11 * (1.0 + abs(phi0))

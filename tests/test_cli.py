@@ -106,6 +106,14 @@ def test_seed_override_changes_solution(tmp_path, default_path):
     assert read_records(tmp_path)[0]["seed"] == 3
 
 
+def test_negative_seed_override_exits_1(tmp_path, default_path, capsys):
+    rc = main(["optimize", "--scenario", default_path, "--seed", "-1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "rng_seed" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -243,6 +243,19 @@ def test_explicit_ues_ignore_seed():
     assert_allclose(a, b, rtol=0.0, atol=0.0)
 
 
+def test_negative_seed_override_rejected():
+    # the override gets the same check as the file's rng_seed, also where
+    # explicit UEs never draw from it
+    sampled = default_scenario_dict(0.1, 0)
+    explicit = default_scenario_dict(0.1, 0)
+    explicit["ue_placement"] = {"explicit": {"value": [[10.0, -5.0]],
+                                             "unit": "m"}}
+    for d in (sampled, explicit):
+        with pytest.raises(ScenarioError, match="rng_seed: must be a nonnegative"):
+            load_scenario(d, seed=-1)
+        assert load_scenario(d, seed=0).seed == 0
+
+
 def test_zero_ue_count_allowed():
     d = default_scenario_dict(0.0, 0)
     d["ue_placement"]["uniform_square"]["count"] = 0

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
                               InfeasibleStartError, QuadraticObjective,
-                              _barrier_maximize, dinkelbach, max_slack_point)
+                              SolverError, _barrier_maximize, _newton_solve,
+                              dinkelbach, max_slack_point)
 
 
 def ball(center, radius):
@@ -130,6 +131,87 @@ def test_max_step_is_inf_on_rays_that_stay_inside():
     for s in ([-1.0, 0.0], [2.0, -1.0], [0.0, -5.0]):
         assert exit_steps(half, np.zeros(2), s)[0] == np.inf
     assert exit_steps(half, np.zeros(2), [1.0, 0.0])[0] == 3.0
+
+
+def reference_grads(cons, x):
+    """Row value gradients written out per row: 2(A_i^T(A_i x - b_i)
+    - (c_i.x + d_i) c_i) for a cone or ball row, -c_i for a half-space."""
+    out = []
+    for A, b, c, d in zip(cons.A, cons.b, cons.c, cons.d):
+        if np.any(A != 0.0):
+            out.append(2.0 * (A.T @ (A @ x - b) - (c @ x + d) * c))
+        else:
+            out.append(-c)
+    return np.array(out)
+
+
+def test_row_gradients_match_the_per_row_formula():
+    rng = np.random.default_rng(13)
+    kinds = ("cone", "ball", "halfspace")
+    for _ in range(20):
+        rows, _ = zip(*(random_row(rng, 3, kinds[j]) for j in
+                        rng.integers(0, 3, size=int(rng.integers(1, 6)))))
+        cons = stack(*rows)
+        for c, x in ((cons, rng.normal(size=3)),
+                     (cons.lifted(), rng.normal(size=4))):
+            got = c.grad(*c.rows(x)[:2])
+            assert_allclose(got, reference_grads(c, x), rtol=1e-12,
+                            atol=1e-12 * np.abs(got).max())
+
+
+# ---------------------------------------------------------------------------
+# the Newton system
+
+
+def reference_ridge(H):
+    """The first of 0, 1e-12*max(trace/n, 1)*10^j at which numpy's
+    Cholesky factors H + ridge*I."""
+    n = H.shape[0]
+    floor = 1e-12 * max(np.trace(H) / n, 1.0)
+    ridge = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(H + ridge * np.eye(n))
+            return ridge
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, floor)
+
+
+def test_newton_solve_matches_numpy_on_spd_systems():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            M = rng.normal(size=(n, n))
+            H = M @ M.T + rng.uniform(1e-3, 1.0) * np.eye(n)
+            g = rng.normal(size=n)
+            assert reference_ridge(H) == 0.0
+            L = np.linalg.cholesky(H)
+            want = np.linalg.solve(L.T, np.linalg.solve(L, g))
+            assert_allclose(_newton_solve(H, g), want, rtol=1e-12,
+                            atol=1e-12 * np.abs(want).max())
+
+
+def test_newton_solve_ridges_singular_and_indefinite_systems():
+    g = np.array([1.0, -2.0, 0.5])
+    # singular PSD: the second pivot is exactly 0, so ridge 0 fails and
+    # the first nonzero ridge 1e-12*(4/3) factors
+    singular = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+    # indefinite with trace 0: the ridges run 1e-12, 1e-11, ..., and the
+    # first to factor is 10
+    indefinite = np.array([[2.0, 0.5, 0.0], [0.5, -5.0, 0.2], [0.0, 0.2, 3.0]])
+    for H in (singular, indefinite):
+        ridge = reference_ridge(H)
+        assert ridge > 0.0
+        want = np.linalg.solve(H + ridge * np.eye(3), g)
+        assert_allclose(_newton_solve(H, g), want, rtol=1e-12)
+    assert reference_ridge(singular) == 1e-12 * (4.0 / 3.0)
+    assert reference_ridge(indefinite) == pytest.approx(10.0, rel=1e-12)
+
+
+def test_newton_solve_raises_where_no_ridge_factors():
+    H = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(SolverError, match="does not factor"):
+        _newton_solve(H, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
