@@ -3,7 +3,7 @@
 The package is organized around six modules:
 
 - :mod:`skycloak.channel`      fading/link math (shadowed-Rician, LoS, rates)
-- :mod:`skycloak.detection`    warden detection model, DEP bounds, covertness map
+- :mod:`skycloak.detection`    per-slot minimum DEP, DEP bounds, covertness map
 - :mod:`skycloak.solvers`      stacked SOC rows, log-barrier Newton, Dinkelbach
 - :mod:`skycloak.planner`      the two placement/power optimization algorithms
 - :mod:`skycloak.scenario_io`  unit-tagged JSON scenario files, scenario hashing
@@ -30,13 +30,9 @@ from skycloak.channel import (
 )
 from skycloak.detection import (
     CovertBound,
-    DetectionModel,
     avg_min_dep_lower_bound,
     avg_min_dep_quadrature,
     covert_constraint_satisfied,
-    dep,
-    fa_probability,
-    md_probability,
     min_dep,
     phi,
     phi_inverse,

@@ -256,8 +256,8 @@ class SatelliteLink:
 
 def satellite_large_scale(fc: float, d: float, G: float) -> float:
     """Free-space large-scale gain (c / (4 pi fc d))^2 * G."""
-    if fc <= 0.0 or d <= 0.0 or G <= 0.0:
-        raise ValueError("fc, d, G must all be positive")
+    if not all(0.0 < v < math.inf for v in (fc, d, G)):
+        raise ValueError("fc, d, G must all be positive and finite")
     lam_over = SPEED_OF_LIGHT / (4.0 * math.pi * fc * d)
     return lam_over * lam_over * G
 
@@ -292,8 +292,8 @@ class UavLinkBudget:
     phi_min: float      # radians
 
     def __post_init__(self) -> None:
-        if self.beta0_chi <= 0.0 or self.beta0_kappa <= 0.0:
-            raise ValueError("reference gains must be positive")
+        if not all(0.0 < v < math.inf for v in (self.beta0_chi, self.beta0_kappa)):
+            raise ValueError("reference gains must be positive and finite")
         if not (0.0 < self.phi_min < math.pi / 2.0):
             raise ValueError("phi_min must lie in (0, pi/2)")
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import SHADOWING_ROWS, gamma_from_sr, sample_sr_power
 from .detection import (avg_min_dep_lower_bound, avg_min_dep_quadrature,
-                        phi_inverse)
+                        min_dep, phi_inverse)
 from .planner import (PowerAllocation, Solution, UavPlacement, bcd_optimize,
                       perfect_cancellation_optimize, validate_solution)
 from .scenario_io import ScenarioError, load_scenario
@@ -201,7 +201,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
             quad = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
             rng = np.random.default_rng([3, loaded.seed, ie, ir])
             x = sample_sr_power(params, rng, args.trials)
-            xi = np.maximum(0.0, 1.0 - x / ratio)
+            xi = min_dep(x, ratio)
             mc_mean = float(xi.mean())
             mc_stderr = float(xi.std(ddof=1) / math.sqrt(args.trials))
             rows.append((eps, name, bound, quad, mc_mean, mc_stderr))

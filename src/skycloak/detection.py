@@ -1,23 +1,26 @@
 """Warden detection analysis for a jamming-protected covert downlink.
 
 The warden runs a radiometer: it compares the average received power in a
-transmission slot against a threshold tau and declares "transmission" above
+transmission slot against a threshold and declares "transmission" above
 it. The UAV randomizes its jamming power uniformly on [0, pj_hat] each slot,
 so the warden's received power under either hypothesis is uniform on an
-interval, and both error probabilities are piecewise linear in tau.
+interval of width ``jam`` (the jamming power received at its peak), shifted
+by ``sig`` (the received satellite signal power) when the satellite
+transmits.
 
 The quantity of interest is the detection error probability (false alarm
-plus missed detection) minimized over tau, averaged over the satellite-
-warden fading. This module provides the exact piecewise expressions, an
-exact incomplete-gamma series for the fading average, the closed-form lower
-bound obtained from the fitted gamma surrogate of the fading law, and the
-inverse of that bound's tightness function used by the planner.
+plus missed detection) minimized over the threshold, averaged over the
+satellite-warden fading. This module provides that per-slot minimum in
+closed form, an exact incomplete-gamma series for its fading average, the
+closed-form lower bound obtained from the fitted gamma surrogate of the
+fading law, and the inverse of that bound's tightness function used by the
+planner.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +28,7 @@ from .channel import (GammaApprox, SRParams, _gammainc_orders,
                       _mixture_weights, _series_sum)
 
 __all__ = [
-    "DetectionModel",
     "CovertBound",
-    "fa_probability",
-    "md_probability",
-    "dep",
     "min_dep",
     "avg_min_dep_quadrature",
     "avg_min_dep_lower_bound",
@@ -39,124 +38,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetectionModel:
-    """One slot of the warden's test for fixed channel realizations.
+def min_dep(sig, jam: float):
+    """Per-slot detection error probability at the warden's best threshold.
 
-    Parameters
-    ----------
-    pa : float
-        Satellite transmit power (W).
-    g_aw : float
-        Effective satellite-to-warden channel gain (large-scale loss times
-        the fading power realization), so ``pa * g_aw`` is the received
-        signal power at the warden.
-    pj_hat : float
-        Peak UAV jamming power (W); the actual power is uniform on
-        ``[0, pj_hat]``.
-    g_uw : float
-        UAV-to-warden channel gain.
-    sigma_w2 : float
-        Warden noise power (W).
-
-    The received-power breakpoints are exposed as ``rho1 <= rho2`` (support
-    of the statistic without the satellite signal) and ``rho3 <= rho4``
-    (support with it).
+    ``sig`` is the received satellite signal power (scalar or array, taken
+    elementwise) and ``jam`` the received peak jamming power (scalar). The
+    two received-power supports overlap on a stretch of length jam - sig,
+    where the total error is flat at ``1 - sig/jam``; a signal at least as
+    strong as the jamming is detected without error. Without jamming the
+    warden detects perfectly whenever the signal is present (0), and cannot
+    do better than guessing when it is not (1).
     """
-
-    pa: float
-    g_aw: float
-    pj_hat: float
-    g_uw: float
-    sigma_w2: float
-    rho1: float = field(init=False)
-    rho2: float = field(init=False)
-    rho3: float = field(init=False)
-    rho4: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("pa", "g_aw", "pj_hat", "g_uw", "sigma_w2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if self.sigma_w2 <= 0.0:
-            raise ValueError("sigma_w2 must be positive")
-        jam = self.pj_hat * self.g_uw
-        sig = self.pa * self.g_aw
-        object.__setattr__(self, "rho1", self.sigma_w2)
-        object.__setattr__(self, "rho2", self.sigma_w2 + jam)
-        object.__setattr__(self, "rho3", self.sigma_w2 + sig)
-        object.__setattr__(self, "rho4", self.sigma_w2 + jam + sig)
-
-
-def _as_tau(tau):
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("threshold tau must be nonnegative")
-    return arr
-
-
-def fa_probability(model: DetectionModel, tau):
-    """False alarm probability of the threshold test at tau.
-
-    Without the satellite signal the warden sees power uniform on
-    ``[rho1, rho2]``, so the exceedance probability is 1 below the support,
-    linear across it, and 0 above. Accepts scalar or array tau.
-    """
-    arr = _as_tau(tau)
-    width = model.rho2 - model.rho1
-    if width > 0.0:
-        mid = (model.rho2 - arr) / width
-        out = np.where(arr < model.rho1, 1.0,
-                       np.where(arr < model.rho2, mid, 0.0))
-    else:
-        out = np.where(arr < model.rho1, 1.0, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def md_probability(model: DetectionModel, tau):
-    """Missed detection probability of the threshold test at tau.
-
-    With the satellite signal present the received power is uniform on
-    ``[rho3, rho4]``; the test misses when the power falls below tau.
-    """
-    arr = _as_tau(tau)
-    width = model.rho4 - model.rho3
-    if width > 0.0:
-        mid = (arr - model.rho3) / width
-        out = np.where(arr < model.rho3, 0.0,
-                       np.where(arr < model.rho4, mid, 1.0))
-    else:
-        out = np.where(arr < model.rho3, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def dep(model: DetectionModel, tau):
-    """Detection error probability fa + md at threshold tau."""
-    arr = _as_tau(tau)
-    out = np.asarray(fa_probability(model, arr)) + np.asarray(md_probability(model, arr))
-    return float(out) if out.ndim == 0 else out
-
-
-def min_dep(model: DetectionModel):
-    """Minimize the detection error probability over the threshold.
-
-    Returns ``(xi_star, tau_star)``. When the jamming support is wider than
-    the signal shift (``pa*g_aw < pj_hat*g_uw``), the error probability is
-    flat at ``1 - pa*g_aw/(pj_hat*g_uw)`` on ``[rho3, rho2]`` and tau_star
-    is reported as rho2; otherwise the minimum is 0, also attained at rho2.
-    Without jamming the warden detects perfectly whenever the signal is
-    present (xi_star 0), and cannot do better than guessing when it is not
-    (xi_star 1).
-    """
-    jam = model.pj_hat * model.g_uw
-    sig = model.pa * model.g_aw
-    tau_star = model.rho2
     if jam == 0.0:
-        xi_star = 0.0 if sig > 0.0 else 1.0
-    else:
-        xi_star = max(0.0, 1.0 - sig / jam)
-    return xi_star, tau_star
+        return np.where(sig > 0.0, 0.0, 1.0)
+    return np.maximum(0.0, 1.0 - sig / jam)
 
 
 def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,

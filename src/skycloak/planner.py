@@ -48,7 +48,7 @@ from .channel import (
     uav_gain,
     ue_rate,
 )
-from .detection import covert_constraint_satisfied, phi_inverse
+from .detection import covert_constraint_satisfied, min_dep, phi_inverse
 from .solvers import (
     ConeConstraint,
     QuadraticObjective,
@@ -118,6 +118,12 @@ class Scenario:
         object.__setattr__(self, "willie", np.asarray(self.willie, dtype=float).reshape(2))
         ues = np.asarray(self.ues, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "ues", ues)
+        for name in ("bob", "willie", "ues", "sigma_kappa2", "sigma_b2",
+                     "sigma_w2", "varpi", "eps", "P_tot", "Pa_max", "H_min",
+                     "H_max", "R_tg", "delta"):
+            v = getattr(self, name)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not 0.0 < self.eps < 0.5:
             raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
         if not 0.0 < self.H_min < self.H_max:
@@ -142,6 +148,13 @@ class Scenario:
     def xi_coeff(self) -> float:
         """Minimum UE service power per squared 3D distance, W/m^2."""
         return (2.0 ** self.R_tg - 1.0) * self.sigma_kappa2 / self.budget.beta0_kappa
+
+    @property
+    def kappa(self) -> float:
+        """Covertness cap coefficient, m^2: Pa <= kappa * Pj_hat / D_w
+        with D_w the squared 3D UAV-warden distance."""
+        return (phi_inverse(self.eps, self.gamma) * self.budget.beta0_chi
+                / (self.gamma.theta * self.sat.ell))
 
     @property
     def ground_nodes(self) -> np.ndarray:
@@ -268,10 +281,8 @@ def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstrai
     centers = [_lift(u) for u in s.ues]
     radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk]
     if powers.Pa > 0.0:
-        cap = (powers.Pj_hat * s.budget.beta0_chi * phi_inverse(s.eps, s.gamma)
-               / (s.gamma.theta * s.sat.ell * powers.Pa))
         centers.append(_lift(s.willie))
-        radii.append(math.sqrt(max(cap, 0.0)))
+        radii.append(math.sqrt(s.kappa * powers.Pj_hat / powers.Pa))
     return _placement_set(s, centers, radii)
 
 
@@ -339,9 +350,7 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
 def _power_terms(s: Scenario, pl: UavPlacement):
     """UE rate floors (W) and the covertness cap ups = Pa/Pj_hat at ``pl``."""
     d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
-    g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
-    ups = phi_inverse(s.eps, s.gamma) * g_uw / (s.gamma.theta * s.sat.ell)
-    return s.xi_coeff * d2, ups
+    return s.xi_coeff * d2, uav_gain(pl, s.willie, s.kappa)
 
 
 def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
@@ -355,15 +364,17 @@ def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
         sum Pk + Pj_hat <= P_tot          (UAV budget)
         Pa <= Pa_max                      (satellite cap)
 
-    with ups = Phi_inverse(eps)*g_uw/(theta*ell_aw). The optimum is
+    with ups = kappa/D_w (see ``Scenario.kappa``). The optimum is
     explicit: UE powers sit at their floors, Pj_hat = min(P_tot - sum
     floors, Pa_max/ups) and Pa = ups*Pj_hat (kept <= Pa_max against
     rounding). Below the satellite cap the SINR
     ups*Pj/(varpi*g_ub*Pj + sigma_b2) grows with Pj_hat, so the whole
     remaining budget jams; at the cap more jamming cannot help Bob, and the
     unspent budget is credited to UE 0 (it raises that UE's rate above its
-    floor and changes nothing else). Raises PlannerInfeasible when the UE
-    rate floors exceed the budget at this placement.
+    floor and changes nothing else). With varpi = 0 jamming costs Bob
+    nothing, so the whole remaining budget jams there even at the cap.
+    Raises PlannerInfeasible when the UE rate floors exceed the budget at
+    this placement.
     """
     floors, ups = _power_terms(s, pl)
     prem = s.P_tot - floors.sum()
@@ -371,7 +382,7 @@ def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
         raise PlannerInfeasible(
             "ue-rate power floors",
             f"need {floors.sum():.6g} W of {s.P_tot:.6g} W at this placement")
-    pj = min(prem, s.Pa_max / ups)
+    pj = prem if s.varpi == 0.0 else min(prem, s.Pa_max / ups)
     if s.K:
         floors[0] += prem - pj
     return PowerAllocation(Pk=floors, Pj_hat=pj, Pa=min(ups * pj, s.Pa_max))
@@ -470,11 +481,11 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
 
     concave over convex positive, maximized by Dinkelbach iteration over
     the cones, the altitude band, and the ball where the numerator stays
-    nonnegative. Powers then follow in closed form and Pa is clamped at
-    Pa_max. Since Bob's rate then depends on nothing but Pa, the iteration
-    stops once the ratio reaches Pa_max: later rounds would only move the
-    placement within a tie for the best rate, so a capped plan may sit at
-    a different placement with the same rate.
+    nonnegative. Powers then come from ``power_subproblem``. Since Bob's
+    rate then depends on nothing but Pa, the iteration stops once the
+    ratio reaches Pa_max: later rounds would only move the placement
+    within a tie for the best rate, so a capped plan may sit at a
+    different placement with the same rate.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
@@ -512,13 +523,10 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
                      delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
 
     pl = UavPlacement(q=res.x[:2], H=float(res.x[2]))
-    d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
-    pk = xi * d2
-    pj = s.P_tot - pk.sum()
-    pa = min(res.lam, s.Pa_max)
-    powers = PowerAllocation(Pk=pk, Pj_hat=pj, Pa=pa)
+    powers = power_subproblem(s, pl)
     g_ab = s.sat.ell * s.sr.mean_power
-    trace = [covert_rate(min(l, s.Pa_max), g_ab, 0.0, pj, 1.0, s.sigma_b2)
+    trace = [covert_rate(min(l, s.Pa_max), g_ab, 0.0, powers.Pj_hat, 1.0,
+                         s.sigma_b2)
              for l in res.lam_trace]
     rb = bob_rate(s, pl, powers)
     return Solution(pl, powers, rb, trace,
@@ -576,11 +584,7 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
 
     fade_w = sample_sr_power(s.sr, rng, trials)
     sig = pw.Pa * s.sat.ell * fade_w
-    jam = pw.Pj_hat * g_uw
-    if jam == 0.0:
-        xi = np.where(sig > 0.0, 0.0, 1.0)
-    else:
-        xi = np.maximum(0.0, 1.0 - sig / jam)
+    xi = min_dep(sig, pw.Pj_hat * g_uw)
     xi_mc = float(xi.mean())
     xi_se = float(xi.std(ddof=1) / math.sqrt(trials))
 

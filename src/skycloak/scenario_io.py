@@ -148,6 +148,8 @@ def _resolve_ues(node, seed: int, path: str):
     if "explicit" in node:
         conv, v = _quantity(node["explicit"], _DIST, f"{path}.explicit")
         arr = np.asarray(v, dtype=float)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ScenarioError(f"{path}.explicit: value must be a list of [x, y] pairs")
         return conv(arr)

@@ -1,10 +1,11 @@
 """Shared fixtures and independent numerical helpers for the test suite.
 
-The integrator, the KS statistic and the squared-SR density here are
-deliberately written from scratch (composite Simpson on a fixed grid,
-textbook two-sided KS, the confluent-hypergeometric density summed in
-log space) so the library's own DEP series and samplers are checked
-against an independent path.
+The integrator, the KS statistic, the squared-SR density and the
+radiometer's error probabilities here are deliberately written from
+scratch (composite Simpson on a fixed grid, textbook two-sided KS, the
+confluent-hypergeometric density summed in log space, uniform CDFs) so
+the library's own DEP formulas, series and samplers are checked against
+an independent path.
 """
 
 import json
@@ -51,6 +52,24 @@ def sr_pdf(x, p):
     scale = m * math.log(2.0 * b * m / (2.0 * b * m + omega)) - math.log(2.0 * b)
     out = np.exp(log_terms + (scale - x / (2.0 * b))[..., None]).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def radiometer_errors(tau, sig, jam, sigma_w2):
+    """(false alarm, missed detection) of the warden's test "received
+    power > tau" in one slot.
+
+    Without the satellite signal the received power is uniform on
+    [sigma_w2, sigma_w2 + jam], with it on [sigma_w2 + sig,
+    sigma_w2 + sig + jam]; false alarm is P(power > tau) under the first
+    law and missed detection P(power < tau) under the second. Needs
+    jam > 0. Accepts scalar or array tau.
+    """
+    tau = np.asarray(tau, dtype=float)
+
+    def uniform_cdf(lo):
+        return np.clip((tau - lo) / jam, 0.0, 1.0)
+
+    return 1.0 - uniform_cdf(sigma_w2), uniform_cdf(sigma_w2 + sig)
 
 
 def default_scenario_dict(varpi=0.1, seed=12) -> dict:

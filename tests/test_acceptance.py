@@ -15,12 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_scenario_dict, ks_statistic
+from conftest import default_scenario_dict, ks_statistic, radiometer_errors
 from skycloak.channel import (SHADOWING_ROWS, UavPlacement, gamma_from_sr,
                               sample_sr_power, sr_cdf, uav_gain)
-from skycloak.detection import (DetectionModel, avg_min_dep_lower_bound,
-                                avg_min_dep_quadrature, dep, min_dep,
-                                phi_inverse)
+from skycloak.detection import (avg_min_dep_lower_bound,
+                                avg_min_dep_quadrature, min_dep, phi_inverse)
 from skycloak.planner import (bob_rate, constraint_residuals,
                               perfect_cancellation_optimize,
                               power_subproblem, validate_solution)
@@ -86,14 +85,14 @@ def test_acceptance_4_threshold_optimality_against_grid():
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(1000):
-        model = DetectionModel(pa=rng.uniform(0.1, 3.0),
-                               g_aw=rng.uniform(0.1, 2.0),
-                               pj_hat=rng.uniform(0.1, 3.0),
-                               g_uw=rng.uniform(0.1, 2.0),
-                               sigma_w2=rng.uniform(0.2, 2.0))
-        xi_star, _ = min_dep(model)
-        taus = np.linspace(0.0, 1.2 * model.rho4, 10_000)
-        worst = max(worst, abs(xi_star - float(np.min(dep(model, taus)))))
+        pa, g_aw, pj_hat, g_uw, sigma_w2 = (
+            rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.0),
+            rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.0),
+            rng.uniform(0.2, 2.0))
+        sig, jam = pa * g_aw, pj_hat * g_uw
+        taus = np.linspace(0.0, 1.2 * (sigma_w2 + jam + sig), 10_000)
+        fa, md = radiometer_errors(taus, sig, jam, sigma_w2)
+        worst = max(worst, abs(min_dep(sig, jam) - float(np.min(fa + md))))
     ok = worst <= 1e-9
     assert report(4, ok, f"max |analytic - grid min| = {worst:.2e} (<= 1e-9)")
 

@@ -114,6 +114,44 @@ def test_negative_seed_override_exits_1(tmp_path, default_path, capsys):
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("keys,value", [
+    (("Pa_max",), math.nan),
+    (("Pa_max",), math.inf),
+    (("noise", "sigma_b2"), math.nan),
+    (("H_max",), math.inf),
+])
+def test_optimize_non_finite_number_exits_1(tmp_path, capsys, keys, value):
+    d = default_scenario_dict(0.1, 12)
+    node = d
+    for key in keys:
+        node = node[key]
+    node["value"] = value
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # written as NaN / Infinity
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"{keys[-1]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_optimize_explicit_empty_ue_list_matches_empty_square(tmp_path):
+    solutions = []
+    for name, ues in (
+            ("square", {"uniform_square": {"side": {"value": 100.0, "unit": "m"},
+                                           "count": 0}}),
+            ("explicit", {"explicit": {"value": [], "unit": "m"}})):
+        d = default_scenario_dict(0.1, 12)
+        d["ue_placement"] = ues
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(d))
+        out = tmp_path / name
+        rc = main(["optimize", "--scenario", str(p), "--out", str(out)])
+        assert rc == 0
+        solutions.append((out / "solution.json").read_bytes())
+    assert solutions[0] == solutions[1]
+    assert json.loads(solutions[1])["powers"]["Pk"] == []
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -244,6 +282,18 @@ def test_sweep_records_failures_as_nan_rows(tmp_path, default_path, capsys):
     _, rows = read_csv_rows(tmp_path / "sweep.csv")
     assert math.isnan(float(rows[0][2]))
     assert math.isfinite(float(rows[1][2]))
+
+
+def test_sweep_records_non_finite_value_as_nan_row(tmp_path, default_path,
+                                                  capsys):
+    rc = main(["sweep", "--scenario", default_path, "--param", "Pa_max",
+               "--grid", "nan,10", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "Pa_max must be finite" in capsys.readouterr().err
+    _, rows = read_csv_rows(tmp_path / "sweep.csv")
+    assert all(math.isnan(float(v)) for v in rows[0][1:6])
+    assert rows[0][6] == "0"
+    assert all(math.isfinite(float(v)) for v in rows[1][1:6])
 
 
 def test_sweep_unknown_param_exits_1(tmp_path, default_path, capsys):

@@ -1,4 +1,4 @@
-"""Warden detection model, error-probability bounds, covertness map."""
+"""Per-slot minimum DEP, error-probability bounds, covertness map."""
 
 import math
 
@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import simpson, sr_pdf
+from conftest import radiometer_errors, simpson, sr_pdf
 from skycloak import detection
 from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
                               LIGHT_SHADOWING, SHADOWING_ROWS, gamma_from_sr,
                               sr_cdf)
-from skycloak.detection import (DetectionModel, avg_min_dep_lower_bound,
+from skycloak.detection import (avg_min_dep_lower_bound,
                                 avg_min_dep_quadrature,
-                                covert_constraint_satisfied, dep,
-                                fa_probability, md_probability, min_dep, phi,
+                                covert_constraint_satisfied, min_dep, phi,
                                 phi_inverse)
 
 # phi_inverse reference roots of alpha*(exp(-mu/x) + x) = eps, computed
@@ -35,90 +34,81 @@ PHI_INV_REF = {
 }
 
 
-def hand_model():
-    # rho1 = 1, rho3 = 2, rho2 = 3, rho4 = 4
-    return DetectionModel(pa=2.0, g_aw=0.5, pj_hat=4.0, g_uw=0.5,
-                          sigma_w2=1.0)
-
-
-def test_threshold_breakpoints():
-    m = hand_model()
-    assert (m.rho1, m.rho2, m.rho3, m.rho4) == (1.0, 3.0, 2.0, 4.0)
+# hand case: sig = 1, jam = 2, sigma_w2 = 1; the received power is
+# uniform on [1, 3] without the signal and on [2, 4] with it
+HAND = dict(sig=1.0, jam=2.0, sigma_w2=1.0)
 
 
 def test_false_alarm_piecewise():
-    m = hand_model()
+    def fa(tau):
+        return radiometer_errors(tau, **HAND)[0]
     # below the noise floor the detector always fires; above the max
     # received power under H0 it never does; linear in between
-    assert fa_probability(m, 0.5) == 1.0
-    assert fa_probability(m, 1.0) == 1.0
-    assert fa_probability(m, 2.0) == pytest.approx(0.5, rel=1e-15)
-    assert fa_probability(m, 2.5) == pytest.approx(0.25, rel=1e-15)
-    assert fa_probability(m, 3.0) == 0.0
-    assert fa_probability(m, 9.0) == 0.0
-    got = fa_probability(m, np.array([0.5, 2.0, 2.5, 9.0]))
+    assert fa(0.5) == 1.0
+    assert fa(1.0) == 1.0
+    assert fa(2.0) == pytest.approx(0.5, rel=1e-15)
+    assert fa(2.5) == pytest.approx(0.25, rel=1e-15)
+    assert fa(3.0) == 0.0
+    assert fa(9.0) == 0.0
+    got = fa(np.array([0.5, 2.0, 2.5, 9.0]))
     assert_allclose(got, [1.0, 0.5, 0.25, 0.0], rtol=1e-15)
 
 
 def test_missed_detection_piecewise():
-    m = hand_model()
-    assert md_probability(m, 1.5) == 0.0
-    assert md_probability(m, 2.0) == 0.0
-    assert md_probability(m, 3.0) == pytest.approx(0.5, rel=1e-15)
-    assert md_probability(m, 3.5) == pytest.approx(0.75, rel=1e-15)
-    assert md_probability(m, 4.0) == 1.0
-    assert md_probability(m, 9.0) == 1.0
-    got = md_probability(m, np.array([1.5, 3.0, 3.5, 9.0]))
+    def md(tau):
+        return radiometer_errors(tau, **HAND)[1]
+    assert md(1.5) == 0.0
+    assert md(2.0) == 0.0
+    assert md(3.0) == pytest.approx(0.5, rel=1e-15)
+    assert md(3.5) == pytest.approx(0.75, rel=1e-15)
+    assert md(4.0) == 1.0
+    assert md(9.0) == 1.0
+    got = md(np.array([1.5, 3.0, 3.5, 9.0]))
     assert_allclose(got, [0.0, 0.5, 0.75, 1.0], rtol=1e-15)
 
 
-def test_dep_sum_and_flat_valley():
-    m = hand_model()
-    taus = np.linspace(0.0, 5.0, 401)
-    assert_allclose(dep(m, taus),
-                    fa_probability(m, taus) + md_probability(m, taus),
-                    rtol=1e-14)
-    # between rho3 and rho2 the sum is flat at 1 - sig/jam = 0.5
-    valley = np.linspace(2.0, 3.0, 50)
-    assert_allclose(dep(m, valley), 0.5, rtol=1e-14)
-
-
 def test_min_dep_hand_cases():
-    xi, tau = min_dep(hand_model())
-    assert xi == pytest.approx(0.5, rel=1e-15)
-    assert tau == pytest.approx(3.0, rel=1e-15)
+    assert min_dep(1.0, 2.0) == pytest.approx(0.5, rel=1e-15)
+    # between the signal-on floor and the signal-off ceiling the error
+    # sum is flat at that minimum
+    fa, md = radiometer_errors(np.linspace(2.0, 3.0, 50), **HAND)
+    assert_allclose(fa + md, min_dep(1.0, 2.0), rtol=1e-14)
     # signal wider than jamming: perfect detection possible
-    m = DetectionModel(pa=8.0, g_aw=1.0, pj_hat=1.0, g_uw=1.0, sigma_w2=1.0)
-    xi, tau = min_dep(m)
-    assert xi == 0.0
-    assert tau == pytest.approx(m.rho2, rel=1e-15)
+    assert min_dep(8.0, 1.0) == 0.0
+    # elementwise in the signal power
+    assert_allclose(min_dep(np.array([0.0, 0.5, 1.0, 3.0]), 2.0),
+                    [1.0, 0.75, 0.5, 0.0], rtol=1e-15)
 
 
 def test_min_dep_degenerate():
     # no jamming, active signal: the warden can detect perfectly
-    m = DetectionModel(pa=1.0, g_aw=1.0, pj_hat=0.0, g_uw=1.0, sigma_w2=1.0)
-    assert min_dep(m)[0] == 0.0
+    assert min_dep(1.0, 0.0) == 0.0
     # silent satellite: both hypotheses identical, total error stays 1
-    m = DetectionModel(pa=0.0, g_aw=1.0, pj_hat=2.0, g_uw=1.0, sigma_w2=1.0)
-    assert min_dep(m)[0] == 1.0
+    assert min_dep(0.0, 2.0) == 1.0
+    assert min_dep(0.0, 0.0) == 1.0
+    assert_allclose(min_dep(np.array([0.0, 1.0]), 0.0), [1.0, 0.0])
 
 
 def test_min_dep_is_global_over_threshold_grid():
     # randomized mirror of the optimality argument: the reported minimum
-    # must match a dense threshold grid stitched between all breakpoints
+    # must match a dense threshold grid stitched between all breakpoints,
+    # and is attained at the top of the signal-off support
     rng = np.random.default_rng(99)
     for _ in range(200):
-        m = DetectionModel(pa=rng.uniform(0.0, 5.0),
-                           g_aw=rng.uniform(0.01, 2.0),
-                           pj_hat=rng.uniform(0.0, 5.0),
-                           g_uw=rng.uniform(0.01, 2.0),
-                           sigma_w2=rng.uniform(0.1, 3.0))
-        pts = np.unique([0.0, m.rho1, m.rho2, m.rho3, m.rho4, 1.1 * m.rho4])
+        pa, g_aw, pj_hat, g_uw, sigma_w2 = (
+            rng.uniform(0.0, 5.0), rng.uniform(0.01, 2.0),
+            rng.uniform(0.0, 5.0), rng.uniform(0.01, 2.0),
+            rng.uniform(0.1, 3.0))
+        sig, jam = pa * g_aw, pj_hat * g_uw
+        rho = (sigma_w2, sigma_w2 + jam, sigma_w2 + sig, sigma_w2 + jam + sig)
+        pts = np.unique([0.0, *rho, 1.1 * rho[3]])
         grid = np.unique(np.concatenate(
             [np.linspace(a, b, 400) for a, b in zip(pts[:-1], pts[1:])]))
-        xi_star, tau_star = min_dep(m)
-        assert xi_star <= np.min(dep(m, grid)) + 1e-12
-        assert dep(m, tau_star) == pytest.approx(xi_star, abs=1e-12)
+        xi_star = min_dep(sig, jam)
+        fa, md = radiometer_errors(grid, sig, jam, sigma_w2)
+        assert xi_star <= np.min(fa + md) + 1e-12
+        fa, md = radiometer_errors(rho[1], sig, jam, sigma_w2)
+        assert fa + md == pytest.approx(xi_star, abs=1e-12)
 
 
 def test_quadrature_matches_independent_integrator():
@@ -270,10 +260,3 @@ def test_quadrature_equals_mc_estimate():
     se = xi.std(ddof=1) / math.sqrt(len(xi))
     quad = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, params)
     assert abs(quad - xi.mean()) < 4.0 * se
-
-
-def test_detection_model_validation():
-    with pytest.raises(ValueError):
-        DetectionModel(pa=-1.0, g_aw=1.0, pj_hat=1.0, g_uw=1.0, sigma_w2=1.0)
-    with pytest.raises(ValueError):
-        DetectionModel(pa=1.0, g_aw=1.0, pj_hat=1.0, g_uw=1.0, sigma_w2=0.0)

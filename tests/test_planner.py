@@ -191,6 +191,20 @@ def test_power_subproblem_structure(default_scenario, bcd_solution):
     assert max(res.values()) <= 1e-9
 
 
+def test_power_subproblem_at_varpi_0_jams_the_whole_remainder(perfect_scenario,
+                                                             pc_solution):
+    # jamming costs Bob nothing at varpi = 0, so even past the satellite
+    # cap every UE stays at its floor and the rest jams
+    s, pl = perfect_scenario, pc_solution.placement
+    floors, ups = planner._power_terms(s, pl)
+    prem = s.P_tot - floors.sum()
+    assert s.Pa_max / ups < prem  # the satellite cap binds here
+    pw = power_subproblem(s, pl)
+    assert np.array_equal(pw.Pk, floors)
+    assert pw.Pj_hat == prem
+    assert pw.Pa == s.Pa_max
+
+
 def test_power_subproblem_jamming_monotone_in_ue_target(default_scenario,
                                                         bcd_solution):
     # raising the UE rate floor eats the jamming budget (fixed placement)
@@ -365,6 +379,17 @@ def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
     assert_capped_near_singular_plan(s, sol)
 
 
+def test_perfect_cancellation_powers_are_the_power_step(perfect_scenario,
+                                                       pc_solution):
+    ns = near_singular_scenario()
+    for s, sol in ((perfect_scenario, pc_solution),
+                   (ns, perfect_cancellation_optimize(ns))):
+        pw = power_subproblem(s, sol.placement)
+        assert np.array_equal(sol.powers.Pk, pw.Pk)
+        assert sol.powers.Pj_hat == pw.Pj_hat
+        assert sol.powers.Pa == pw.Pa
+
+
 def newton_steps_of(monkeypatch, plan, s):
     """Total Newton steps of every barrier solve that ``plan(s)`` makes."""
     steps = []
@@ -516,6 +541,21 @@ def test_scenario_gamma_follows_sr(default_scenario):
     assert heavy.gamma != default_scenario.gamma
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(default_scenario, gamma=heavy.gamma)
+
+
+def test_scenario_kappa_follows_eps(default_scenario, bcd_solution):
+    s = default_scenario
+    loose = dataclasses.replace(s, eps=2.0 * s.eps)
+    assert loose.kappa / s.kappa == pytest.approx(
+        phi_inverse(loose.eps, s.gamma) / phi_inverse(s.eps, s.gamma),
+        rel=1e-14)
+    assert loose.kappa > s.kappa
+    # kappa is the covertness cap Pa <= kappa * Pj_hat / D_w, binding at
+    # the uncapped stock plan
+    pl, pw = bcd_solution.placement, bcd_solution.powers
+    d_w = float(np.sum((pl.lifted - np.append(s.willie, 0.0)) ** 2))
+    assert pw.Pa < s.Pa_max
+    assert pw.Pa == pytest.approx(s.kappa * pw.Pj_hat / d_w, rel=1e-12)
 
 
 def test_residuals_flag_violations(default_scenario, bcd_solution):

@@ -177,6 +177,31 @@ def test_bad_values_rejected(mutate, message):
         load_scenario(d)
 
 
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["Pa_max"].update(value=math.nan), "Pa_max"),
+    (lambda d: d["Pa_max"].update(value=math.inf), "Pa_max"),
+    (lambda d: d["noise"]["sigma_b2"].update(value=math.nan), "sigma_b2"),
+    (lambda d: d["H_max"].update(value=math.inf), "H_max"),
+    (lambda d: d.update(R_tg=math.nan), "R_tg"),
+    (lambda d: d.update(delta=math.inf), "delta"),
+    (lambda d: d["bob"].update(value=[0.0, math.nan]), "bob"),
+    (lambda d: d.update(ue_placement={"explicit": {
+        "value": [[0.0, math.inf]], "unit": "m"}}), "ues"),
+    (lambda d: d["satellite"]["d"].update(value=math.nan), "fc, d, G"),
+    (lambda d: d["satellite"]["G"].update(value=math.inf), "fc, d, G"),
+    (lambda d: d["uav"]["beta0_chi"].update(value=math.nan),
+     "reference gains"),
+])
+def test_non_finite_numbers_rejected(tmp_path, mutate, field):
+    # Python's json reads NaN and Infinity; none may reach the planner
+    d = default_scenario_dict(0.1, 0)
+    mutate(d)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=field):
+        load_scenario(p)
+
+
 def test_semantic_validation_still_applies():
     d = default_scenario_dict(0.1, 0)
     d["P_tot"] = {"value": -1.0, "unit": "W"}
@@ -259,6 +284,10 @@ def test_negative_seed_override_rejected():
 def test_zero_ue_count_allowed():
     d = default_scenario_dict(0.0, 0)
     d["ue_placement"]["uniform_square"]["count"] = 0
+    s = load_scenario(d).scenario
+    assert s.K == 0
+    assert s.ues.shape == (0, 2)
+    d["ue_placement"] = {"explicit": {"value": [], "unit": "km"}}
     s = load_scenario(d).scenario
     assert s.K == 0
     assert s.ues.shape == (0, 2)
