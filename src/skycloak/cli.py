@@ -158,14 +158,14 @@ def _run_planner(scenario, single_sca: bool = False) -> tuple[Solution, int]:
     """Dispatch to the right optimizer; return (solution, iteration count).
 
     The iteration count is outer rounds: Dinkelbach rounds when the
-    cancellation coefficient is zero (the trace holds one rate per
-    round), otherwise coordinate-descent rounds (the trace also holds
-    the starting rate).
+    cancellation coefficient is zero, otherwise coordinate-descent
+    rounds. Either trace holds the starting rate and then one rate per
+    round, so the count is its length less one (0 for an empty trace).
     """
     if scenario.varpi == 0.0:
         sol = perfect_cancellation_optimize(scenario)
-        return sol, len(sol.trace)
-    sol = bcd_optimize(scenario, single_sca_iterate=single_sca)
+    else:
+        sol = bcd_optimize(scenario, single_sca_iterate=single_sca)
     return sol, max(0, len(sol.trace) - 1)
 
 

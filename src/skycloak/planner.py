@@ -193,7 +193,8 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class Solution:
-    """Planner output; ``trace`` holds Bob's rate after each outer iteration."""
+    """Planner output; ``trace`` holds Bob's rate at the start and after
+    each outer iteration."""
 
     placement: UavPlacement | None
     powers: PowerAllocation | None
@@ -485,7 +486,10 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     rate then depends on nothing but Pa, the iteration stops once the
     ratio reaches Pa_max: later rounds would only move the placement
     within a tie for the best rate, so a capped plan may sit at a
-    different placement with the same rate.
+    different placement with the same rate. Dinkelbach starts from the
+    max-slack point's ratio, so when that point already reaches Pa_max it
+    is the plan, after 0 rounds. The trace holds the rate at the start
+    point and then one rate per round.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")

@@ -156,6 +156,8 @@ def _resolve_ues(node, seed: int, path: str):
     sq = node["uniform_square"]
     _check_keys(sq, ("side", "count"), ("side", "count"), f"{path}.uniform_square")
     side = _scalar(sq["side"], _DIST, f"{path}.uniform_square.side")
+    if not 0.0 <= side < math.inf:
+        raise ScenarioError(f"{path}.uniform_square.side: must be finite and >= 0")
     count = sq["count"]
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ScenarioError(f"{path}.uniform_square.count: must be a nonnegative integer")

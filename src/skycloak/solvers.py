@@ -157,6 +157,8 @@ class QuadraticObjective:
         self.u = np.asarray(self.u, dtype=float).reshape(self.w.size, self.c.size)
 
     def value(self, x):
+        if not self.w.size:
+            return self.const + float(self.c @ x)
         diff = x[None, :] - self.u
         return (self.const + float(self.c @ x)
                 + float(self.w @ np.sum(diff * diff, axis=1)))
@@ -227,19 +229,30 @@ _MAX_NEWTON = 200
 _GAP_TOL = 1e-9
 
 
-def _barrier_maximize(objective, cons, x0, tol=1e-8):
+def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
-    Outer loop raises the barrier weight until m/t < tol (duality-gap bound);
-    inner loop is damped Newton with an Armijo backtracking line search that
-    starts just inside the closed-form largest feasible step and also checks
-    strict feasibility. The inner loop ends when the Newton decrement
-    vanishes or an accepted step no longer moves x. Returns (x, info dict).
+    Outer loop raises the barrier weight until m/t < tol; inner loop is
+    damped Newton with an Armijo backtracking line search that starts just
+    inside the closed-form largest feasible step and also checks strict
+    feasibility. The inner loop ends when the Newton decrement vanishes or
+    an accepted step no longer moves x. Returns (x, info dict).
+
+    The barrier's degree is theta = m + (number of cone rows): 1 per
+    half-space row, 2 per cone row. After a centring that ended on the
+    decrement test, objective + theta/t bounds the optimum from above
+    (Boyd & Vandenberghe 11.6), and ``info["gap_bound"]`` reports theta/t.
+    The outer stop stays m/t < tol, which undercounts each cone row's
+    degree: where a solve ends sets the last digits of every plan.
+    ``_stop_below`` ends the solve as soon as that bound falls below it,
+    with ``info["stopped_below"]`` set; the bound is then
+    objective(x) + info["gap_bound"].
     """
     x = np.asarray(x0, dtype=float).copy()
     m = cons.A.shape[0]
     if m == 0:
         raise SolverError("unconstrained maximization is unbounded here")
+    theta = m + int(cons.cone.sum())
     r, u, vals, inside = cons.rows(x)
     if not inside:
         raise InfeasibleStartError(
@@ -251,10 +264,12 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
     fx = objective.value(x)
     t = _T0
     newton_steps = 0
+    stopped_below = False
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
         # r = A x - b, u = c.x + d, the row values and the objective value
         # at x are those of the trial point accepted last
+        centred = False
         for _ in range(_MAX_NEWTON):
             inv = -1.0 / vals
             gci = cons.grad(r, u) * inv[:, None]
@@ -265,6 +280,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
             phi0 = -t * fx - float(np.log(-vals).sum())
             fuzz = 1e-11 * (1.0 + abs(phi0))
             if decrement <= 2.0 * fuzz:
+                centred = True
                 break
             slope = float(grad @ step)
             alpha = min(1.0, 0.99 * float(cons.max_step(r, u, vals, step).min()))
@@ -292,6 +308,9 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
             newton_steps += 1
             if not moved:
                 break
+        if centred and fx + theta / t < _stop_below:
+            stopped_below = True
+            break
         if m / t < tol:
             break
         t *= _T_FACTOR
@@ -303,7 +322,8 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8):
         "newton_steps": newton_steps,
         "duals": lam,
         "kkt_residual": float(np.linalg.norm(stat, np.inf)),
-        "gap_bound": m / t,
+        "gap_bound": theta / t,
+        "stopped_below": stopped_below,
     }
     return x, info
 
@@ -316,6 +336,12 @@ def max_slack_point(cons, anchor):
     program; the anchor point with s below its worst margin is always
     strictly feasible, so no further phase is needed. Returns (x, s_star);
     s_star > 0 certifies a strictly feasible interior.
+
+    The solve ends early once a centred iterate proves the best slack
+    negative (its slack plus the barrier's duality gap theta/t is below
+    0); s_star is then that upper bound, and x is not a max-slack point.
+    A feasible stack runs the full solve, so its (x, s_star) does not
+    depend on the early stop.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
@@ -330,9 +356,13 @@ def max_slack_point(cons, anchor):
     rows = ConeConstraint(np.concatenate([rows.A, np.zeros((1, k, n + 1))]),
                           np.vstack([rows.b, np.zeros(k)]),
                           np.vstack([rows.c, -e_s]), np.append(rows.d, cap))
-    xs, _ = _barrier_maximize(QuadraticObjective(e_s), rows,
-                              np.append(anchor, s0), tol=_GAP_TOL)
-    return xs[:n], float(xs[n])
+    xs, info = _barrier_maximize(QuadraticObjective(e_s), rows,
+                                 np.append(anchor, s0), tol=_GAP_TOL,
+                                 _stop_below=0.0)
+    s_star = float(xs[n])
+    if info["stopped_below"]:
+        s_star += info["gap_bound"]
+    return xs[:n], s_star
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +384,24 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     """Dinkelbach iteration for max f(x)/g(x) starting from strictly
     feasible x0, with f concave and g convex and positive over ``cons``.
 
-    lam starts at 0; each round maximizes f - lam*g over ``cons`` and
+    lam starts at the ratio f(x0)/g(x0) (Dinkelbach 1967), which is
+    ``lam_trace[0]``; each round maximizes f - lam*g over ``cons`` and
     stops once |f - lam_prev*g| < delta at the new point, or once lam
     reaches ``lam_max`` (for a caller that clamps the ratio there, any
-    point past the clamp is as good as the optimum). The returned lam is
-    f(x)/g(x) at the returned point. Non-convergence within i_max is
-    flagged, not raised.
+    point past the clamp is as good as the optimum). A start ratio that
+    already reaches ``lam_max`` returns x0 after 0 rounds. The returned
+    lam is f(x)/g(x) at the returned point. Non-convergence within i_max
+    is flagged, not raised.
     """
     x = np.asarray(x0, dtype=float).copy()
-    lam = 0.0
-    trace = []
+    gv = g.value(x)
+    if gv <= 0.0:
+        raise SolverError(f"denominator nonpositive ({gv:.3e}) at the start point")
+    lam = f.value(x) / gv
+    trace = [lam]
+    if lam >= lam_max:
+        return DinkelbachResult(x=x, lam=lam, converged=True, iterations=0,
+                                lam_trace=trace)
     for it in range(1, i_max + 1):
         obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
                                  np.concatenate([f.w, -lam * g.w]),

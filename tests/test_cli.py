@@ -134,6 +134,18 @@ def test_optimize_non_finite_number_exits_1(tmp_path, capsys, keys, value):
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("side", [math.nan, math.inf, -1.0])
+def test_optimize_bad_square_side_exits_1(tmp_path, capsys, side):
+    d = default_scenario_dict(0.1, 12)
+    d["ue_placement"]["uniform_square"]["side"]["value"] = side
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # written as NaN / Infinity
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "uniform_square.side" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_optimize_explicit_empty_ue_list_matches_empty_square(tmp_path):
     solutions = []
     for name, ues in (

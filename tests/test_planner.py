@@ -326,10 +326,12 @@ def test_perfect_cancellation_on_default(perfect_scenario, pc_solution):
 
 def test_perfect_cancellation_stops_at_the_satellite_cap(perfect_scenario,
                                                         pc_solution):
-    # the ratio passes Pa_max in round 1; later rounds would only move
+    # the trace starts at the max-slack point's rate, below the cap; the
+    # ratio passes Pa_max in round 1, and later rounds would only move
     # the placement within a tie for the capped rate
     s, sol = perfect_scenario, pc_solution
-    assert len(sol.trace) == 1
+    assert len(sol.trace) == 2 and sol.trace[0] < sol.Rb
+    assert sol.trace[1] == sol.Rb
     assert sol.powers.Pa == s.Pa_max
     assert sol.Rb == 7.8492332732661625
     assert constraint_residuals(s, sol.placement, sol.powers)["covert"] <= 0.0
@@ -363,7 +365,9 @@ def assert_capped_near_singular_plan(s, sol):
 
 def test_perfect_cancellation_near_singular_newton_system():
     s = near_singular_scenario()
-    assert_capped_near_singular_plan(s, perfect_cancellation_optimize(s))
+    sol = perfect_cancellation_optimize(s)
+    assert len(sol.trace) == 1  # the max-slack point is already capped
+    assert_capped_near_singular_plan(s, sol)
 
 
 def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
@@ -375,7 +379,7 @@ def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
     monkeypatch.setattr(planner, "dinkelbach", uncapped)
     s = near_singular_scenario()
     sol = perfect_cancellation_optimize(s)
-    assert len(sol.trace) == 7
+    assert len(sol.trace) == 4  # the start rate and 3 rounds
     assert_capped_near_singular_plan(s, sol)
 
 
@@ -405,12 +409,28 @@ def newton_steps_of(monkeypatch, plan, s):
     return sum(steps)
 
 
+def steep_cone_scenario(varpi):
+    """The stock scene with 89 degree elevation cones: no altitude in
+    range sees every ground node."""
+    d = default_scenario_dict(varpi, 12)
+    d["uav"]["phi_min"] = {"value": 89.0, "unit": "deg"}
+    return load_scenario(d).scenario
+
+
 def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario,
                                                    perfect_scenario):
     # counts stable across machines; a change must not raise them
     assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 540
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
                            perfect_scenario) <= 400
+    # the max-slack point is already capped: Dinkelbach runs 0 rounds
+    assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
+                           near_singular_scenario()) <= 71
+    # an "infeasible" verdict ends once the best slack is proved negative
+    for varpi in (0.1, 0.0):
+        s = steep_cone_scenario(varpi)
+        assert _run_planner(s)[0].status == "infeasible"
+        assert newton_steps_of(monkeypatch, _run_planner, s) <= 11
 
 
 def smoke_corpus(n=12, seed=2024):

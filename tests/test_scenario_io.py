@@ -281,6 +281,17 @@ def test_negative_seed_override_rejected():
         assert load_scenario(d, seed=0).seed == 0
 
 
+@pytest.mark.parametrize("side", [math.nan, math.inf, -1.0])
+def test_uniform_square_side_must_be_finite_and_nonnegative(tmp_path, side):
+    d = default_scenario_dict(0.1, 0)
+    d["ue_placement"]["uniform_square"]["side"]["value"] = side
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # written as NaN / Infinity
+    with pytest.raises(ScenarioError,
+                       match=r"uniform_square\.side: must be finite and >= 0"):
+        load_scenario(p)
+
+
 def test_zero_ue_count_allowed():
     d = default_scenario_dict(0.0, 0)
     d["ue_placement"]["uniform_square"]["count"] = 0

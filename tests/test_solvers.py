@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from skycloak import solvers
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
                               InfeasibleStartError, QuadraticObjective,
                               SolverError, _barrier_maximize, _newton_solve,
@@ -248,6 +249,16 @@ def test_barrier_cone_and_halfspace():
     assert val == pytest.approx(2.0, abs=1e-6)
 
 
+def test_gap_bound_counts_two_per_cone_row():
+    # one cone row (barrier degree 2) and one half-space row (degree 1)
+    cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
+            np.array([0.0, 0.0, 0.5]), 0.0)
+    cap = halfspace([0.0, 0.0, 1.0], 4.0)
+    _, info = _barrier_maximize(QuadraticObjective([1.0, 0.0, 0.0]),
+                                stack(cone, cap), np.array([0.1, 0.0, 3.0]))
+    assert info["gap_bound"] == 3.0 / info["t"]
+
+
 def test_barrier_two_ball_intersection_vs_grid():
     lens = stack(ball([-0.5, 0.0], 1.0), ball([0.5, 0.0], 1.0))
     c = np.array([0.3, 1.0])
@@ -294,6 +305,49 @@ def test_max_slack_two_balls():
     assert x[0] == pytest.approx(1.5, abs=1e-5)
 
 
+def max_slack_solve(monkeypatch, cons, anchor, early):
+    """``max_slack_point(cons, anchor)`` and its Newton steps; with
+    ``early`` False the barrier solve runs to its final weight."""
+    steps = []
+
+    def solve(*args, _stop_below=-math.inf, **kwargs):
+        x, info = _barrier_maximize(
+            *args, _stop_below=_stop_below if early else -math.inf, **kwargs)
+        steps.append(info["newton_steps"])
+        return x, info
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_barrier_maximize", solve)
+        x, s = max_slack_point(cons, anchor)
+    return x, s, steps[0]
+
+
+def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
+    # random bounded stacks (each holds a ball): an infeasible one ends
+    # early with an upper bound on the best slack, a feasible one runs
+    # the full solve
+    rng = np.random.default_rng(17)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        rows = [random_row(rng, n, "ball")[0]]
+        for _ in range(int(rng.integers(1, 7))):
+            kind = ("cone", "ball", "halfspace")[int(rng.integers(3))]
+            rows.append(random_row(rng, n, kind)[0])
+        cons, anchor = stack(*rows), rng.normal(size=n)
+        x_full, s_full, steps_full = max_slack_solve(monkeypatch, cons,
+                                                     anchor, False)
+        x, s, steps = max_slack_solve(monkeypatch, cons, anchor, True)
+        verdicts[s_full > 0.0] += 1
+        if s_full > 0.0:
+            assert s == s_full and np.array_equal(x, x_full)
+            assert steps == steps_full
+        else:
+            assert s_full <= s < 0.0
+            assert steps < steps_full
+    assert min(verdicts.values()) >= 10
+
+
 # ---------------------------------------------------------------------------
 # Dinkelbach
 
@@ -314,35 +368,56 @@ def test_dinkelbach_symmetric_ratio():
                                               res.lam_trace[1:]))
 
 
+def test_dinkelbach_starts_from_the_start_ratio():
+    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
+    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    fp = (f, g, stack(ball(np.zeros(2), 0.9)))
+    x0 = np.array([0.3, -0.2])
+    ratio = f.value(x0) / g.value(x0)
+    assert dinkelbach(*fp, x0, delta=1e-10).lam_trace[0] == ratio
+    # a cap at or below the start ratio: x0 is the answer, after 0 rounds
+    for lam_max in (ratio, 0.5 * ratio, -1.0):
+        res = dinkelbach(*fp, x0, delta=1e-10, lam_max=lam_max)
+        assert res.converged and res.iterations == 0
+        assert res.lam_trace == [ratio] and res.lam == ratio
+        assert np.array_equal(res.x, x0) and res.x is not x0
+    g0 = QuadraticObjective(np.zeros(2), const=-1.0, w=[1.0], u=np.zeros((1, 2)))
+    with pytest.raises(SolverError, match="start point"):
+        dinkelbach(f, g0, fp[2], x0)
+
+
 def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
-    # the symmetric program reaches its optimum ratio 1 in round 1 and
-    # confirms it in round 2; any cap up to 1 ends the run after round 1
+    # the symmetric program starts at ratio 0.7699, reaches its optimum
+    # ratio 1 in round 1 and confirms it in round 2; a cap of 0.5 ends
+    # the run after 0 rounds, any cap in (0.7699, 1] after round 1
     f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
     g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
     fp = (f, g, stack(ball(np.zeros(2), 0.9)))
     x0 = np.array([0.3, -0.2])
     full = dinkelbach(*fp, x0, delta=1e-10)
-    assert full.iterations == 2
-    for lam_max in (0.5, 1.0):
+    assert full.iterations == 2 and len(full.lam_trace) == 3
+    assert full.lam_trace[0] == pytest.approx(0.7699, abs=1e-4)
+    for lam_max, rounds in ((0.5, 0), (0.8, 1), (1.0, 1)):
         res = dinkelbach(*fp, x0, delta=1e-10, lam_max=lam_max)
-        assert res.converged and res.iterations == 1
-        assert res.lam_trace == full.lam_trace[:1] and res.lam >= lam_max
+        assert res.converged and res.iterations == rounds
+        assert res.lam_trace == full.lam_trace[:rounds + 1]
+        assert res.lam >= lam_max
     uncapped = dinkelbach(*fp, x0, delta=1e-10, lam_max=math.inf)
     assert uncapped.lam_trace == full.lam_trace
     assert np.array_equal(uncapped.x, full.x)
-    # a five-round run stops at the first round whose ratio reaches the cap
+    # a three-round run stops at the first round whose ratio reaches the cap
     cons = stack(ball(np.zeros(2), 1.0))
     fp = (QuadraticObjective(np.zeros(2), const=6.0, w=[-1.0], u=[[1.0, 1.0]]),
           QuadraticObjective(np.zeros(2), const=0.5, w=[1.0], u=np.zeros((1, 2))),
           cons)
     x0 = np.array([0.2, 0.1])
     full = dinkelbach(*fp, x0, delta=1e-9)
-    assert full.converged and full.iterations == 5
+    assert full.converged and full.iterations == 3
     lams = full.lam_trace
-    for k in range(1, 5):
+    for k in range(1, 4):
         lam_max = 0.5 * (lams[k - 1] + lams[k])
         res = dinkelbach(*fp, x0, delta=1e-9, lam_max=lam_max)
-        assert res.converged and res.iterations == k + 1
+        assert res.converged and res.iterations == k
         assert res.lam_trace == lams[:k + 1] and res.lam >= lam_max
 
 
