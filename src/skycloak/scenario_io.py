@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,7 +138,15 @@ def _parse_shadowing(node, path: str) -> SRParams:
                 f"expected one of {sorted(SHADOWING_ROWS)} or explicit {{b, m, omega}}")
         return SHADOWING_ROWS[node]
     _check_keys(node, ("b", "m", "omega"), ("b", "m", "omega"), path)
-    return SRParams(b=float(node["b"]), m=float(node["m"]), omega=float(node["omega"]))
+    values = []
+    for key in ("b", "m", "omega"):
+        v = node[key]
+        # abs(v) <= max also rejects NaN and an int too large for a float
+        if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                or not abs(v) <= sys.float_info.max):
+            raise ScenarioError(f"{path}.{key}: must be a finite plain number")
+        values.append(float(v))
+    return SRParams(*values)
 
 
 def _resolve_ues(node, seed: int, path: str):

@@ -10,9 +10,12 @@ and transparent. The power step needs no solver; its optimum is explicit
 - one objective type, const + c.x + sum_k w_k ||x - u_k||^2;
 - a log-barrier Newton method over the stack, with a closed-form bound on
   the feasible step (Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3);
-  each Newton system is solved by an unrolled Cholesky factorization on
-  Python floats, with a growing ridge when rounding leaves the Hessian
-  singular or indefinite;
+  the barrier weight grows 50-fold per centring, and a centring ends when
+  the Newton decrement vanishes or a step is accepted only through the
+  line search's rounding allowance (the centring has stalled at
+  floating-point resolution); each Newton system is solved by an unrolled
+  Cholesky factorization on Python floats, with a growing ridge when
+  rounding leaves the Hessian singular or indefinite;
 - a max-slack interior point finder and a Dinkelbach driver for
   concave/convex fractional objectives.
 """
@@ -223,7 +226,7 @@ def _newton_solve(H, g):
 
 # barrier schedule: start weight, growth factor, Newton steps per centring
 _T0 = 1.0
-_T_FACTOR = 10.0
+_T_FACTOR = 50.0
 _MAX_NEWTON = 200
 # duality-gap bound of the max-slack and Dinkelbach barrier solves
 _GAP_TOL = 1e-9
@@ -232,11 +235,14 @@ _GAP_TOL = 1e-9
 def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
-    Outer loop raises the barrier weight until m/t < tol; inner loop is
-    damped Newton with an Armijo backtracking line search that starts just
-    inside the closed-form largest feasible step and also checks strict
-    feasibility. The inner loop ends when the Newton decrement vanishes or
-    an accepted step no longer moves x. Returns (x, info dict).
+    Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
+    m/t < tol; inner loop is damped Newton with an Armijo backtracking line
+    search that starts just inside the closed-form largest feasible step
+    and also checks strict feasibility. The inner loop ends when the Newton
+    decrement vanishes (the iterate is centred), when an accepted step
+    passed the Armijo test only through its rounding allowance ``fuzz``
+    (which includes a step that leaves x unchanged), or after
+    ``_MAX_NEWTON`` steps. Returns (x, info dict).
 
     The barrier's degree is theta = m + (number of cone rows): 1 per
     half-space row, 2 per cone row. After a centring that ended on the
@@ -303,10 +309,13 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
                     raise LineSearchError(
                         f"no acceptable step with decrement {decrement:.3e}")
                 break  # progress is below floating-point resolution at this t
-            moved = not np.array_equal(xn, x)
             x, r, u, vals, fx = xn, rn, un, valsn, fn
             newton_steps += 1
-            if not moved:
+            if phin - phi0 > 0.25 * alpha * slope:
+                # accepted only through the fuzz term: the centring has
+                # stalled at floating-point resolution. Taken as a
+                # difference, the test also holds for a step that leaves x
+                # unchanged when 0.25*alpha*slope is below phi0's ulp
                 break
         if centred and fx + theta / t < _stop_below:
             stopped_below = True

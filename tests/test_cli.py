@@ -146,6 +146,19 @@ def test_optimize_bad_square_side_exits_1(tmp_path, capsys, side):
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [("b", math.nan), ("m", math.inf),
+                                       ("omega", True), ("b", "x")])
+def test_optimize_bad_shadowing_number_exits_1(tmp_path, capsys, key, value):
+    d = default_scenario_dict(0.1, 12)
+    d["shadowing"] = {"b": 0.126, "m": 10.1, "omega": 0.835, key: value}
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # written as NaN / Infinity
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"scenario error: shadowing.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_optimize_explicit_empty_ue_list_matches_empty_square(tmp_path):
     solutions = []
     for name, ues in (
@@ -377,6 +390,17 @@ def test_module_entry_point(tmp_path, default_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "dep_sweep.csv").exists()
+
+
+def test_package_entry_point(tmp_path, default_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "skycloak", "optimize",
+         "--scenario", default_path, "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "solution.json").read_text())["status"] \
+        == "converged"
 
 
 def test_import_leaves_scipy_unloaded():

@@ -129,6 +129,18 @@ def test_explicit_shadowing_matches_named_row():
         load_scenario(d)
 
 
+@pytest.mark.parametrize("key", ["b", "m", "omega"])
+@pytest.mark.parametrize("value", [True, "x", None, [1.0], math.nan, math.inf,
+                                   -math.inf, 10**400])
+def test_explicit_shadowing_numbers_checked(key, value):
+    d = default_scenario_dict(0.1, 7)
+    row = SHADOWING_ROWS["average"]
+    d["shadowing"] = {"b": row.b, "m": row.m, "omega": row.omega, key: value}
+    with pytest.raises(ScenarioError, match=f"shadowing.{key}: must be a "
+                                            "finite plain number"):
+        load_scenario(d)
+
+
 # ---------------------------------------------------------------------------
 # strictness
 
