@@ -226,18 +226,23 @@ def sr_cdf(x, p: SRParams, tol: float = 1e-10):
 def sample_sr_power(p: SRParams, rng: np.random.Generator, size=None):
     """Draw |h|^2 under the squared-SR law.
 
-    Loo-type construction: h = scatter + LoS, where the complex scatter has
-    independent N(0, b) real and imaginary parts (total power 2b) and the
-    LoS term is sqrt(zeta) * e^(j*phi) with zeta ~ Gamma(shape m, scale
-    omega/m) and phi uniform on [0, 2pi). Returns a scalar for size=None,
-    else an array of draws.
+    Loo-type construction: h = scatter + sqrt(zeta) * e^(j*phi), where the
+    complex scatter has independent N(0, b) real and imaginary parts (total
+    power 2b), zeta ~ Gamma(shape m, scale omega/m) and phi is uniform.
+    The scatter is circularly symmetric and independent of (zeta, phi), so
+    rotating h by e^(-j*phi) leaves both |h| and the scatter's law
+    unchanged: |h|^2 has exactly the law of
+
+        (sqrt(b)*N1 + sqrt(zeta))^2 + b*N2^2,   N1, N2 ~ N(0, 1),
+
+    and no phase is drawn. Each call draws zeta, then N1, then N2, one
+    fill each, with no trigonometry. Returns a float for size=None, else
+    an array of draws.
     """
     zeta = rng.gamma(shape=p.m, scale=p.omega / p.m, size=size)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    sb = math.sqrt(p.b)
-    re = sb * rng.standard_normal(size) + np.sqrt(zeta) * np.cos(phi)
-    im = sb * rng.standard_normal(size) + np.sqrt(zeta) * np.sin(phi)
-    out = re * re + im * im
+    n1 = rng.standard_normal(size)
+    n2 = rng.standard_normal(size)
+    out = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
     return float(out) if size is None else out
 
 

@@ -82,19 +82,40 @@ def _quantity(node, units: dict, path: str):
     return units[unit], node["value"]
 
 
+def _number(v, path: str) -> float:
+    """Read one JSON number; a bool, a non-number, NaN, +-Infinity or an
+    int too large for a float raises a ScenarioError naming the field."""
+    # bool is an int; abs(v) <= max is False for NaN, +-Infinity and an int
+    # too large for a float
+    if (not isinstance(v, (int, float)) or isinstance(v, bool)
+            or not abs(v) <= sys.float_info.max):
+        raise ScenarioError(f"{path}: must be a number (a finite plain "
+                            "number, not a bool or a string)")
+    return float(v)
+
+
+def _si(conv, v, path: str) -> float:
+    """Read v with _number and convert it to SI; a result past the float
+    range raises a ScenarioError naming the field."""
+    try:
+        x = float(conv(_number(v, path)))
+    except OverflowError:  # 10.0 ** x for a dB or dBm value
+        x = math.inf
+    if not abs(x) <= sys.float_info.max:
+        raise ScenarioError(f"{path}: value overflows a float in SI units")
+    return x
+
+
 def _scalar(node, units: dict, path: str) -> float:
     conv, v = _quantity(node, units, path)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"{path}: value must be a number")
-    return float(conv(float(v)))
+    return _si(conv, v, path)
 
 
 def _point2(node, path: str) -> np.ndarray:
     conv, v = _quantity(node, _DIST, path)
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (2,):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ScenarioError(f"{path}: value must be a 2-element [x, y]")
-    return np.array([conv(arr[0]), conv(arr[1])])
+    return np.array([_si(conv, c, path) for c in v])
 
 
 def _plain_number(raw: dict, key: str, default=None) -> float:
@@ -102,10 +123,7 @@ def _plain_number(raw: dict, key: str, default=None) -> float:
         if default is None:
             raise ScenarioError(f"missing required field '{key}'")
         return default
-    v = raw[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"{key}: must be a plain number")
-    return float(v)
+    return _number(raw[key], key)
 
 
 @dataclass(frozen=True)
@@ -138,15 +156,8 @@ def _parse_shadowing(node, path: str) -> SRParams:
                 f"expected one of {sorted(SHADOWING_ROWS)} or explicit {{b, m, omega}}")
         return SHADOWING_ROWS[node]
     _check_keys(node, ("b", "m", "omega"), ("b", "m", "omega"), path)
-    values = []
-    for key in ("b", "m", "omega"):
-        v = node[key]
-        # abs(v) <= max also rejects NaN and an int too large for a float
-        if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                or not abs(v) <= sys.float_info.max):
-            raise ScenarioError(f"{path}.{key}: must be a finite plain number")
-        values.append(float(v))
-    return SRParams(*values)
+    return SRParams(*(_number(node[key], f"{path}.{key}")
+                      for key in ("b", "m", "omega")))
 
 
 def _resolve_ues(node, seed: int, path: str):
@@ -156,17 +167,16 @@ def _resolve_ues(node, seed: int, path: str):
             f"{path}: give exactly one of 'explicit' or 'uniform_square'")
     if "explicit" in node:
         conv, v = _quantity(node["explicit"], _DIST, f"{path}.explicit")
-        arr = np.asarray(v, dtype=float)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
+        if not isinstance(v, (list, tuple)) or not all(
+                isinstance(xy, (list, tuple)) and len(xy) == 2 for xy in v):
             raise ScenarioError(f"{path}.explicit: value must be a list of [x, y] pairs")
-        return conv(arr)
+        return np.array([[_si(conv, c, f"{path}.explicit") for c in xy]
+                         for xy in v]).reshape(-1, 2)
     sq = node["uniform_square"]
     _check_keys(sq, ("side", "count"), ("side", "count"), f"{path}.uniform_square")
     side = _scalar(sq["side"], _DIST, f"{path}.uniform_square.side")
-    if not 0.0 <= side < math.inf:
-        raise ScenarioError(f"{path}.uniform_square.side: must be finite and >= 0")
+    if side < 0.0:
+        raise ScenarioError(f"{path}.uniform_square.side: must be >= 0")
     count = sq["count"]
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ScenarioError(f"{path}.uniform_square.count: must be a nonnegative integer")

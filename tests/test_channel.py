@@ -148,9 +148,26 @@ def test_sampler_matches_series_cdf():
         assert ks < 1.628 / math.sqrt(len(x)), (name, ks)
 
 
+@pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
+def test_sampler_construction_and_stream_use(name):
+    # one gamma fill, then two standard-normal fills, no phase: pinned bit
+    # for bit against a twin generator, which must then be in step
+    p = SHADOWING_ROWS[name]
+    n = 1_000
+    rng, twin = np.random.default_rng([11, 3]), np.random.default_rng([11, 3])
+    zeta = twin.gamma(p.m, p.omega / p.m, n)
+    n1 = twin.standard_normal(n)
+    n2 = twin.standard_normal(n)
+    want = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
+    assert np.array_equal(sample_sr_power(p, rng, n), want)
+    assert rng.standard_normal() == twin.standard_normal()
+    x = sample_sr_power(p, rng)
+    assert type(x) is float and x >= 0.0
+
+
 def test_heavy_row_is_exactly_exponential():
-    # m = 1 with uniform LOS phase collapses to a complex Gaussian sum,
-    # so the power is exponential with the total mean power
+    # m = 1 makes zeta exponential, so the line-of-sight term is a complex
+    # Gaussian too and the power is exponential with the total mean power
     p = HEAVY_SHADOWING
     scale = p.mean_power
     x = np.linspace(0.01, 1.0, 50)

@@ -130,7 +130,20 @@ def test_optimize_non_finite_number_exits_1(tmp_path, capsys, keys, value):
     p.write_text(json.dumps(d))  # written as NaN / Infinity
     rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
     assert rc == 1
-    assert f"{keys[-1]} must be finite" in capsys.readouterr().err
+    field = ".".join(keys)
+    assert f"scenario error: {field}: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_optimize_huge_integer_exits_1(tmp_path, capsys):
+    # a 401-digit JSON integer has no float value
+    d = default_scenario_dict(0.1, 12)
+    d["R_tg"] = 10**400
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "scenario error: R_tg: must be a number" in capsys.readouterr().err
     assert not (tmp_path / "solution.json").exists()
 
 
@@ -199,6 +212,17 @@ def test_validate_report(opt_dir, tmp_path, default_path):
     rep4 = json.loads((tmp_path / "report.json").read_text())
     ratio = rep["rate_stderr"] / rep4["rate_stderr"]
     assert 1.6 <= ratio <= 2.5  # 4x the trials halves the noise
+
+
+def test_validate_deterministic(opt_dir, tmp_path, default_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        rc = main(["validate", "--scenario", default_path,
+                   "--solution", str(opt_dir / "solution.json"),
+                   "--out", str(out)])
+        assert rc == 0
+    assert (out1 / "report.json").read_bytes() \
+        == (out2 / "report.json").read_bytes()
 
 
 def test_validate_covert_failure_exits_3(opt_dir, tmp_path, default_path,

@@ -137,7 +137,7 @@ def test_explicit_shadowing_numbers_checked(key, value):
     row = SHADOWING_ROWS["average"]
     d["shadowing"] = {"b": row.b, "m": row.m, "omega": row.omega, key: value}
     with pytest.raises(ScenarioError, match=f"shadowing.{key}: must be a "
-                                            "finite plain number"):
+                                            r"number \(a finite plain number"):
         load_scenario(d)
 
 
@@ -181,6 +181,21 @@ def test_unknown_or_missing_fields_rejected(mutate, message):
     (lambda d: d.update(i_max=2.5), "must be an integer"),
     (lambda d: d.update(bob={"value": [1.0, 2.0, 3.0], "unit": "m"}),
      "2-element"),
+    # one reader for every number: no bool, string or int past the float
+    # range gets through, and the error names the field
+    (lambda d: d.update(R_tg=10**400), "R_tg: must be a number"),
+    (lambda d: d["P_tot"].update(value=10**400), "P_tot: must be a number"),
+    (lambda d: d["bob"].update(value=[10**400, 0]), "bob: must be a number"),
+    (lambda d: d["bob"].update(value=[True, 0]), "bob: must be a number"),
+    (lambda d: d["bob"].update(value=["1", 0]), "bob: must be a number"),
+    (lambda d: d.update(ue_placement={"explicit": {
+        "value": [["5", 0]], "unit": "m"}}), "ue_placement.explicit: must be"),
+    (lambda d: d["satellite"].update(G={"value": 4000.0, "unit": "dB"}),
+     "satellite.G: value overflows"),
+    (lambda d: d["H_max"].update(value=1e306, unit="km"),
+     "H_max: value overflows"),
+    (lambda d: d["ue_placement"]["uniform_square"].update(
+        side={"value": 1e306, "unit": "km"}), "side: value overflows"),
 ])
 def test_bad_values_rejected(mutate, message):
     d = default_scenario_dict(0.1, 0)
@@ -198,11 +213,10 @@ def test_bad_values_rejected(mutate, message):
     (lambda d: d.update(delta=math.inf), "delta"),
     (lambda d: d["bob"].update(value=[0.0, math.nan]), "bob"),
     (lambda d: d.update(ue_placement={"explicit": {
-        "value": [[0.0, math.inf]], "unit": "m"}}), "ues"),
-    (lambda d: d["satellite"]["d"].update(value=math.nan), "fc, d, G"),
-    (lambda d: d["satellite"]["G"].update(value=math.inf), "fc, d, G"),
-    (lambda d: d["uav"]["beta0_chi"].update(value=math.nan),
-     "reference gains"),
+        "value": [[0.0, math.inf]], "unit": "m"}}), "ue_placement.explicit"),
+    (lambda d: d["satellite"]["d"].update(value=math.nan), "satellite.d"),
+    (lambda d: d["satellite"]["G"].update(value=math.inf), "satellite.G"),
+    (lambda d: d["uav"]["beta0_chi"].update(value=math.nan), "uav.beta0_chi"),
 ])
 def test_non_finite_numbers_rejected(tmp_path, mutate, field):
     # Python's json reads NaN and Infinity; none may reach the planner
@@ -210,7 +224,7 @@ def test_non_finite_numbers_rejected(tmp_path, mutate, field):
     mutate(d)
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(d))
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ScenarioError, match=f"{field}: must be a number"):
         load_scenario(p)
 
 
@@ -299,8 +313,8 @@ def test_uniform_square_side_must_be_finite_and_nonnegative(tmp_path, side):
     d["ue_placement"]["uniform_square"]["side"]["value"] = side
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(d))  # written as NaN / Infinity
-    with pytest.raises(ScenarioError,
-                       match=r"uniform_square\.side: must be finite and >= 0"):
+    with pytest.raises(ScenarioError, match=r"uniform_square\.side: must be "
+                                            r"(a number \(a finite|>= 0)"):
         load_scenario(p)
 
 
