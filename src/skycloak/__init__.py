@@ -47,7 +47,6 @@ from skycloak.planner import (
     bob_rate,
     constraint_residuals,
     perfect_cancellation_optimize,
-    placement_subproblem,
     power_subproblem,
     validate_solution,
 )

@@ -154,7 +154,7 @@ def _solution_from_dict(data: dict) -> Solution:
         raise ScenarioError(f"malformed solution file: {e}") from e
 
 
-def _run_planner(scenario, single_sca: bool = False) -> tuple[Solution, int]:
+def _run_planner(scenario) -> tuple[Solution, int]:
     """Dispatch to the right optimizer; return (solution, iteration count).
 
     The iteration count is outer rounds: Dinkelbach rounds when the
@@ -165,7 +165,7 @@ def _run_planner(scenario, single_sca: bool = False) -> tuple[Solution, int]:
     if scenario.varpi == 0.0:
         sol = perfect_cancellation_optimize(scenario)
     else:
-        sol = bcd_optimize(scenario, single_sca_iterate=single_sca)
+        sol = bcd_optimize(scenario)
     return sol, max(0, len(sol.trace) - 1)
 
 
@@ -220,7 +220,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
 def cmd_optimize(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
-    sol, iterations = _run_planner(loaded.scenario, args.single_sca)
+    sol, iterations = _run_planner(loaded.scenario)
     payload = _solution_dict(sol, iterations)
     path = outdir / "solution.json"
     _write_json(path, payload)
@@ -253,7 +253,7 @@ def cmd_validate(args, outdir: Path) -> int:
     rng = np.random.default_rng([2, loaded.seed])
     report = validate_solution(loaded.scenario, sol, trials=args.trials,
                                rng=rng)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     path = outdir / "report.json"
     _write_json(path, payload)
     _append_record(outdir, "validate", loaded,
@@ -347,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="run the planner on a scenario")
     common(p)
-    p.add_argument("--single-sca", action="store_true",
-                   help="one surrogate step per placement round instead of "
-                        "running the inner linearization loop to convergence")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("validate",

@@ -65,7 +65,6 @@ __all__ = [
     "ValidationReport",
     "bob_rate",
     "constraint_residuals",
-    "placement_subproblem",
     "power_subproblem",
     "bcd_optimize",
     "perfect_cancellation_optimize",
@@ -250,7 +249,7 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 # placement geometry
 
 _SCA_TOL = 1e-6  # m^2: the placement step stops below this gain
-_SCA_MAX = 30
+_SCA_MAX = 30  # linearization rounds per placement step
 
 
 def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
@@ -287,15 +286,15 @@ def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstrai
     return _placement_set(s, centers, radii)
 
 
-def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
-                         sca_max: int = _SCA_MAX) -> UavPlacement:
+def placement_subproblem(s: Scenario, powers: PowerAllocation,
+                         q0: UavPlacement) -> UavPlacement:
     """Move the UAV as far from Bob as the current powers allow.
 
     Maximizes the convex objective ||x - bob_lifted||^2 over the SOC
     feasible set by successive linearization: each round maximizes the
     touching linear minorant (exact first-order expansion at the incumbent)
     with the log-barrier solver, which can only increase the true objective.
-    Stops when the gain drops below ``_SCA_TOL`` (m^2) or after ``sca_max``
+    Stops when the gain drops below ``_SCA_TOL`` (m^2) or after ``_SCA_MAX``
     rounds.
 
     The incumbent typically sits exactly on the covertness and UE-rate ball
@@ -329,7 +328,7 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
         x0 = x_int
     x = x0
     val = true_obj(x)
-    for _ in range(sca_max):
+    for _ in range(_SCA_MAX):
         grad = 2.0 * (x - b_bar)
         grad /= np.linalg.norm(grad)  # unit objective: tolerances in meters
         y, _ = _barrier_maximize(QuadraticObjective(grad), cons, x0, tol=1e-7)
@@ -346,12 +345,6 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation, q0: UavPlacement,
 
 # ---------------------------------------------------------------------------
 # power subproblem (linear-fractional, solved in closed form)
-
-
-def _power_terms(s: Scenario, pl: UavPlacement):
-    """UE rate floors (W) and the covertness cap ups = Pa/Pj_hat at ``pl``."""
-    d2 = np.array([float(np.sum((pl.q - u) ** 2)) + pl.H ** 2 for u in s.ues])
-    return s.xi_coeff * d2, uav_gain(pl, s.willie, s.kappa)
 
 
 def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
@@ -377,13 +370,21 @@ def power_subproblem(s: Scenario, pl: UavPlacement) -> PowerAllocation:
     Raises PlannerInfeasible when the UE rate floors exceed the budget at
     this placement.
     """
-    floors, ups = _power_terms(s, pl)
+    return _split_power(s, pl, cap_jamming=s.varpi != 0.0)
+
+
+def _split_power(s: Scenario, pl: UavPlacement, cap_jamming: bool) -> PowerAllocation:
+    """UE rate floors xi*d_k^2, the remainder as jamming (stopped at
+    Pa_max/ups only when ``cap_jamming``, with the unspent budget credited
+    to UE 0), and Pa = ups*Pj_hat kept <= Pa_max, ups = kappa/D_w."""
+    floors = s.xi_coeff * (np.sum((s.ues - pl.q) ** 2, axis=1) + pl.H ** 2)
+    ups = uav_gain(pl, s.willie, s.kappa)
     prem = s.P_tot - floors.sum()
     if prem < 0.0:
         raise PlannerInfeasible(
             "ue-rate power floors",
             f"need {floors.sum():.6g} W of {s.P_tot:.6g} W at this placement")
-    pj = prem if s.varpi == 0.0 else min(prem, s.Pa_max / ups)
+    pj = min(prem, s.Pa_max / ups) if cap_jamming else prem
     if s.K:
         floors[0] += prem - pj
     return PowerAllocation(Pk=floors, Pj_hat=pj, Pa=min(ups * pj, s.Pa_max))
@@ -411,57 +412,37 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     return UavPlacement(q=x[:2], H=float(x[2]))
 
 
-def _initial_powers(s: Scenario, pl: UavPlacement) -> PowerAllocation:
-    """UE floors at the placement, all residual power to jamming, Pa at its cap."""
-    pk, ups = _power_terms(s, pl)
-    pj = s.P_tot - pk.sum()
-    if pj < 0.0:
-        raise PlannerInfeasible(
-            "ue-rate power floors",
-            f"need {pk.sum():.6g} W of {s.P_tot:.6g} W at the initial placement")
-    pa = min(pj * ups, s.Pa_max)
-    return PowerAllocation(Pk=pk, Pj_hat=pj, Pa=pa)
-
-
-def bcd_optimize(s: Scenario, single_sca_iterate: bool = False) -> Solution:
+def bcd_optimize(s: Scenario) -> Solution:
     """Alternate placement and power steps until Bob's rate settles.
 
-    Starts at the ground-node centroid with UE powers at their rate floors,
-    the residual as jamming, and Pa at its covertness cap. Each outer
-    iteration runs the placement step (kept only when it does not reduce
-    Bob's rate at the current powers, which makes the rate trace
-    nondecreasing by construction) and then the exact power step. Stops
-    when the rate changes by less than ``s.delta`` or after
-    ``s.i_max`` iterations.
+    Starts at the ground-node centroid with the power step's split, except
+    that jamming is not stopped at the satellite cap: UE powers at their
+    rate floors, the whole residual as jamming, and Pa at its covertness
+    cap or Pa_max. Each outer iteration runs the placement step (kept only
+    when it does not reduce Bob's rate at the current powers, which makes
+    the rate trace nondecreasing by construction) and then the exact
+    power step. Stops when the rate changes by less than ``s.delta`` or
+    after ``s.i_max`` iterations.
     """
+    trace = []
     try:
         pl = _initial_placement(s)
-        powers = _initial_powers(s, pl)
-    except PlannerInfeasible as e:
-        return Solution(None, None, math.nan, [], "infeasible", str(e))
-
-    rb = bob_rate(s, pl, powers)
-    trace = [rb]
-    status = "iteration-capped"
-    sca_max = 1 if single_sca_iterate else _SCA_MAX
-    for _ in range(s.i_max):
-        try:
-            pl_new = placement_subproblem(s, powers, pl, sca_max)
-        except PlannerInfeasible as e:
-            return Solution(None, None, math.nan, trace, "infeasible", str(e))
-        if bob_rate(s, pl_new, powers) > bob_rate(s, pl, powers):
-            pl = pl_new
-        try:
+        powers = _split_power(s, pl, cap_jamming=False)
+        rb = bob_rate(s, pl, powers)
+        trace.append(rb)
+        status = "iteration-capped"
+        for _ in range(s.i_max):
+            pl_new = placement_subproblem(s, powers, pl)
+            if bob_rate(s, pl_new, powers) > rb:
+                pl = pl_new
             powers = power_subproblem(s, pl)
-        except PlannerInfeasible as e:
-            return Solution(None, None, math.nan, trace, "infeasible", str(e))
-        rb_new = bob_rate(s, pl, powers)
-        trace.append(rb_new)
-        if abs(rb_new - rb) < s.delta:
-            rb = rb_new
-            status = "converged"
-            break
-        rb = rb_new
+            rb, rb_old = bob_rate(s, pl, powers), rb
+            trace.append(rb)
+            if abs(rb - rb_old) < s.delta:
+                status = "converged"
+                break
+    except PlannerInfeasible as e:
+        return Solution(None, None, math.nan, trace, "infeasible", str(e))
     return Solution(pl, powers, rb, trace, status)
 
 
@@ -477,8 +458,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     floor, all remaining UAV power jams, and Pa sits at its covertness cap.
     The cap as a function of the lifted placement x is the ratio
 
-        f(x)/g(x) = (P_tot - xi * sum_k ||x-u_k||^2) * Phi_inv * beta0_chi
-                    / (theta * ell_aw * ||x - w||^2),
+        f(x)/g(x) = kappa * (P_tot - xi * sum_k ||x-u_k||^2) / ||x - w||^2
 
     concave over convex positive, maximized by Dinkelbach iteration over
     the cones, the altitude band, and the ball where the numerator stays
@@ -493,8 +473,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
-    phi_inv = phi_inverse(s.eps, s.gamma)
-    xi = s.xi_coeff
+    kappa, xi = s.kappa, s.xi_coeff
     centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
     ball = ((), ())
     if s.K:
@@ -513,16 +492,14 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         return Solution(None, None, math.nan, [], "infeasible",
                         "no placement satisfies cones, altitude, and power budget")
 
-    # scale f and g so g(x0) = 1; the ratio (and lam) is unchanged but the
-    # Dinkelbach residual f - lam*g then lives in watts, matching delta
+    # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and lam)
+    # is unchanged but the Dinkelbach residual f - lam*g then lives in
+    # watts, matching delta
     w_bar = _lift(s.willie)
-    g_raw = s.gamma.theta * s.sat.ell
-    scale = 1.0 / (g_raw * float(np.sum((x0 - w_bar) ** 2)))
-    f_obj = QuadraticObjective(np.zeros(3),
-                               const=s.P_tot * phi_inv * s.budget.beta0_chi * scale,
-                               w=np.full(s.K, -xi * phi_inv * s.budget.beta0_chi * scale),
-                               u=centers)
-    g_obj = QuadraticObjective(np.zeros(3), w=[g_raw * scale], u=w_bar[None, :])
+    d0 = float(np.sum((x0 - w_bar) ** 2))
+    f_obj = QuadraticObjective(np.zeros(3), const=kappa * s.P_tot / d0,
+                               w=np.full(s.K, -kappa * xi / d0), u=centers)
+    g_obj = QuadraticObjective(np.zeros(3), w=[1.0 / d0], u=w_bar[None, :])
     res = dinkelbach(f_obj, g_obj, cons, x0,
                      delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
 
@@ -552,17 +529,6 @@ class ValidationReport:
     rate_stderr: float
     covert_pass: bool
     rb_deterministic: float
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "xi_mc": self.xi_mc,
-            "xi_stderr": self.xi_stderr,
-            "rate_mc": self.rate_mc,
-            "rate_stderr": self.rate_stderr,
-            "covert_pass": self.covert_pass,
-            "rb_deterministic": self.rb_deterministic,
-        }
 
 
 def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,

@@ -44,7 +44,8 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario file: unknown field, missing field, or bad unit."""
+    """Malformed scenario file: unknown field, missing field, bad unit, or a
+    value out of the model's range."""
 
 
 def dbm_to_watts(x: float) -> float:
@@ -118,6 +119,15 @@ def _point2(node, path: str) -> np.ndarray:
     return np.array([_si(conv, c, path) for c in v])
 
 
+def _model(cls, *args, **kwargs):
+    """cls(*args, **kwargs); a ValueError from the model's range checks is
+    re-raised as a ScenarioError with the same message."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioError(str(e)) from e
+
+
 def _plain_number(raw: dict, key: str, default=None) -> float:
     if key not in raw:
         if default is None:
@@ -156,8 +166,8 @@ def _parse_shadowing(node, path: str) -> SRParams:
                 f"expected one of {sorted(SHADOWING_ROWS)} or explicit {{b, m, omega}}")
         return SHADOWING_ROWS[node]
     _check_keys(node, ("b", "m", "omega"), ("b", "m", "omega"), path)
-    return SRParams(*(_number(node[key], f"{path}.{key}")
-                      for key in ("b", "m", "omega")))
+    return _model(SRParams, *(_number(node[key], f"{path}.{key}")
+                              for key in ("b", "m", "omega")))
 
 
 def _resolve_ues(node, seed: int, path: str):
@@ -191,7 +201,7 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     ``seed`` overrides the file's ``rng_seed`` for UE sampling and any
     downstream Monte Carlo, and must be a nonnegative integer as well.
     Raises ScenarioError on any unknown field, missing field, unmappable
-    unit or negative seed.
+    unit, negative seed or value out of the model's range.
     """
     if isinstance(source, dict):
         raw = source
@@ -207,7 +217,8 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     sr = _parse_shadowing(raw["shadowing"], "shadowing")
     sat_node = raw["satellite"]
     _check_keys(sat_node, ("fc", "d", "G"), ("fc", "d", "G"), "satellite")
-    sat = SatelliteLink(
+    sat = _model(
+        SatelliteLink,
         fc=_scalar(sat_node["fc"], _FREQ, "satellite.fc"),
         d=_scalar(sat_node["d"], _DIST, "satellite.d"),
         G=_scalar(sat_node["G"], _GAIN, "satellite.G"),
@@ -215,7 +226,8 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     uav_node = raw["uav"]
     _check_keys(uav_node, ("beta0_chi", "beta0_kappa", "phi_min"),
                 ("beta0_chi", "beta0_kappa", "phi_min"), "uav")
-    budget = UavLinkBudget(
+    budget = _model(
+        UavLinkBudget,
         beta0_chi=_scalar(uav_node["beta0_chi"], _GAIN, "uav.beta0_chi"),
         beta0_kappa=_scalar(uav_node["beta0_kappa"], _GAIN, "uav.beta0_kappa"),
         phi_min=_scalar(uav_node["phi_min"], _ANGLE, "uav.phi_min"),
@@ -235,7 +247,8 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     if not isinstance(i_max, int) or isinstance(i_max, bool):
         raise ScenarioError("i_max: must be an integer")
 
-    scenario = Scenario(
+    scenario = _model(
+        Scenario,
         sr=sr,
         sat=sat,
         budget=budget,

@@ -21,6 +21,28 @@ from skycloak.scenario_io import load_scenario
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+# (mutation of a default_scenario_dict, regex of the model's message):
+# values that parse as numbers but fall outside a model's range checks
+OUT_OF_RANGE = [
+    pytest.param(lambda d: d.update(eps=0.7),
+                 r"eps must be in \(0, 0\.5\), got 0\.7", id="eps"),
+    pytest.param(lambda d: d["H_min"].update(value=d["H_max"]["value"]),
+                 "need 0 < H_min < H_max", id="H_min=H_max"),
+    pytest.param(lambda d: d.update(varpi=2),
+                 r"varpi must be in \[0, 1\], got 2", id="varpi"),
+    pytest.param(lambda d: d.update(i_max=0),
+                 "need delta > 0 and i_max >= 1", id="i_max"),
+    pytest.param(lambda d: d["uav"].update(phi_min={"value": 95.0,
+                                                    "unit": "deg"}),
+                 r"phi_min must lie in \(0, pi/2\)", id="phi_min"),
+    pytest.param(lambda d: d.update(shadowing={"b": 0.126, "m": 0.5,
+                                               "omega": 0.835}),
+                 "m must be >= 1, got 0.5", id="shadowing.m"),
+    pytest.param(lambda d: d["satellite"]["d"].update(value=-500.0),
+                 "fc, d, G must all be positive", id="satellite.d"),
+]
+
+
 def simpson(f, a, b, n=4096):
     """Composite Simpson rule with n (even) panels on [a, b]."""
     if n % 2:

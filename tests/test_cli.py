@@ -4,12 +4,13 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT, default_scenario_dict
+from conftest import OUT_OF_RANGE, REPO_ROOT, default_scenario_dict
 from skycloak.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -144,6 +145,19 @@ def test_optimize_huge_integer_exits_1(tmp_path, capsys):
     rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
     assert rc == 1
     assert "scenario error: R_tg: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize("mutate,message", OUT_OF_RANGE)
+def test_optimize_out_of_range_value_exits_1(tmp_path, capsys, mutate,
+                                             message):
+    d = default_scenario_dict(0.1, 12)
+    mutate(d)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert re.search("scenario error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "solution.json").exists()
 
 
@@ -345,6 +359,15 @@ def test_sweep_records_non_finite_value_as_nan_row(tmp_path, default_path,
     assert all(math.isfinite(float(v)) for v in rows[1][1:6])
 
 
+def test_sweep_deterministic(tmp_path, default_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        rc = main(["sweep", "--scenario", default_path, "--param", "eps",
+                   "--grid", "0.005,0.01,0.02", "--out", str(out)])
+        assert rc == 0
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
 def test_sweep_unknown_param_exits_1(tmp_path, default_path, capsys):
     rc = main(["sweep", "--scenario", default_path, "--param", "mass",
                "--grid", "1,2", "--out", str(tmp_path)])
@@ -375,10 +398,13 @@ def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, default_path, capsys):
     assert main([]) == 1
     assert main(["optimize"]) == 1  # missing --scenario
     assert main(["launch"]) == 1
+    assert main(["optimize", "--scenario", default_path, "--single-sca",
+                 "--out", str(tmp_path)]) == 1  # no such option
+    assert not (tmp_path / "solution.json").exists()
     capsys.readouterr()
 
 

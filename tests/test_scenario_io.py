@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import default_scenario_dict
+from conftest import OUT_OF_RANGE, default_scenario_dict
 from skycloak.channel import SHADOWING_ROWS
 from skycloak.scenario_io import (ScenarioError, db_to_linear, dbm_to_watts,
                                   load_scenario, scenario_hash)
@@ -226,6 +226,16 @@ def test_non_finite_numbers_rejected(tmp_path, mutate, field):
     p.write_text(json.dumps(d))
     with pytest.raises(ScenarioError, match=f"{field}: must be a number"):
         load_scenario(p)
+
+
+@pytest.mark.parametrize("mutate,message", OUT_OF_RANGE)
+def test_out_of_range_values_raise_scenario_error(mutate, message):
+    # the model's own range checks surface as a ScenarioError with the
+    # model's message, not as a bare ValueError
+    d = default_scenario_dict(0.1, 0)
+    mutate(d)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(d)
 
 
 def test_semantic_validation_still_applies():
