@@ -42,7 +42,8 @@ from .channel import SHADOWING_ROWS, gamma_from_sr, sample_sr_power
 from .detection import (avg_min_dep_lower_bound, avg_min_dep_quadrature,
                         min_dep, phi_inverse)
 from .planner import (PowerAllocation, Solution, UavPlacement, bcd_optimize,
-                      perfect_cancellation_optimize, validate_solution)
+                      _check_eps, perfect_cancellation_optimize,
+                      validate_solution)
 from .scenario_io import ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -176,10 +177,9 @@ def _run_planner(scenario) -> tuple[Solution, int]:
 def cmd_dep_sweep(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
-    eps_grid = [float(t) for t in args.eps_grid.split(",") if t.strip()]
     names = [t.strip() for t in args.shadowing.split(",") if t.strip()]
-    if not eps_grid or not names:
-        print("dep-sweep: empty eps grid or shadowing list", file=sys.stderr)
+    if not names:
+        print("dep-sweep: empty shadowing list", file=sys.stderr)
         return EXIT_ERROR
     for name in names:
         if name not in SHADOWING_ROWS:
@@ -189,7 +189,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
             return EXIT_ERROR
 
     rows = []
-    for ie, eps in enumerate(eps_grid):
+    for ie, eps in enumerate(args.eps_grid):
         for ir, name in enumerate(names):
             params = SHADOWING_ROWS[name]
             gamma = gamma_from_sr(params)
@@ -273,13 +273,8 @@ def cmd_sweep(args, outdir: Path) -> int:
         print(f"sweep: unknown parameter {args.param!r} "
               f"(recognized: {', '.join(SWEEPABLE)})", file=sys.stderr)
         return EXIT_ERROR
-    values = [float(t) for t in args.grid.split(",") if t.strip()]
-    if not values:
-        print("sweep: empty grid", file=sys.stderr)
-        return EXIT_ERROR
-
     rows = []
-    for value in values:
+    for value in args.grid:
         try:
             s_v = dataclasses.replace(loaded.scenario, **{args.param: value})
             sol, iterations = _run_planner(s_v)
@@ -316,6 +311,34 @@ def _trials(text: str) -> int:
     return n
 
 
+def _grid(text: str) -> list:
+    """A comma-separated list of at least one finite number."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError("empty grid")
+    values = []
+    for item in items:
+        try:
+            v = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"not a finite number: {item!r}")
+        values.append(v)
+    return values
+
+
+def _eps_grid(text: str) -> list:
+    """A grid of covertness levels, each one a scenario accepts."""
+    values = _grid(text)
+    for eps in values:
+        try:
+            _check_eps(eps)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skycloak",
@@ -335,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tabulate bound/quadrature/MC detection error "
                             "probability over covertness levels")
     common(p)
-    p.add_argument("--eps-grid", default=DEFAULT_EPS_GRID,
+    p.add_argument("--eps-grid", type=_eps_grid, default=DEFAULT_EPS_GRID,
                    help="comma-separated covertness levels "
                         f"(default {DEFAULT_EPS_GRID})")
     p.add_argument("--shadowing", default=DEFAULT_SHADOWING,
@@ -363,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--param", required=True,
                    help=f"field to vary; one of: {', '.join(SWEEPABLE)}")
-    p.add_argument("--grid", required=True,
-                   help="comma-separated values")
+    p.add_argument("--grid", type=_grid, required=True,
+                   help="comma-separated finite values")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -79,6 +79,12 @@ class PlannerInfeasible(RuntimeError):
         super().__init__(f"infeasible: {constraint}" + (f" ({detail})" if detail else ""))
 
 
+def _check_eps(eps: float) -> None:
+    """Raise ValueError unless the covertness level eps is in (0, 0.5)."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete problem instance in SI units.
@@ -123,8 +129,7 @@ class Scenario:
             v = getattr(self, name)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if not 0.0 < self.eps < 0.5:
-            raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
+        _check_eps(self.eps)
         if not 0.0 < self.H_min < self.H_max:
             raise ValueError("need 0 < H_min < H_max")
         if self.P_tot <= 0.0 or self.Pa_max <= 0.0:
@@ -302,11 +307,17 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation,
     max-slack interior point first; if the feasible set has no interior the
     placement cannot move and q0 is returned unchanged.
 
-    Every round restarts the barrier solver from this start point (the
-    incumbent, or the max-slack point it was nudged to), not from the
-    previous round's optimum: that optimum sits about 1e-9 from the
-    boundary, where the first centring would spend its Newton steps
-    dragging it back inside. Only the linearization point moves.
+    The first round starts the barrier solver cold from this start point
+    (the incumbent, or the max-slack point it was nudged to). Every later
+    round starts from the previous round's central point at the second
+    barrier weight, at that weight: the rounds share one constraint
+    stack and only the linearization point moves, so that point lies
+    near the new round's central path. The previous round's optimum
+    would not do: it sits about 1e-9 from the boundary, where the first
+    centring would spend its Newton steps dragging it back inside. A
+    round that leaves no such point (that centring did not end centred,
+    or the point is not strictly interior) lets the next round start
+    cold.
     """
     cons = _placement_constraints(s, powers)
     x0 = q0.lifted
@@ -326,12 +337,14 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation,
         if slack <= 1e-9:
             return q0  # boundary point with no interior: nothing can move
         x0 = x_int
-    x = x0
+    x, warm = x0, None
     val = true_obj(x)
     for _ in range(_SCA_MAX):
         grad = 2.0 * (x - b_bar)
         grad /= np.linalg.norm(grad)  # unit objective: tolerances in meters
-        y, _ = _barrier_maximize(QuadraticObjective(grad), cons, x0, tol=1e-7)
+        y, info = _barrier_maximize(QuadraticObjective(grad), cons, x0,
+                                    tol=1e-7, _warm=warm)
+        warm = info["warm"]
         new_val = true_obj(y)
         improvement = new_val - val
         if new_val > val:

@@ -15,9 +15,12 @@ and transparent. The power step needs no solver; its optimum is explicit
   line search's rounding allowance (the centring has stalled at
   floating-point resolution); each Newton system is solved by an unrolled
   Cholesky factorization on Python floats, with a growing ridge when
-  rounding leaves the Hessian singular or indefinite;
+  rounding leaves the Hessian singular or indefinite; a solve reports its
+  central point at the second barrier weight, where a later solve over
+  the same rows with a nearby objective can start;
 - a max-slack interior point finder and a Dinkelbach driver for
-  concave/convex fractional objectives.
+  concave/convex fractional objectives, whose rounds after the first
+  start from the previous round's central point at the second weight.
 """
 
 from __future__ import annotations
@@ -147,7 +150,10 @@ class ConeConstraint:
 
 @dataclass
 class QuadraticObjective:
-    """const + c.x + sum_k w[k] * ||x - u[k]||^2 (concave iff sum(w) <= 0)."""
+    """const + c.x + sum_k w[k] * ||x - u[k]||^2 (concave iff sum(w) <= 0).
+
+    ``c`` is a read-only copy, which ``grad`` returns as is when w is
+    empty."""
 
     c: np.ndarray
     const: float = 0.0
@@ -155,7 +161,8 @@ class QuadraticObjective:
     u: np.ndarray = ()
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
+        self.c = np.array(self.c, dtype=float).ravel()
+        self.c.flags.writeable = False
         self.w = np.asarray(self.w, dtype=float).ravel()
         self.u = np.asarray(self.u, dtype=float).reshape(self.w.size, self.c.size)
 
@@ -167,6 +174,8 @@ class QuadraticObjective:
                 + float(self.w @ np.sum(diff * diff, axis=1)))
 
     def grad(self, x):
+        if not self.w.size:
+            return self.c
         return self.c + 2.0 * (self.w @ (x[None, :] - self.u))
 
     def hess(self, x):
@@ -232,7 +241,8 @@ _MAX_NEWTON = 200
 _GAP_TOL = 1e-9
 
 
-def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
+def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
+                      _warm=None):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
@@ -253,24 +263,39 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
     ``_stop_below`` ends the solve as soon as that bound falls below it,
     with ``info["stopped_below"]`` set; the bound is then
     objective(x) + info["gap_bound"].
+
+    ``info["warm"]`` is the point where the centring at weight
+    ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
+    centring ended otherwise or never ran. A later solve over the same
+    rows with another objective passes it as ``_warm``: the solve then
+    starts there at weight ``_T0*_T_FACTOR``, skipping the centring at
+    ``_T0``, unless the point is not strictly inside every row, when it
+    starts from x0 at ``_T0`` as without ``_warm``.
     """
-    x = np.asarray(x0, dtype=float).copy()
     m = cons.A.shape[0]
     if m == 0:
         raise SolverError("unconstrained maximization is unbounded here")
     theta = m + int(cons.cone.sum())
-    r, u, vals, inside = cons.rows(x)
-    if not inside:
-        raise InfeasibleStartError(
-            f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
+    t_warm = _T0 * _T_FACTOR
+    t, x = _T0, None
+    if _warm is not None:
+        r, u, vals, inside = cons.rows(_warm)
+        if inside:
+            t, x = t_warm, np.array(_warm, dtype=float)
+    if x is None:
+        x = np.asarray(x0, dtype=float).copy()
+        r, u, vals, inside = cons.rows(x)
+        if not inside:
+            raise InfeasibleStartError(
+                f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
     n = x.size
     obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
     row_hess = cons.hess.reshape(m, n * n)
     fx = objective.value(x)
-    t = _T0
     newton_steps = 0
     stopped_below = False
+    warm = None
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
         # r = A x - b, u = c.x + d, the row values and the objective value
@@ -317,6 +342,8 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
                 # difference, the test also holds for a step that leaves x
                 # unchanged when 0.25*alpha*slope is below phi0's ulp
                 break
+        if t == t_warm and centred:
+            warm = x
         if centred and fx + theta / t < _stop_below:
             stopped_below = True
             break
@@ -333,6 +360,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf):
         "kkt_residual": float(np.linalg.norm(stat, np.inf)),
         "gap_bound": theta / t,
         "stopped_below": stopped_below,
+        "warm": warm,
     }
     return x, info
 
@@ -401,6 +429,13 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     already reaches ``lam_max`` returns x0 after 0 rounds. The returned
     lam is f(x)/g(x) at the returned point. Non-convergence within i_max
     is flagged, not raised.
+
+    Round 1 starts the barrier solver cold from x0. Every later round
+    maximizes over the same ``cons`` and starts from the previous round's
+    central point at the second barrier weight, at that weight; a round
+    without such a point (that centring did not end centred), or whose
+    point is not strictly interior, starts cold from the previous
+    round's answer.
     """
     x = np.asarray(x0, dtype=float).copy()
     gv = g.value(x)
@@ -411,11 +446,13 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     if lam >= lam_max:
         return DinkelbachResult(x=x, lam=lam, converged=True, iterations=0,
                                 lam_trace=trace)
+    warm = None
     for it in range(1, i_max + 1):
         obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
                                  np.concatenate([f.w, -lam * g.w]),
                                  np.vstack([f.u, g.u]))
-        x, _ = _barrier_maximize(obj, cons, x, tol=_GAP_TOL)
+        x, info = _barrier_maximize(obj, cons, x, tol=_GAP_TOL, _warm=warm)
+        warm = info["warm"]
         fv, gv = f.value(x), g.value(x)
         if gv <= 0.0:
             raise SolverError(f"denominator nonpositive ({gv:.3e}) at iterate {it}")

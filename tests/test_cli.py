@@ -347,16 +347,37 @@ def test_sweep_records_failures_as_nan_rows(tmp_path, default_path, capsys):
     assert math.isfinite(float(rows[1][2]))
 
 
-def test_sweep_records_non_finite_value_as_nan_row(tmp_path, default_path,
-                                                  capsys):
+def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
+                                              capsys):
     rc = main(["sweep", "--scenario", default_path, "--param", "Pa_max",
                "--grid", "nan,10", "--out", str(tmp_path)])
-    assert rc == 0
-    assert "Pa_max must be finite" in capsys.readouterr().err
-    _, rows = read_csv_rows(tmp_path / "sweep.csv")
-    assert all(math.isnan(float(v)) for v in rows[0][1:6])
-    assert rows[0][6] == "0"
-    assert all(math.isfinite(float(v)) for v in rows[1][1:6])
+    assert rc == 1
+    assert "argument --grid: not a finite number: 'nan'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, grid, why", [
+    ("dep-sweep", "--eps-grid", "0.01,0.7", r"eps must be in \(0, 0\.5\), got 0\.7"),
+    ("dep-sweep", "--eps-grid", "0.5", r"eps must be in \(0, 0\.5\), got 0\.5"),
+    ("dep-sweep", "--eps-grid", "0", r"eps must be in \(0, 0\.5\), got 0\.0"),
+    ("dep-sweep", "--eps-grid", "abc", "not a number: 'abc'"),
+    ("dep-sweep", "--eps-grid", "0.1,inf", "not a finite number: 'inf'"),
+    ("dep-sweep", "--eps-grid", " , ", "empty grid"),
+    ("sweep", "--grid", "0.01,abc", "not a number: 'abc'"),
+    ("sweep", "--grid", "1,-inf", "not a finite number: '-inf'"),
+    ("sweep", "--grid", ",", "empty grid"),
+], ids=["eps-0.7", "eps-0.5", "eps-0", "eps-abc", "eps-inf", "eps-empty",
+        "sweep-abc", "sweep-inf", "sweep-empty"])
+def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
+                                     flag, grid, why):
+    out = tmp_path / "out"
+    argv = [command, "--scenario", default_path, flag, grid, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "eps"]
+    assert main(argv) == 1
+    assert re.search(f"argument {flag}: {why}", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_sweep_deterministic(tmp_path, default_path):

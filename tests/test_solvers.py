@@ -275,6 +275,63 @@ def test_barrier_two_ball_intersection_vs_grid():
     assert val <= vals.max() + 1e-2  # grid resolution slack
 
 
+def test_quadratic_objective_gradient():
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=3)
+    x = rng.normal(size=3)
+    linear = QuadraticObjective(c, const=2.0)
+    assert np.array_equal(linear.grad(x), c)
+    with pytest.raises(ValueError, match="read-only"):
+        linear.grad(x)[0] = 1.0
+    w, u = rng.normal(size=4), rng.normal(size=(4, 3))
+    quad = QuadraticObjective(c, w=w, u=u)
+    want = c + sum(2.0 * wk * (x - uk) for wk, uk in zip(w, u))
+    assert_allclose(quad.grad(x), want, rtol=1e-12, atol=1e-12)
+
+
+def warm_start_stack():
+    """max over the cone ||(x1,x2)|| <= x3/2 under x3 <= 4, from x0."""
+    cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
+            np.array([0.0, 0.0, 0.5]), 0.0)
+    return stack(cone, halfspace([0.0, 0.0, 1.0], 4.0)), np.array([0.1, 0.0, 3.0])
+
+
+def test_warm_start_resumes_at_the_second_weight():
+    cons, x0 = warm_start_stack()
+    _, first = _barrier_maximize(QuadraticObjective([1.0, 0.0, 0.0]), cons, x0)
+    warm = first["warm"]
+    assert warm is not None and inside(cons, warm)
+    # a nearby objective, as the next round of a linearization sequence
+    a = 0.1
+    obj = QuadraticObjective([math.cos(a), math.sin(a), 0.0])
+    x_cold, cold = _barrier_maximize(obj, cons, x0)
+    x_warm, info = _barrier_maximize(obj, cons, x0, _warm=warm)
+    assert_allclose(x_warm, x_cold, atol=1e-9)
+    assert_allclose(x_warm, [2.0 * math.cos(a), 2.0 * math.sin(a), 4.0],
+                    atol=1e-5)
+    assert info["newton_steps"] < cold["newton_steps"]
+    assert info["warm"] is not None
+
+
+def test_warm_start_off_the_interior_runs_cold():
+    cons, x0 = warm_start_stack()
+    obj = QuadraticObjective([0.6, 0.8, 0.0])
+    x_cold, cold = _barrier_maximize(obj, cons, x0)
+    # outside the cone, and on its boundary
+    for bad in ([3.0, 0.0, 3.0], [1.5, 0.0, 3.0]):
+        x, info = _barrier_maximize(obj, cons, x0, _warm=np.array(bad))
+        assert np.array_equal(x, x_cold)
+        assert info["newton_steps"] == cold["newton_steps"]
+        assert info["t"] == cold["t"]
+
+
+def test_no_warm_point_from_a_centring_cut_at_the_step_cap(monkeypatch):
+    cons, x0 = warm_start_stack()
+    monkeypatch.setattr(solvers, "_MAX_NEWTON", 1)
+    _, info = _barrier_maximize(QuadraticObjective([1.0, 0.0, 0.0]), cons, x0)
+    assert info["warm"] is None
+
+
 def test_barrier_rejects_infeasible_start():
     with pytest.raises(InfeasibleStartError):
         maximize_linear(np.array([1.0, 0.0]),
