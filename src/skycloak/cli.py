@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -56,6 +57,9 @@ DEFAULT_SHADOWING = "light,average,heavy"
 
 # scalar Scenario fields the sweep command may vary
 SWEEPABLE = ("eps", "varpi", "P_tot", "Pa_max", "R_tg", "H_min", "H_max")
+
+# options whose one value may start with "-" (a negative grid entry)
+GRID_OPTIONS = ("--grid", "--eps-grid")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +343,7 @@ def _eps_grid(text: str) -> list:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skycloak",
@@ -392,9 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv) -> list:
+    """argv with each grid option and the token after it joined into
+    ``--grid=VALUE``, the form in which argparse reads a value that
+    starts with "-" as a value rather than as an option; nothing after a
+    bare "--" is touched."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            out.append(tok)
+            out.extend(tokens)
+            break
+        if tok in GRID_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_grid_values(argv))
     except SystemExit as e:
         # argparse exits 2 on usage errors, which would collide with the
         # infeasible exit code; fold usage problems into the generic failure

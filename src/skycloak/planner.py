@@ -479,10 +479,12 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     rate then depends on nothing but Pa, the iteration stops once the
     ratio reaches Pa_max: later rounds would only move the placement
     within a tie for the best rate, so a capped plan may sit at a
-    different placement with the same rate. Dinkelbach starts from the
-    max-slack point's ratio, so when that point already reaches Pa_max it
-    is the plan, after 0 rounds. The trace holds the rate at the start
-    point and then one rate per round.
+    different placement with the same rate. The start is the first
+    strictly interior central point of the max-slack solve (not the
+    max-slack point: any interior start will do), and Dinkelbach starts
+    from its ratio, so when that point already reaches Pa_max it is the
+    plan, after 0 rounds. The trace holds the rate at the start point and
+    then one rate per round.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
@@ -500,7 +502,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     cons = _placement_set(s, *ball)
 
     anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
-    x0, slack = max_slack_point(cons, anchor)
+    x0, slack = max_slack_point(cons, anchor, first_interior=True)
     if slack <= 0.0:
         return Solution(None, None, math.nan, [], "infeasible",
                         "no placement satisfies cones, altitude, and power budget")

@@ -18,7 +18,8 @@ and transparent. The power step needs no solver; its optimum is explicit
   rounding leaves the Hessian singular or indefinite; a solve reports its
   central point at the second barrier weight, where a later solve over
   the same rows with a nearby objective can start;
-- a max-slack interior point finder and a Dinkelbach driver for
+- a max-slack interior point finder, which can also stop at its first
+  strictly interior central point, and a Dinkelbach driver for
   concave/convex fractional objectives, whose rounds after the first
   start from the previous round's central point at the second weight.
 """
@@ -242,7 +243,7 @@ _GAP_TOL = 1e-9
 
 
 def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
-                      _warm=None):
+                      _stop_above=math.inf, _warm=None):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
@@ -262,7 +263,9 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     degree: where a solve ends sets the last digits of every plan.
     ``_stop_below`` ends the solve as soon as that bound falls below it,
     with ``info["stopped_below"]`` set; the bound is then
-    objective(x) + info["gap_bound"].
+    objective(x) + info["gap_bound"]. ``_stop_above`` ends the solve after
+    the first centring that ended on the decrement test at an objective
+    value above it.
 
     ``info["warm"]`` is the point where the centring at weight
     ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
@@ -347,6 +350,8 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
         if centred and fx + theta / t < _stop_below:
             stopped_below = True
             break
+        if centred and fx > _stop_above:
+            break
         if m / t < tol:
             break
         t *= _T_FACTOR
@@ -365,7 +370,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     return x, info
 
 
-def max_slack_point(cons, anchor):
+def max_slack_point(cons, anchor, *, first_interior=False):
     """Chebyshev-style strictly feasible point: maximize the minimum slack.
 
     The slack variable is taken off the right-hand side of every row
@@ -377,8 +382,14 @@ def max_slack_point(cons, anchor):
     The solve ends early once a centred iterate proves the best slack
     negative (its slack plus the barrier's duality gap theta/t is below
     0); s_star is then that upper bound, and x is not a max-slack point.
-    A feasible stack runs the full solve, so its (x, s_star) does not
-    depend on the early stop.
+
+    A feasible stack runs the full solve, unless ``first_interior`` is
+    set: the solve then also ends after the first centring that ends
+    centred at a positive slack, and (x, s_star) is that centring's
+    point, strictly interior with every margin at least s_star > 0, up
+    to rounding (a lower bound on the best slack, not the best slack
+    itself). A caller that needs only some strictly interior point sets
+    it; a negative verdict is the same either way.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
@@ -395,7 +406,8 @@ def max_slack_point(cons, anchor):
                           np.vstack([rows.c, -e_s]), np.append(rows.d, cap))
     xs, info = _barrier_maximize(QuadraticObjective(e_s), rows,
                                  np.append(anchor, s0), tol=_GAP_TOL,
-                                 _stop_below=0.0)
+                                 _stop_below=0.0,
+                                 _stop_above=0.0 if first_interior else math.inf)
     s_star = float(xs[n])
     if info["stopped_below"]:
         s_star += info["gap_bound"]

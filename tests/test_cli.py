@@ -364,11 +364,14 @@ def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
     ("dep-sweep", "--eps-grid", "abc", "not a number: 'abc'"),
     ("dep-sweep", "--eps-grid", "0.1,inf", "not a finite number: 'inf'"),
     ("dep-sweep", "--eps-grid", " , ", "empty grid"),
+    ("dep-sweep", "--eps-grid", "-0.1,0.2", r"eps must be in \(0, 0\.5\), got -0\.1"),
     ("sweep", "--grid", "0.01,abc", "not a number: 'abc'"),
     ("sweep", "--grid", "1,-inf", "not a finite number: '-inf'"),
+    ("sweep", "--grid", "-inf", "not a finite number: '-inf'"),
     ("sweep", "--grid", ",", "empty grid"),
 ], ids=["eps-0.7", "eps-0.5", "eps-0", "eps-abc", "eps-inf", "eps-empty",
-        "sweep-abc", "sweep-inf", "sweep-empty"])
+        "eps-negative", "sweep-abc", "sweep-inf", "sweep-minus-inf",
+        "sweep-empty"])
 def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
                                      flag, grid, why):
     out = tmp_path / "out"
@@ -378,6 +381,20 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
     assert main(argv) == 1
     assert re.search(f"argument {flag}: {why}", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_a_grid_may_start_with_a_minus_sign(tmp_path, default_path):
+    # the spaced form reads the grid as the "=" form does: a failed row
+    # for Pa_max = -1 and a plan for 2
+    for out, grid in ((tmp_path / "spaced", ["--grid", "-1,2"]),
+                      (tmp_path / "joined", ["--grid=-1,2"])):
+        assert main(["sweep", "--scenario", default_path, "--param", "Pa_max",
+                     *grid, "--out", str(out)]) == 0
+    spaced = (tmp_path / "spaced" / "sweep.csv").read_bytes()
+    assert spaced == (tmp_path / "joined" / "sweep.csv").read_bytes()
+    _, rows = read_csv_rows(tmp_path / "spaced" / "sweep.csv")
+    assert [float(r[1]) for r in rows] == [-1.0, 2.0]
+    assert math.isnan(float(rows[0][2])) and math.isfinite(float(rows[1][2]))
 
 
 def test_sweep_deterministic(tmp_path, default_path):

@@ -349,7 +349,7 @@ def test_perfect_cancellation_on_default(perfect_scenario, pc_solution):
 
 def test_perfect_cancellation_stops_at_the_satellite_cap(perfect_scenario,
                                                         pc_solution):
-    # the trace starts at the max-slack point's rate, below the cap; the
+    # the trace starts at the start point's rate, below the cap; the
     # ratio passes Pa_max in round 1, and later rounds would only move
     # the placement within a tie for the capped rate
     s, sol = perfect_scenario, pc_solution
@@ -389,7 +389,7 @@ def assert_capped_near_singular_plan(s, sol):
 def test_perfect_cancellation_near_singular_newton_system():
     s = near_singular_scenario()
     sol = perfect_cancellation_optimize(s)
-    assert len(sol.trace) == 1  # the max-slack point is already capped
+    assert len(sol.trace) == 1  # the start point is already capped
     assert_capped_near_singular_plan(s, sol)
 
 
@@ -399,11 +399,23 @@ def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
     def uncapped(*args, **kwargs):
         return dinkelbach(*args, **dict(kwargs, lam_max=math.inf))
 
+    newton_solve, singular = solvers._newton_solve, []
+
+    def solve(H, g):
+        # a system numpy's Cholesky rejects needs the ridge
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            singular.append(H)
+        return newton_solve(H, g)
+
     monkeypatch.setattr(planner, "dinkelbach", uncapped)
+    monkeypatch.setattr(solvers, "_newton_solve", solve)
     s = near_singular_scenario()
     sol = perfect_cancellation_optimize(s)
-    assert len(sol.trace) == 5  # the start rate and 4 rounds
+    assert len(sol.trace) == 4  # the start rate and 3 rounds
     assert_capped_near_singular_plan(s, sol)
+    assert singular  # 7 of the 1,061 systems on x86-64
 
 
 def test_perfect_cancellation_powers_are_the_power_step(perfect_scenario,
@@ -445,10 +457,10 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
     # counts stable across machines; a change must not raise them
     assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 244
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           perfect_scenario) <= 75
-    # the max-slack point is already capped: Dinkelbach runs 0 rounds
+                           perfect_scenario) <= 46
+    # the start point is already capped: Dinkelbach runs 0 rounds
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           near_singular_scenario()) <= 36
+                           near_singular_scenario()) <= 10
     # an "infeasible" verdict ends once the best slack is proved negative
     for varpi in (0.1, 0.0):
         s = steep_cone_scenario(varpi)
@@ -621,6 +633,31 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
     sol = _run_planner(s)[0]
     assert (sol.status, sol.Rb, sol.trace) == (ref.status, ref.Rb, ref.trace)
     assert np.array_equal(sol.placement.lifted, ref.placement.lifted)
+
+
+# plan-cancel corpus scenarios: capped at the start point (4, 9), capped
+# after 1 round (14), and below the cap after 3 rounds (3)
+@pytest.mark.parametrize("base, capped", [(4, True), (9, True), (14, True),
+                                          (3, False)])
+def test_first_interior_start_matches_the_max_slack_start(monkeypatch, base,
+                                                          capped):
+    s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
+    sol, iterations = _run_planner(s)
+    with monkeypatch.context() as m:
+        m.setattr(planner, "max_slack_point",
+                  lambda cons, anchor, **_: solvers.max_slack_point(cons, anchor))
+        ref, ref_iterations = _run_planner(s)
+    assert (sol.status, iterations) == (ref.status, ref_iterations)
+    assert sol.status == "converged"
+    # the two starts differ, and so do the two placements
+    assert not np.array_equal(sol.placement.lifted, ref.placement.lifted)
+    assert (sol.powers.Pa == s.Pa_max) == capped
+    if capped:
+        assert sol.Rb == ref.Rb
+    else:
+        assert sol.Rb == pytest.approx(ref.Rb, rel=1e-9)
+    assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
+        <= 1e-8
 
 
 def test_bcd_warm_rounds_on_a_slow_corpus_scenario(monkeypatch):

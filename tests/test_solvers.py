@@ -382,7 +382,9 @@ def max_slack_solve(monkeypatch, cons, anchor, early):
 def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
     # random bounded stacks (each holds a ball): an infeasible one ends
     # early with an upper bound on the best slack, a feasible one runs
-    # the full solve
+    # the full solve; with ``first_interior`` a feasible one ends at a
+    # strictly interior point whose every margin is at least the
+    # returned slack, and an infeasible one gives the same answer
     rng = np.random.default_rng(17)
     verdicts = {True: 0, False: 0}
     for _ in range(60):
@@ -395,13 +397,17 @@ def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
         x_full, s_full, steps_full = max_slack_solve(monkeypatch, cons,
                                                      anchor, False)
         x, s, steps = max_slack_solve(monkeypatch, cons, anchor, True)
+        x_in, s_in = max_slack_point(cons, anchor, first_interior=True)
         verdicts[s_full > 0.0] += 1
         if s_full > 0.0:
             assert s == s_full and np.array_equal(x, x_full)
             assert steps == steps_full
+            assert 0.0 < s_in <= s and inside(cons, x_in)
+            assert cons.margin(x_in).min() >= s_in - 1e-12 * (1.0 + s_in)
         else:
             assert s_full <= s < 0.0
             assert steps < steps_full
+            assert s_in == s and np.array_equal(x_in, x)
     assert min(verdicts.values()) >= 10
 
 
