@@ -401,14 +401,19 @@ def _join_grid_values(argv) -> list:
     """argv with each grid option and the token after it joined into
     ``--grid=VALUE``, the form in which argparse reads a value that
     starts with "-" as a value rather than as an option; nothing after a
-    bare "--" is touched."""
+    bare "--" is touched.
+
+    A grid option is its full name or any abbreviation of it, as argparse
+    reads one: "--" and at least one more character. Joining leaves the
+    verdict on the option to argparse, which reads "--gr=V" as it reads
+    "--gr V" when V does not start with "-"."""
     out, tokens = [], iter(argv)
     for tok in tokens:
         if tok == "--":
             out.append(tok)
             out.extend(tokens)
             break
-        if tok in GRID_OPTIONS:
+        if len(tok) > 2 and any(opt.startswith(tok) for opt in GRID_OPTIONS):
             value = next(tokens, None)
             if value is not None:
                 tok = f"{tok}={value}"

@@ -6,22 +6,37 @@ and transparent. The power step needs no solver; its optimum is explicit
 (see :func:`skycloak.planner.power_subproblem`).
 
 - one stacked constraint type, rows ||A_i x - b_i|| <= c_i.x + d_i, with a
-  row whose A_i is zero standing for the half-space c_i.x + d_i >= 0;
+  row whose A_i is zero (and then b_i too) standing for the half-space
+  c_i.x + d_i >= 0;
 - one objective type, const + c.x + sum_k w_k ||x - u_k||^2;
 - a log-barrier Newton method over the stack, with a closed-form bound on
   the feasible step (Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3);
   the barrier weight grows 50-fold per centring, and a centring ends when
   the Newton decrement vanishes or a step is accepted only through the
   line search's rounding allowance (the centring has stalled at
-  floating-point resolution); each Newton system is solved by an unrolled
-  Cholesky factorization on Python floats, with a growing ridge when
-  rounding leaves the Hessian singular or indefinite; a solve reports its
-  central point at the second barrier weight, where a later solve over
-  the same rows with a nearby objective can start;
+  floating-point resolution); each Newton system is solved by a Cholesky
+  factorization on Python floats, written out for 3 and 4 variables, with
+  a growing ridge when rounding leaves the Hessian singular or
+  indefinite; a solve reports its central point at the second barrier
+  weight, where a later solve over the same rows with a nearby objective
+  can start;
 - a max-slack interior point finder, which can also stop at its first
   strictly interior central point, and a Dinkelbach driver for
   concave/convex fractional objectives, whose rounds after the first
   start from the previous round's central point at the second weight.
+
+The programs are small (a few dozen rows of k = 3, and n <= 4
+variables), so a Newton step costs numpy's per-call overhead more than
+arithmetic. The kernel keeps the calls few, with the same bits in every
+result as one call per quantity gives on a stack of two or more rows
+(numpy forms a one-row c.x by its dot kernel, which may round apart): the
+stack holds [A; c] as one matrix, so a point's row parts come from one
+product; the interior verdict is read off the row values already formed;
+the step bound is one minimum taken in Python over the rows the ray
+leaves; the row gradients use 2*A_i^T and 2*c formed once (doubling is
+exact); the barrier carries its value from the accepted trial, takes the
+slope as minus the decrement, and skips the zero Hessian of a linear
+objective.
 """
 
 from __future__ import annotations
@@ -66,14 +81,17 @@ def _rowdot(p, q):
 
 @dataclass
 class ConeConstraint:
-    """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n).
+    """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n), m >= 1.
 
     A cone row (A_i nonzero) has value ||A_i x - b_i||^2 - (c_i.x + d_i)^2,
     whose zero-sublevel set intersected with {c_i.x + d_i > 0} is the
     second-order cone; -log(-value) is then the canonical (convex,
     self-concordant) SOC barrier even though the value itself is not
-    convex. A half-space row (A_i = 0) has value -(c_i.x + d_i) and keeps
-    the barrier -log(c_i.x + d_i).
+    convex. A half-space row (A_i = 0, and then b_i = 0) has value
+    -(c_i.x + d_i) and keeps the barrier -log(c_i.x + d_i).
+
+    The products the barrier solver needs per Newton step are formed once
+    here from A, b and c, so those three are not to be changed afterwards.
     """
 
     A: np.ndarray
@@ -84,38 +102,48 @@ class ConeConstraint:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         m, k, n = self.A.shape
+        if m == 0:
+            raise ValueError("a constraint stack needs at least one row")
         self.b = np.asarray(self.b, dtype=float).reshape(m, k)
         self.c = np.asarray(self.c, dtype=float).reshape(m, n)
         self.d = np.asarray(self.d, dtype=float).reshape(m)
         self.cone = np.any(self.A != 0.0, axis=(1, 2))
-        # row layouts for the per-step products: A as one (m*k, n) matrix
-        # for A x, and per row A_i^T, shape (m, n, k), for A_i^T r_i
-        self._A_flat = self.A.reshape(m * k, n)
-        self._A_T = np.ascontiguousarray(self.A.transpose(0, 2, 1))
+        bad = np.flatnonzero(~self.cone & np.any(self.b != 0.0, axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: a half-space row (A_i = 0) needs "
+                             f"b_i = 0, got {self.b[bad[0]].tolist()}")
+        # one stacked matrix [A as (m*k, n); c], so that A x and c.x come
+        # from one product
+        self._mk = m * k
+        self._Ac = np.vstack([self.A.reshape(m * k, n), self.c])
+        # the row gradients' constants: per row 2*A_i^T, shape (m, n, k),
+        # 2*c, and -c for the half-space rows (doubling is exact)
+        self._A2T = np.ascontiguousarray(2.0 * self.A.transpose(0, 2, 1))
+        self._c2 = 2.0 * self.c
+        self._neg_c = -self.c
         # the rows' value Hessians, constant in x
         self.hess = 2.0 * self.cone[:, None, None] * (
             np.einsum("mki,mkj->mij", self.A, self.A)
             - np.einsum("mi,mj->mij", self.c, self.c))
 
-    def _apply(self, x):
-        """The stacked products A_i x, shape (m, k)."""
-        return (self._A_flat @ x).reshape(self.b.shape)
-
     def rows(self, x):
         """(r, t, values, interior) at x from one evaluation of the row
         parts r = A x - b and t = c.x + d: every row's value and whether x
-        lies strictly inside every row."""
-        r = self._apply(x) - self.b
-        t = self.c @ x + self.d
-        rr = _rowdot(r, r)
-        vals = np.where(self.cone, rr - t * t, -t)
-        return r, t, vals, bool(np.all((t > 0.0) & (rr < t * t)))
+        lies strictly inside every row, t_i > 0 and ||r_i||^2 < t_i^2."""
+        p = self._Ac @ x
+        r = p[:self._mk].reshape(self.b.shape) - self.b
+        t = p[self._mk:] + self.d
+        q, nt = _rowdot(r, r) - t * t, -t
+        vals = np.where(self.cone, q, nt)
+        # in IEEE arithmetic rr < t^2 exactly when rr - t^2 < 0, NaN fails
+        # both, and np.maximum and max propagate it: x is interior exactly
+        # when every max(q_i, -t_i) < 0
+        return r, t, vals, bool(np.maximum(q, nt).max() < 0.0)
 
     def grad(self, r, t):
         """Every row's value gradient at the point with row parts r, t."""
-        g = 2.0 * (np.matmul(self._A_T, r[:, :, None])[:, :, 0]
-                   - t[:, None] * self.c)
-        return np.where(self.cone[:, None], g, -self.c)
+        g = np.matmul(self._A2T, r[:, :, None])[:, :, 0] - t[:, None] * self._c2
+        return np.where(self.cone[:, None], g, self._neg_c)
 
     def margin(self, x):
         """Distance-to-violation of every row in the row's own units."""
@@ -129,10 +157,10 @@ class ConeConstraint:
         return ConeConstraint(np.concatenate([self.A, np.zeros((m, k, 1))], axis=2),
                               self.b, np.hstack([self.c, -np.ones((m, 1))]), self.d)
 
-    def max_step(self, r, t, v, s):
-        """Per row, the smallest alpha > 0 at which x + alpha*s reaches the
-        row's boundary (inf where the ray never does), for an interior x
-        whose ``rows(x)`` gave r, t and the values v.
+    def step_bound(self, r, t, v, s):
+        """The smallest alpha > 0 at which x + alpha*s reaches the boundary
+        of some row (inf when the ray stays inside every row), for an
+        interior x whose ``rows(x)`` gave r, t and the values v.
 
         Along the ray a row's value is the scalar polynomial
         a*alpha^2 + 2*h*alpha + v (linear for a half-space). With v < 0 its
@@ -142,11 +170,15 @@ class ConeConstraint:
         denominator is negative anyway, so clipping it at zero against
         rounding changes no verdict.
         """
-        rs, ts = self._apply(s), self.c @ s
+        p = self._Ac @ s
+        rs, ts = p[:self._mk].reshape(self.b.shape), p[self._mk:]
         a = np.where(self.cone, _rowdot(rs, rs) - ts * ts, 0.0)
         h = np.where(self.cone, _rowdot(r, rs) - t * ts, -0.5 * ts)
         den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
-        return np.divide(-v, den, out=np.full_like(v, np.inf), where=den > 0.0)
+        # the roots in Python floats over the rows with a root: for a few
+        # dozen rows this beats a masked divide and a reduction
+        return min((-vi / di for vi, di in zip(v.tolist(), den.tolist())
+                    if di > 0.0), default=math.inf)
 
 
 @dataclass
@@ -183,43 +215,27 @@ class QuadraticObjective:
         return 2.0 * self.w.sum() * np.eye(self.c.size)
 
 
-def _newton_solve(H, g):
-    """y with (H + ridge*I) y = g, from a Cholesky factorization on Python
-    floats (the systems are 3x3 or 4x4, where numpy's per-call overhead
-    dominates LAPACK's arithmetic).
-
-    ridge is the first of 0, then 1e-12 * max(trace(H)/n, 1) * 10^j for
-    j = 0, 1, ..., at which every pivot comes out > 0 (a NaN pivot fails);
-    it keeps the step a descent direction when rounding leaves the
-    barrier Hessian singular or slightly indefinite.
-    """
+def _cholesky_solve(a, g, ridge):
+    """y with (a + ridge*I) y = g for a Python list-of-lists a, by a
+    Cholesky factorization L L^T and the solves L z = g, L^T y = z; None
+    when a pivot is not > 0 (a NaN pivot fails)."""
     n = len(g)
-    a = H.tolist()
-    floor = 1e-12 * max(sum(a[i][i] for i in range(n)) / n, 1.0)
-    ridge = 0.0
-    while True:
-        L = []
-        for i in range(n):
-            ai, li = a[i], []
-            for j in range(i):
-                lj, v = L[j], ai[j]
-                for k in range(j):
-                    v -= li[k] * lj[k]
-                li.append(v / lj[j])
-            v = ai[i] + ridge
-            for k in range(i):
-                v -= li[k] * li[k]
-            if not v > 0.0:
-                break
-            li.append(math.sqrt(v))
-            L.append(li)
-        else:
-            break
-        ridge = ridge * 10.0 if ridge else floor
-        if not ridge < math.inf:
-            raise SolverError("Newton system does not factor at any finite ridge")
-    # L z = g, then L^T y = z
-    z = g.tolist()
+    L = []
+    for i in range(n):
+        ai, li = a[i], []
+        for j in range(i):
+            lj, v = L[j], ai[j]
+            for k in range(j):
+                v -= li[k] * lj[k]
+            li.append(v / lj[j])
+        v = ai[i] + ridge
+        for k in range(i):
+            v -= li[k] * li[k]
+        if not v > 0.0:
+            return None
+        li.append(math.sqrt(v))
+        L.append(li)
+    z = list(g)
     for i in range(n):
         li = L[i]
         v = z[i]
@@ -231,7 +247,110 @@ def _newton_solve(H, g):
         for k in range(i + 1, n):
             v -= L[k][i] * z[k]
         z[i] = v / L[i][i]
-    return np.array(z)
+    return z
+
+
+def _cholesky_solve3(a, g, ridge):
+    """``_cholesky_solve`` for n = 3, written out: the same operations in
+    the same order, so the same bits."""
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    v = a00 + ridge
+    if not v > 0.0:
+        return None
+    l00 = math.sqrt(v)
+    l10 = a10 / l00
+    v = a11 + ridge
+    v -= l10 * l10
+    if not v > 0.0:
+        return None
+    l11 = math.sqrt(v)
+    l20 = a20 / l00
+    l21 = (a21 - l20 * l10) / l11
+    v = a22 + ridge
+    v -= l20 * l20
+    v -= l21 * l21
+    if not v > 0.0:
+        return None
+    l22 = math.sqrt(v)
+    g0, g1, g2 = g
+    z0 = g0 / l00
+    z1 = (g1 - l10 * z0) / l11
+    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+    y2 = z2 / l22
+    y1 = (z1 - l21 * y2) / l11
+    return [(z0 - l10 * y1 - l20 * y2) / l00, y1, y2]
+
+
+def _cholesky_solve4(a, g, ridge):
+    """``_cholesky_solve`` for n = 4, written out: the same operations in
+    the same order, so the same bits."""
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = a
+    v = a00 + ridge
+    if not v > 0.0:
+        return None
+    l00 = math.sqrt(v)
+    l10 = a10 / l00
+    v = a11 + ridge
+    v -= l10 * l10
+    if not v > 0.0:
+        return None
+    l11 = math.sqrt(v)
+    l20 = a20 / l00
+    l21 = (a21 - l20 * l10) / l11
+    v = a22 + ridge
+    v -= l20 * l20
+    v -= l21 * l21
+    if not v > 0.0:
+        return None
+    l22 = math.sqrt(v)
+    l30 = a30 / l00
+    l31 = (a31 - l30 * l10) / l11
+    l32 = (a32 - l30 * l20 - l31 * l21) / l22
+    v = a33 + ridge
+    v -= l30 * l30
+    v -= l31 * l31
+    v -= l32 * l32
+    if not v > 0.0:
+        return None
+    l33 = math.sqrt(v)
+    g0, g1, g2, g3 = g
+    z0 = g0 / l00
+    z1 = (g1 - l10 * z0) / l11
+    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    y3 = z3 / l33
+    y2 = (z2 - l32 * y3) / l22
+    y1 = (z1 - l21 * y2 - l31 * y3) / l11
+    return [(z0 - l10 * y1 - l20 * y2 - l30 * y3) / l00, y1, y2, y3]
+
+
+# the placement programs have 3 variables, their max-slack lifts 4
+_CHOLESKY_SOLVES = {3: _cholesky_solve3, 4: _cholesky_solve4}
+
+
+def _newton_solve(H, g):
+    """y with (H + ridge*I) y = g, from a Cholesky factorization on Python
+    floats (the systems are 3x3 or 4x4, where numpy's per-call overhead
+    dominates LAPACK's arithmetic; those two sizes run written-out
+    factorizations).
+
+    ridge is the first of 0, then 1e-12 * max(trace(H)/n, 1) * 10^j for
+    j = 0, 1, ..., at which every pivot comes out > 0 (a NaN pivot fails);
+    it keeps the step a descent direction when rounding leaves the
+    barrier Hessian singular or slightly indefinite.
+    """
+    a, g = H.tolist(), g.tolist()
+    n = len(g)
+    solve = _CHOLESKY_SOLVES.get(n, _cholesky_solve)
+    ridge = 0.0
+    while (y := solve(a, g, ridge)) is None:
+        if ridge:
+            ridge *= 10.0
+        else:
+            ridge = 1e-12 * max(sum(a[i][i] for i in range(n)) / n, 1.0)
+        if not ridge < math.inf:
+            raise SolverError("Newton system does not factor at any finite ridge")
+    return np.array(y)
 
 
 # barrier schedule: start weight, growth factor, Newton steps per centring
@@ -276,8 +395,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     starts from x0 at ``_T0`` as without ``_warm``.
     """
     m = cons.A.shape[0]
-    if m == 0:
-        raise SolverError("unconstrained maximization is unbounded here")
     theta = m + int(cons.cone.sum())
     t_warm = _T0 * _T_FACTOR
     t, x = _T0, None
@@ -293,38 +410,54 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
                 f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
     n = x.size
+    # a linear objective has a constant gradient and a zero Hessian, whose
+    # -0.0 entries add nothing to the barrier Hessian
+    linear = not objective.w.size
     obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
     row_hess = cons.hess.reshape(m, n * n)
     fx = objective.value(x)
+    logs = float(np.log(-vals).sum())
     newton_steps = 0
     stopped_below = False
     warm = None
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
-        # r = A x - b, u = c.x + d, the row values and the objective value
-        # at x are those of the trial point accepted last
+        # r = A x - b, u = c.x + d, the row values, their log-sum and the
+        # objective value at x are those of the trial point accepted last
         centred = False
+        if linear:
+            obj_grad = -t * objective.c
+        else:
+            obj_hess_t = -t * obj_hess
         for _ in range(_MAX_NEWTON):
             inv = -1.0 / vals
             gci = cons.grad(r, u) * inv[:, None]
-            grad = -t * objective.grad(x) + gci.sum(axis=0)
-            H = -t * obj_hess + gci.T @ gci + (inv @ row_hess).reshape(n, n)
-            step = -_newton_solve(H, grad)
-            decrement = float(-grad @ step)
-            phi0 = -t * fx - float(np.log(-vals).sum())
+            if linear:
+                grad = obj_grad + gci.sum(axis=0)
+                H = gci.T @ gci + (inv @ row_hess).reshape(n, n)
+            else:
+                grad = -t * objective.grad(x) + gci.sum(axis=0)
+                H = obj_hess_t + gci.T @ gci + (inv @ row_hess).reshape(n, n)
+            # the Newton step is -y, its decrement grad.y and the Armijo
+            # slope -grad.y
+            y = _newton_solve(H, grad)
+            step = -y
+            decrement = float(grad @ y)
+            phi0 = -t * fx - logs
             fuzz = 1e-11 * (1.0 + abs(phi0))
             if decrement <= 2.0 * fuzz:
                 centred = True
                 break
-            slope = float(grad @ step)
-            alpha = min(1.0, 0.99 * float(cons.max_step(r, u, vals, step).min()))
+            slope = -decrement
+            alpha = min(1.0, 0.99 * cons.step_bound(r, u, vals, step))
             accepted = False
             for _ls in range(70):
                 xn = x + alpha * step
                 rn, un, valsn, inside = cons.rows(xn)
                 if inside:
                     fn = objective.value(xn)
-                    phin = -t * fn - float(np.log(-valsn).sum())
+                    logsn = float(np.log(-valsn).sum())
+                    phin = -t * fn - logsn
                     # the fuzz term absorbs cancellation noise in t*objective
                     # when the combined objective is itself a near-zero
                     # difference of large terms (Dinkelbach residuals)
@@ -337,7 +470,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
                     raise LineSearchError(
                         f"no acceptable step with decrement {decrement:.3e}")
                 break  # progress is below floating-point resolution at this t
-            x, r, u, vals, fx = xn, rn, un, valsn, fn
+            x, r, u, vals, fx, logs = xn, rn, un, valsn, fn, logsn
             newton_steps += 1
             if phin - phi0 > 0.25 * alpha * slope:
                 # accepted only through the fuzz term: the centring has

@@ -8,6 +8,7 @@ the library's own DEP formulas, series and samplers are checked against
 an independent path.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -92,6 +93,15 @@ def radiometer_errors(tau, sig, jam, sigma_w2):
         return np.clip((tau - lo) / jam, 0.0, 1.0)
 
     return 1.0 - uniform_cdf(sigma_w2), uniform_cdf(sigma_w2 + sig)
+
+
+def benchmark_corpus(n, varpis):
+    """The benchmark's seeded scenario corpus, read from its generator."""
+    path = REPO_ROOT / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.base_corpus(n, varpis)
 
 
 def default_scenario_dict(varpi=0.1, seed=12) -> dict:

@@ -369,9 +369,13 @@ def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
     ("sweep", "--grid", "1,-inf", "not a finite number: '-inf'"),
     ("sweep", "--grid", "-inf", "not a finite number: '-inf'"),
     ("sweep", "--grid", ",", "empty grid"),
+    ("dep-sweep", "--eps", "-0.1,0.2", r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("dep-sweep", "--e", "-0.1", r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("sweep", "--gr", "-inf,1", "not a finite number: '-inf'"),
 ], ids=["eps-0.7", "eps-0.5", "eps-0", "eps-abc", "eps-inf", "eps-empty",
         "eps-negative", "sweep-abc", "sweep-inf", "sweep-minus-inf",
-        "sweep-empty"])
+        "sweep-empty", "eps-abbreviated-negative", "e-negative",
+        "gr-minus-inf"])
 def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
                                      flag, grid, why):
     out = tmp_path / "out"
@@ -379,19 +383,25 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
     if command == "sweep":
         argv += ["--param", "eps"]
     assert main(argv) == 1
-    assert re.search(f"argument {flag}: {why}", capsys.readouterr().err)
+    # argparse names the option by its full name
+    name = "--eps-grid" if command == "dep-sweep" else "--grid"
+    assert re.search(f"argument {name}: {why}", capsys.readouterr().err)
     assert not out.exists()
 
 
 def test_a_grid_may_start_with_a_minus_sign(tmp_path, default_path):
-    # the spaced form reads the grid as the "=" form does: a failed row
-    # for Pa_max = -1 and a plan for 2
-    for out, grid in ((tmp_path / "spaced", ["--grid", "-1,2"]),
-                      (tmp_path / "joined", ["--grid=-1,2"])):
+    # the spaced form, also with the option abbreviated as argparse
+    # allows, reads the grid as the "=" form does: a failed row for
+    # Pa_max = -1 and a plan for 2
+    forms = {"spaced": ["--grid", "-1,2"], "joined": ["--grid=-1,2"],
+             "g": ["--g", "-1,2"], "gr": ["--gr", "-1,2"],
+             "gri": ["--gri", "-1,2"], "gr-joined": ["--gr=-1,2"]}
+    for name, grid in forms.items():
         assert main(["sweep", "--scenario", default_path, "--param", "Pa_max",
-                     *grid, "--out", str(out)]) == 0
+                     *grid, "--out", str(tmp_path / name)]) == 0
     spaced = (tmp_path / "spaced" / "sweep.csv").read_bytes()
-    assert spaced == (tmp_path / "joined" / "sweep.csv").read_bytes()
+    for name in forms:
+        assert (tmp_path / name / "sweep.csv").read_bytes() == spaced
     _, rows = read_csv_rows(tmp_path / "spaced" / "sweep.csv")
     assert [float(r[1]) for r in rows] == [-1.0, 2.0]
     assert math.isnan(float(rows[0][2])) and math.isfinite(float(rows[1][2]))

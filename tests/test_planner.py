@@ -1,14 +1,13 @@
 """Placement/power optimizers, residual audit, Monte Carlo validation."""
 
 import dataclasses
-import importlib.util
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import REPO_ROOT, default_scenario_dict
+from conftest import benchmark_corpus, default_scenario_dict
 from skycloak import planner, solvers
 from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
                               uav_gain)
@@ -585,15 +584,6 @@ def cold_plan(monkeypatch, s):
         m.setattr(planner, "placement_subproblem", cold_placement_subproblem)
         m.setattr(planner, "dinkelbach", cold_dinkelbach)
         return _run_planner(s)[0]
-
-
-def benchmark_corpus(n, varpis):
-    """The benchmark's seeded scenario corpus, read from its generator."""
-    path = REPO_ROOT / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return corpus.base_corpus(n, varpis)
 
 
 # BCD scenarios with the most SCA rounds of the 24-scenario corpus, and

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skycloak import solvers
+from conftest import benchmark_corpus
+from skycloak import planner, solvers
+from skycloak.cli import _run_planner
+from skycloak.scenario_io import load_scenario
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
-                              InfeasibleStartError, QuadraticObjective,
-                              SolverError, _barrier_maximize, _newton_solve,
-                              dinkelbach, max_slack_point)
+                              InfeasibleStartError, LineSearchError,
+                              QuadraticObjective, SolverError,
+                              _barrier_maximize, _newton_solve, dinkelbach,
+                              max_slack_point)
 
 
 def ball(center, radius):
@@ -46,10 +50,10 @@ def inside(cons, x):
     return cons.rows(x)[3]
 
 
-def exit_steps(cons, x, s):
-    """Per-row closed-form exit steps of the ray x + alpha*s."""
+def exit_step(cons, x, s):
+    """Closed-form exit step of the ray x + alpha*s from the stack."""
     r, t, v, _ = cons.rows(x)
-    return cons.max_step(r, t, v, np.asarray(s, dtype=float))
+    return cons.step_bound(r, t, v, np.asarray(s, dtype=float))
 
 
 def brute_exit(cons, x, s, far=1e9):
@@ -83,16 +87,17 @@ def random_row(rng, n, kind):
 
 
 def assert_exit_steps(cons, x, s):
-    got = exit_steps(cons, x, s)
-    for i in range(len(got)):
+    """The stack's step bound and each row's, alone, match bisection."""
+    for i in range(cons.A.shape[0]):
         row = ConeConstraint(cons.A[i:i + 1], cons.b[i:i + 1],
                              cons.c[i:i + 1], cons.d[i:i + 1])
-        want = brute_exit(row, x, s)
+        got, want = exit_step(row, x, s), brute_exit(row, x, s)
         if np.isinf(want):
-            assert got[i] > 1e9
+            assert got > 1e9
         else:
-            assert got[i] == pytest.approx(want, rel=1e-8)
-    assert got.min() == pytest.approx(brute_exit(cons, x, s), rel=1e-8)
+            assert got == pytest.approx(want, rel=1e-8)
+    assert exit_step(cons, x, s) == pytest.approx(brute_exit(cons, x, s),
+                                                  rel=1e-8)
 
 
 def test_max_step_matches_bisection_on_interior():
@@ -127,11 +132,14 @@ def test_max_step_is_inf_on_rays_that_stay_inside():
                   np.array([0.0, 0.0, 1.0]), 0.0))
     x = np.array([0.1, -0.2, 1.0])
     for s in ([0.0, 0.0, 1.0], [0.3, 0.0, 1.0], [0.0, 0.0, 0.0]):
-        assert exit_steps(cone, x, s)[0] == np.inf
+        assert exit_step(cone, x, s) == np.inf
     half = stack(halfspace([1.0, 2.0], 3.0))
     for s in ([-1.0, 0.0], [2.0, -1.0], [0.0, -5.0]):
-        assert exit_steps(half, np.zeros(2), s)[0] == np.inf
-    assert exit_steps(half, np.zeros(2), [1.0, 0.0])[0] == 3.0
+        assert exit_step(half, np.zeros(2), s) == np.inf
+    assert exit_step(half, np.zeros(2), [1.0, 0.0]) == 3.0
+    # the stack's bound is its first row exit along the ray
+    both = stack(halfspace([1.0, 0.0], 3.0), halfspace([1.0, 1.0], 2.0))
+    assert exit_step(both, np.zeros(2), [1.0, 0.0]) == 2.0
 
 
 def reference_grads(cons, x):
@@ -158,6 +166,22 @@ def test_row_gradients_match_the_per_row_formula():
             got = c.grad(*c.rows(x)[:2])
             assert_allclose(got, reference_grads(c, x), rtol=1e-12,
                             atol=1e-12 * np.abs(got).max())
+
+
+def test_half_space_row_with_nonzero_b_is_rejected():
+    # x0 >= 0 as a half-space row (A_i = 0) carries no b_i: with
+    # b_i = (5, 0) the point (1, 0) would read value -1 yet not interior
+    ball2 = ball(np.zeros(2), 2.0)
+    with pytest.raises(ValueError, match=r"row 1: a half-space row .* b_i = 0"):
+        stack(ball2, (np.zeros((2, 2)), [5.0, 0.0], [1.0, 0.0], 0.0))
+    cons = stack(ball2, (np.zeros((2, 2)), [0.0, 0.0], [1.0, 0.0], 0.0))
+    x = np.array([1.0, 0.0])
+    _, _, vals, interior = cons.rows(x)
+    assert vals[1] == -1.0 and interior
+    assert cons.margin(x)[1] == 1.0
+    with pytest.raises(ValueError, match="at least one row"):
+        ConeConstraint(np.zeros((0, 2, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
+                       np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -510,3 +534,312 @@ def test_dinkelbach_scale_invariance():
         assert res.converged
         lam.append(res.lam)
     assert lam[0] == pytest.approx(lam[1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its reference: the row formulas and the barrier loop
+# written one numpy call per quantity, with phi and the slope recomputed
+# every step; the stacked kernel must reproduce them bit for bit
+
+
+def _ref_rowdot(p, q):
+    return np.matmul(p[:, None, :], q[:, :, None]).ravel()
+
+
+class ReferenceRows:
+    """A stack's row formulas from its A, b, c, d, one product per part."""
+
+    def __init__(self, cons):
+        m, k, n = cons.A.shape
+        self.b, self.c, self.d, self.cone = cons.b, cons.c, cons.d, cons.cone
+        self.A_flat = cons.A.reshape(m * k, n)
+        self.A_T = np.ascontiguousarray(cons.A.transpose(0, 2, 1))
+        self.hess = 2.0 * self.cone[:, None, None] * (
+            np.einsum("mki,mkj->mij", cons.A, cons.A)
+            - np.einsum("mi,mj->mij", self.c, self.c))
+
+    def rows(self, x):
+        r = (self.A_flat @ x).reshape(self.b.shape) - self.b
+        t = self.c @ x + self.d
+        rr = _ref_rowdot(r, r)
+        vals = np.where(self.cone, rr - t * t, -t)
+        return r, t, vals, bool(np.all((t > 0.0) & (rr < t * t)))
+
+    def grad(self, r, t):
+        g = 2.0 * (np.matmul(self.A_T, r[:, :, None])[:, :, 0]
+                   - t[:, None] * self.c)
+        return np.where(self.cone[:, None], g, -self.c)
+
+    def margin(self, x):
+        r, t, _, _ = self.rows(x)
+        return t - np.sqrt(_ref_rowdot(r, r))
+
+    def max_step(self, r, t, v, s):
+        """Per row, the exit step of the ray x + alpha*s (inf where the
+        ray never leaves the row)."""
+        rs, ts = (self.A_flat @ s).reshape(self.b.shape), self.c @ s
+        a = np.where(self.cone, _ref_rowdot(rs, rs) - ts * ts, 0.0)
+        h = np.where(self.cone, _ref_rowdot(r, rs) - t * ts, -0.5 * ts)
+        den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
+        return np.divide(-v, den, out=np.full_like(v, np.inf),
+                         where=den > 0.0)
+
+
+def reference_newton_solve(H, g):
+    """The Newton solve through the loop-form Cholesky for every n."""
+    n = len(g)
+    a = H.tolist()
+    floor = 1e-12 * max(sum(a[i][i] for i in range(n)) / n, 1.0)
+    ridge = 0.0
+    while (y := solvers._cholesky_solve(a, g.tolist(), ridge)) is None:
+        ridge = ridge * 10.0 if ridge else floor
+        if not ridge < math.inf:
+            raise SolverError("Newton system does not factor at any finite ridge")
+    return np.array(y)
+
+
+def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
+                               _stop_below=-math.inf, _stop_above=math.inf,
+                               _warm=None):
+    """``_barrier_maximize`` over ``ReferenceRows``."""
+    ref = ReferenceRows(cons)
+    m = cons.A.shape[0]
+    theta = m + int(ref.cone.sum())
+    t_warm = solvers._T0 * solvers._T_FACTOR
+    t, x = solvers._T0, None
+    if _warm is not None:
+        r, u, vals, inside = ref.rows(_warm)
+        if inside:
+            t, x = t_warm, np.array(_warm, dtype=float)
+    if x is None:
+        x = np.asarray(x0, dtype=float).copy()
+        r, u, vals, inside = ref.rows(x)
+        if not inside:
+            raise InfeasibleStartError(
+                f"x0 not strictly feasible (worst margin {ref.margin(x).min():.3e})")
+    n = x.size
+    obj_hess = objective.hess(x)
+    row_hess = ref.hess.reshape(m, n * n)
+    fx = objective.value(x)
+    newton_steps = 0
+    stopped_below = False
+    warm = None
+    while True:
+        centred = False
+        for _ in range(solvers._MAX_NEWTON):
+            inv = -1.0 / vals
+            gci = ref.grad(r, u) * inv[:, None]
+            grad = -t * objective.grad(x) + gci.sum(axis=0)
+            H = -t * obj_hess + gci.T @ gci + (inv @ row_hess).reshape(n, n)
+            step = -reference_newton_solve(H, grad)
+            decrement = float(-grad @ step)
+            phi0 = -t * fx - float(np.log(-vals).sum())
+            fuzz = 1e-11 * (1.0 + abs(phi0))
+            if decrement <= 2.0 * fuzz:
+                centred = True
+                break
+            slope = float(grad @ step)
+            alpha = min(1.0, 0.99 * float(ref.max_step(r, u, vals, step).min()))
+            accepted = False
+            for _ls in range(70):
+                xn = x + alpha * step
+                rn, un, valsn, inside = ref.rows(xn)
+                if inside:
+                    fn = objective.value(xn)
+                    phin = -t * fn - float(np.log(-valsn).sum())
+                    if phin <= phi0 + 0.25 * alpha * slope + fuzz:
+                        accepted = True
+                        break
+                alpha *= 0.5
+            if not accepted:
+                if decrement > 1e-2 * (1.0 + abs(phi0)):
+                    raise LineSearchError(
+                        f"no acceptable step with decrement {decrement:.3e}")
+                break
+            x, r, u, vals, fx = xn, rn, un, valsn, fn
+            newton_steps += 1
+            if phin - phi0 > 0.25 * alpha * slope:
+                break
+        if t == t_warm and centred:
+            warm = x
+        if centred and fx + theta / t < _stop_below:
+            stopped_below = True
+            break
+        if centred and fx > _stop_above:
+            break
+        if m / t < tol:
+            break
+        t *= solvers._T_FACTOR
+    lam = 1.0 / (t * -vals)
+    stat = objective.grad(x) - lam @ ref.grad(r, u)
+    return x, {"t": t, "newton_steps": newton_steps, "duals": lam,
+               "kkt_residual": float(np.linalg.norm(stat, np.inf)),
+               "gap_bound": theta / t, "stopped_below": stopped_below,
+               "warm": warm}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_stacks(rng, count, lift=0.5):
+    """Random bounded stacks (a ball and 1-5 cone, ball or half-space rows)
+    in R^2..R^4, each with a point strictly inside every row, lifted to
+    (x, slack) with probability ``lift``. Every stack has at least two rows: the
+    planner's have at least three, and for one row numpy computes c.x
+    by its dot kernel, which need not round as the stacked product."""
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        kinds = ["ball"] + [("cone", "ball", "halfspace")[j]
+                            for j in rng.integers(0, 3, size=int(rng.integers(1, 6)))]
+        rows, xs = zip(*(random_row(rng, n, kind) for kind in kinds))
+        cons, x = stack(*rows), xs[0]
+        cons = ConeConstraint(cons.A, cons.b, cons.c, cons.d + rng.uniform(0.1, 1.0)
+                              + np.maximum(0.0, -cons.margin(x)))
+        if rng.random() < lift:
+            x = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
+            cons = cons.lifted()
+        assert inside(cons, x)
+        yield cons, x
+
+
+def probe_points(rng, cons, x):
+    """x, points at and just inside a row boundary, outside points, and
+    points that overflow or are not finite."""
+    n = x.size
+    s = rng.normal(size=n)
+    out = [x, x + 1e3 * s, x * 1e160, -x * 1e200]
+    e = brute_exit(cons, x, s)
+    if np.isfinite(e):
+        out += [x + e * s, x + math.nextafter(e, 0.0) * s, x + 0.5 * e * s]
+    for bad in (math.nan, math.inf, -math.inf):
+        z = x.copy()
+        z[int(rng.integers(n))] = bad
+        out.append(z)
+    return out
+
+
+def test_rows_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    verdicts = {True: 0, False: 0}
+    for cons, x in random_stacks(rng, 150):
+        ref = ReferenceRows(cons)
+        for z in probe_points(rng, cons, x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = cons.rows(z), ref.rows(z)
+                assert same_bits(cons.margin(z), ref.margin(z))
+                if np.all(np.isfinite(z)):
+                    assert same_bits(cons.grad(*got[:2]), ref.grad(*want[:2]))
+            assert all(same_bits(g, w) for g, w in zip(got[:3], want[:3]))
+            assert got[3] is want[3]
+            verdicts[got[3]] += 1
+    assert min(verdicts.values()) >= 150
+
+
+def test_step_bound_is_the_minimum_of_the_reference_exit_steps():
+    rng = np.random.default_rng(32)
+    for cons, x in random_stacks(rng, 150):
+        r, t, v, _ = cons.rows(x)
+        for scale in (1e-3, 1.0, 1e3):
+            s = scale * rng.normal(size=x.size)
+            want = ReferenceRows(cons).max_step(r, t, v, s).min()
+            assert same_bits(cons.step_bound(r, t, v, s), want)
+    # a ray that stays inside every row
+    cons = stack(halfspace([1.0, 0.0], 3.0), halfspace([0.0, 1.0], 2.0))
+    r, t, v, _ = cons.rows(np.zeros(2))
+    assert cons.step_bound(r, t, v, np.array([-1.0, -2.0])) == math.inf
+
+
+def test_written_out_cholesky_solves_match_the_loop():
+    rng = np.random.default_rng(33)
+    for n, solve in solvers._CHOLESKY_SOLVES.items():
+        for trial in range(300):
+            M = rng.normal(size=(n, n))
+            H = M @ M.T + rng.uniform(0.0, 1e-3) * np.eye(n)
+            if trial % 3 == 1:  # singular: a zero row and column
+                j = int(rng.integers(n))
+                H[j], H[:, j] = 0.0, 0.0
+            elif trial % 3 == 2:  # indefinite
+                H[int(rng.integers(n))] *= -1.0
+                H = 0.5 * (H + H.T)
+            a, g = H.tolist(), rng.normal(size=n).tolist()
+            for ridge in (0.0, 1e-12, 1e-3, 10.0):
+                assert solve(a, g, ridge) == solvers._cholesky_solve(a, g, ridge)
+            assert same_bits(_newton_solve(H, np.array(g)),
+                             reference_newton_solve(H, np.array(g)))
+        nan = np.full((n, n), math.nan)
+        assert solve(nan.tolist(), [1.0] * n, 0.0) is None
+
+
+def barrier_programs(rng):
+    """(objective, stack, x0) for linear and concave quadratic objectives
+    over random bounded stacks (a lifted stack leaves the slack unbounded
+    below)."""
+    for cons, x in random_stacks(rng, 20, lift=0.0):
+        n = x.size
+        yield QuadraticObjective(rng.normal(size=n)), cons, x
+        yield (QuadraticObjective(rng.normal(size=n), rng.normal(),
+                                  w=-rng.uniform(0.1, 2.0, size=2),
+                                  u=rng.normal(size=(2, n))), cons, x)
+
+
+def assert_same_solve(got, want):
+    assert same_bits(got[0], want[0])
+    gi, wi = got[1], want[1]
+    assert gi.keys() == wi.keys()
+    for key in gi:
+        if key == "warm" and wi[key] is None:
+            assert gi[key] is None
+        else:
+            assert same_bits(gi[key], wi[key]), key
+
+
+def test_barrier_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for objective, cons, x in barrier_programs(rng):
+        for kwargs in ({}, {"tol": 1e-10}, {"_stop_above": 0.0},
+                       {"_stop_below": 0.0}):
+            want = reference_barrier_maximize(objective, cons, x, **kwargs)
+            assert_same_solve(_barrier_maximize(objective, cons, x, **kwargs),
+                              want)
+        if want[1]["warm"] is not None:
+            kw = {"_warm": want[1]["warm"]}
+            other = QuadraticObjective(objective.c + 0.1 * rng.normal(size=x.size))
+            assert_same_solve(_barrier_maximize(other, cons, x, **kw),
+                              reference_barrier_maximize(other, cons, x, **kw))
+
+
+def plan_and_steps(monkeypatch, s, barrier):
+    """``_run_planner(s)`` with every barrier solve made by ``barrier``,
+    and the solves' total Newton steps."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        x, info = barrier(*args, **kwargs)
+        steps.append(info["newton_steps"])
+        return x, info
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_barrier_maximize", counted)
+        mp.setattr(planner, "_barrier_maximize", counted)
+        sol, iterations = _run_planner(s)
+    return sol, iterations, sum(steps)
+
+
+# BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
+# varpi = 0 scenarios that run 2 or 3 Dinkelbach rounds
+@pytest.mark.parametrize("varpis, base", [
+    pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}") for base in (2, 9, 15)
+] + [pytest.param((0.0,), base, id=f"cancel-{base}") for base in (3, 35, 80)])
+def test_corpus_plans_match_the_reference_barrier(monkeypatch, varpis, base):
+    s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
+    got = plan_and_steps(monkeypatch, s, _barrier_maximize)
+    want = plan_and_steps(monkeypatch, s, reference_barrier_maximize)
+    (sol, iterations, steps), (ref, ref_iterations, ref_steps) = got, want
+    assert (sol.status, sol.message, iterations, steps) == \
+        (ref.status, ref.message, ref_iterations, ref_steps)
+    assert same_bits(sol.trace, ref.trace) and same_bits(sol.Rb, ref.Rb)
+    assert same_bits(sol.placement.lifted, ref.placement.lifted)
+    for field in ("Pk", "Pj_hat", "Pa"):
+        assert same_bits(getattr(sol.powers, field), getattr(ref.powers, field))
