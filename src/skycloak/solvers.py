@@ -27,9 +27,9 @@ and transparent. The power step needs no solver; its optimum is explicit
 
 The programs are small (a few dozen rows of k = 3, and n <= 4
 variables), so a Newton step costs numpy's per-call overhead more than
-arithmetic. The kernel keeps the calls few, with the same bits in every
-result as one call per quantity gives on a stack of two or more rows
-(numpy forms a one-row c.x by its dot kernel, which may round apart): the
+arithmetic. The kernel makes few calls, and on a stack of two or more
+rows gives the same bits as forming each quantity by a call of its own
+(for one row numpy forms c.x by its dot kernel, which may round apart): the
 stack holds [A; c] as one matrix, so a point's row parts come from one
 product; the interior verdict is read off the row values already formed;
 the step bound is one minimum taken in Python over the rows the ray
