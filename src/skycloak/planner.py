@@ -550,12 +550,19 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
                       rng: np.random.Generator | None = None) -> ValidationReport:
     """Monte Carlo validation of a feasible solution.
 
-    Draws satellite fading realizations to estimate (a) the warden's
-    fading-averaged minimum detection error under the solution's powers and
-    placement, and (b) Bob's mean rate with the jamming power drawn uniform
-    on [0, Pj_hat] per slot. The covertness verdict requires the estimate
-    to clear 1 - eps minus two standard errors, so at least 2 trials are
-    needed.
+    Each trial draws one satellite fading sample X from the squared-SR law
+    and uses it for two estimates: (a) the warden's fading-averaged minimum
+    detection error under the solution's powers and placement, and (b)
+    Bob's mean rate with the jamming power drawn uniform on [0, Pj_hat] per
+    slot. The two are separate expectations over the same law of X and are
+    never combined, so sharing the draws leaves each estimate's law and
+    standard error exactly as with independent draws; the two estimates
+    are merely correlated. The physical links to the warden and to Bob fade
+    independently, so a statistic that combines both per trial (a joint
+    event, a covariance) would need independent draws for each link.
+
+    The covertness verdict requires the detection-error estimate to clear
+    1 - eps minus two standard errors, so at least 2 trials are needed.
     """
     if sol.placement is None or sol.powers is None:
         raise ValueError("cannot validate an infeasible solution")
@@ -567,16 +574,13 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
     g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
 
-    fade_w = sample_sr_power(s.sr, rng, trials)
-    sig = pw.Pa * s.sat.ell * fade_w
+    sig = pw.Pa * s.sat.ell * sample_sr_power(s.sr, rng, trials)
     xi = min_dep(sig, pw.Pj_hat * g_uw)
     xi_mc = float(xi.mean())
     xi_se = float(xi.std(ddof=1) / math.sqrt(trials))
 
-    fade_b = sample_sr_power(s.sr, rng, trials)
     pj = rng.uniform(0.0, pw.Pj_hat, trials)
-    rate = np.log2(1.0 + pw.Pa * s.sat.ell * fade_b
-                   / (s.varpi * pj * g_ub + s.sigma_b2))
+    rate = np.log2(1.0 + sig / (s.varpi * pj * g_ub + s.sigma_b2))
     rate_mc = float(rate.mean())
     rate_se = float(rate.std(ddof=1) / math.sqrt(trials))
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import benchmark_corpus, default_scenario_dict
 from skycloak import planner, solvers
 from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
-                              uav_gain)
+                              sample_sr_power, uav_gain)
 from skycloak.cli import _run_planner
 from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
@@ -357,6 +357,39 @@ def test_perfect_cancellation_stops_at_the_satellite_cap(perfect_scenario,
     assert sol.powers.Pa == s.Pa_max
     assert sol.Rb == 7.8492332732661625
     assert constraint_residuals(s, sol.placement, sol.powers)["covert"] <= 0.0
+
+
+# each relaxing step grows the feasible set, so the planned rate may not
+# fall; lower R_tg and H_min relax the UE floors and the altitude band
+RELAXING_STEPS = {
+    "P_tot": (1.05, 1.1, 1.2, 1.4),
+    "Pa_max": (1.1, 1.25, 1.5, 2.0),
+    "eps": (1.1, 1.25, 1.5, 2.0),
+    "H_max": (1.02, 1.05, 1.1, 1.2),
+    "R_tg": (0.95, 0.9, 0.8, 0.6),
+    "H_min": (0.95, 0.9, 0.8, 0.6),
+}
+
+
+# plan-cancel corpus scenarios below the satellite cap (3, 35, 40, 80, and
+# 85 with no UE) and capped (9)
+@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
+@pytest.mark.parametrize("base", [3, 9, 35, 40, 80, 85])
+def test_perfect_cancellation_rate_never_falls_when_a_constraint_relaxes(base):
+    s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
+    start = perfect_cancellation_optimize(s)
+    assert start.status == "converged"
+    for name, factors in RELAXING_STEPS.items():
+        prev = start
+        for f in factors:
+            value = getattr(s, name) * f
+            if name == "eps":
+                value = min(value, 0.49)
+            sol = perfect_cancellation_optimize(
+                dataclasses.replace(s, **{name: value}))
+            assert sol.status != "infeasible", (name, f, sol.message)
+            assert sol.Rb >= prev.Rb * (1.0 - 1e-9), (name, f, prev.Rb, sol.Rb)
+            prev = sol
 
 
 def near_singular_scenario():
@@ -786,6 +819,69 @@ def test_validate_rate_band_perfect_cancellation(perfect_scenario,
     gap = rep.rb_deterministic - rep.rate_mc
     assert abs(gap - jensen) <= 0.3 * jensen + 3.0 * rep.rate_stderr
     assert rep.covert_pass
+
+
+def stock_plan(request, name):
+    if name == "default":
+        return (request.getfixturevalue("default_scenario"),
+                request.getfixturevalue("bcd_solution"))
+    return (request.getfixturevalue("perfect_scenario"),
+            request.getfixturevalue("pc_solution"))
+
+
+@pytest.mark.parametrize("seed", [0, 9, [2, 12]])
+@pytest.mark.parametrize("name", ["default", "default_perfect"])
+def test_validate_detection_error_matches_a_first_draw_reference(request, name,
+                                                                 seed):
+    # the warden's estimate is made from the first fading fill of the
+    # generator, so it is the same number whatever Bob's estimate draws
+    s, sol = stock_plan(request, name)
+    trials = 10_000
+    rep = validate_solution(s, sol, trials=trials,
+                            rng=np.random.default_rng(seed))
+    x = sample_sr_power(s.sr, np.random.default_rng(seed), trials)
+    pw = sol.powers
+    g_uw = uav_gain(sol.placement, s.willie, s.budget.beta0_chi)
+    xi = np.maximum(0.0, 1.0 - pw.Pa * s.sat.ell * x / (pw.Pj_hat * g_uw))
+    xi_mc = float(xi.mean())
+    xi_se = float(xi.std(ddof=1) / math.sqrt(trials))
+    assert rep.xi_mc == xi_mc
+    assert rep.xi_stderr == xi_se
+    assert rep.covert_pass == (xi_mc >= 1.0 - s.eps - 2.0 * xi_se)
+
+
+def test_validate_draws_the_fading_once(monkeypatch, default_scenario,
+                                        bcd_solution):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_sr_power(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "sample_sr_power", counting)
+    validate_solution(default_scenario, bcd_solution, trials=1000,
+                      rng=np.random.default_rng(4))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["default", "default_perfect"])
+def test_validate_rate_agrees_with_independent_fading(request, name):
+    # Bob's estimate reuses the warden's fading draws; one made from
+    # fading drawn apart estimates the same mean
+    s, sol = stock_plan(request, name)
+    trials = 40_000
+    rep = validate_solution(s, sol, trials=trials,
+                            rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    pw = sol.powers
+    g_ub = uav_gain(sol.placement, s.bob, s.budget.beta0_chi)
+    x = sample_sr_power(s.sr, rng, trials)
+    pj = rng.uniform(0.0, pw.Pj_hat, trials)
+    rate = np.log2(1.0 + pw.Pa * s.sat.ell * x
+                   / (s.varpi * pj * g_ub + s.sigma_b2))
+    se = float(rate.std(ddof=1) / math.sqrt(trials))
+    assert abs(rep.rate_mc - float(rate.mean())) \
+        <= 4.0 * math.hypot(rep.rate_stderr, se)
 
 
 def test_validate_rejects_infeasible(default_scenario):
