@@ -98,14 +98,15 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_json(path: Path, data: dict) -> None:
+    """Write plain data, as ``_jsonable`` returns it, in one call."""
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _append_record(outdir: Path, command: str, loaded, outputs: dict,
                    wall_time: float) -> None:
+    """Append the run's record; ``outputs`` is plain data, as
+    ``_jsonable`` returns it."""
     record = {
         "run_id": uuid.uuid4().hex,
         "scenario_hash": loaded.hash,
@@ -115,7 +116,7 @@ def _append_record(outdir: Path, command: str, loaded, outputs: dict,
         "outputs": outputs,
     }
     with open(outdir / "records.jsonl", "a") as f:
-        f.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+        f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _solution_dict(sol: Solution, iterations: int) -> dict:
@@ -215,7 +216,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
                       "mc_mean", "mc_stderr"), rows)
     _append_record(outdir, "dep-sweep", loaded,
                    {"files": [path.name], "trials": args.trials,
-                    "rows": [list(r) for r in rows]},
+                    "rows": _jsonable(rows)},
                    time.perf_counter() - t0)
     print(f"dep-sweep: wrote {len(rows)} rows -> {path}")
     return EXIT_OK
@@ -225,7 +226,7 @@ def cmd_optimize(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
     sol, iterations = _run_planner(loaded.scenario)
-    payload = _solution_dict(sol, iterations)
+    payload = _jsonable(_solution_dict(sol, iterations))
     path = outdir / "solution.json"
     _write_json(path, payload)
     _append_record(outdir, "optimize", loaded,
@@ -257,7 +258,7 @@ def cmd_validate(args, outdir: Path) -> int:
     rng = np.random.default_rng([2, loaded.seed])
     report = validate_solution(loaded.scenario, sol, trials=args.trials,
                                rng=rng)
-    payload = dataclasses.asdict(report)
+    payload = _jsonable(dataclasses.asdict(report))
     path = outdir / "report.json"
     _write_json(path, payload)
     _append_record(outdir, "validate", loaded,
@@ -297,7 +298,7 @@ def cmd_sweep(args, outdir: Path) -> int:
                rows)
     _append_record(outdir, "sweep", loaded,
                    {"files": [path.name], "param": args.param,
-                    "rows": [list(r) for r in rows]},
+                    "rows": _jsonable(rows)},
                    time.perf_counter() - t0)
     print(f"sweep: wrote {len(rows)} rows -> {path}")
     return EXIT_OK

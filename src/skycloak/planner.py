@@ -95,10 +95,16 @@ class Scenario:
     Positions are ground-plane coordinates in meters; ``willie`` is the
     warden. ``varpi`` is the fraction of the jamming power Bob cannot
     cancel.
+
+    ``kappa`` is the covertness cap coefficient, m^2: Pa <= kappa *
+    Pj_hat / D_w with D_w the squared 3D UAV-warden distance. Like
+    ``gamma`` it is derived once, at construction, so a copy made by
+    ``dataclasses.replace`` derives it afresh.
     """
 
     sr: SRParams
     gamma: GammaApprox = field(init=False)
+    kappa: float = field(init=False)
     sat: SatelliteLink
     budget: UavLinkBudget
     bob: np.ndarray
@@ -123,11 +129,14 @@ class Scenario:
         object.__setattr__(self, "willie", np.asarray(self.willie, dtype=float).reshape(2))
         ues = np.asarray(self.ues, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "ues", ues)
-        for name in ("bob", "willie", "ues", "sigma_kappa2", "sigma_b2",
-                     "sigma_w2", "varpi", "eps", "P_tot", "Pa_max", "H_min",
-                     "H_max", "R_tg", "delta"):
+        for name in ("bob", "willie", "ues"):
             v = getattr(self, name)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v}")
+        for name in ("sigma_kappa2", "sigma_b2", "sigma_w2", "varpi", "eps",
+                     "P_tot", "Pa_max", "H_min", "H_max", "R_tg", "delta"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         _check_eps(self.eps)
         if not 0.0 < self.H_min < self.H_max:
@@ -143,6 +152,9 @@ class Scenario:
             raise ValueError("R_tg must be positive")
         if self.delta <= 0.0 or self.i_max < 1:
             raise ValueError("need delta > 0 and i_max >= 1")
+        object.__setattr__(self, "kappa", phi_inverse(self.eps, self.gamma)
+                           * self.budget.beta0_chi
+                           / (self.gamma.theta * self.sat.ell))
 
     @property
     def K(self) -> int:
@@ -152,13 +164,6 @@ class Scenario:
     def xi_coeff(self) -> float:
         """Minimum UE service power per squared 3D distance, W/m^2."""
         return (2.0 ** self.R_tg - 1.0) * self.sigma_kappa2 / self.budget.beta0_kappa
-
-    @property
-    def kappa(self) -> float:
-        """Covertness cap coefficient, m^2: Pa <= kappa * Pj_hat / D_w
-        with D_w the squared 3D UAV-warden distance."""
-        return (phi_inverse(self.eps, self.gamma) * self.budget.beta0_chi
-                / (self.gamma.theta * self.sat.ell))
 
     @property
     def ground_nodes(self) -> np.ndarray:
@@ -175,19 +180,22 @@ class PowerAllocation:
     Pa: float
 
     def __post_init__(self) -> None:
-        pk = np.asarray(self.Pk, dtype=float).ravel()
         # rounding on an active bound (e.g. UE floors that use the whole
-        # budget) can leave harmless -1e-18 dust
-        pk = np.where((pk < 0.0) & (pk > -1e-12), 0.0, pk)
+        # budget) can leave harmless -1e-18 dust, set to 0
+        pk = np.array(self.Pk, dtype=float).ravel()
+        if pk.size:
+            lo, hi = pk.min(), pk.max()
+            if not (lo > -1e-12 and hi < math.inf):  # NaN fails
+                raise ValueError("UE powers must be finite and nonnegative")
+            if lo < 0.0:
+                pk[pk < 0.0] = 0.0
         object.__setattr__(self, "Pk", pk)
         for name in ("Pj_hat", "Pa"):
             v = getattr(self, name)
             if -1e-12 < v < 0.0:
                 object.__setattr__(self, name, 0.0)
-            elif v < 0.0 or not np.isfinite(v):
+            elif v < 0.0 or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if np.any(self.Pk < 0.0) or not np.all(np.isfinite(self.Pk)):
-            raise ValueError("UE powers must be finite and nonnegative")
 
     @property
     def total(self) -> float:
@@ -480,8 +488,8 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     ratio reaches Pa_max: later rounds would only move the placement
     within a tie for the best rate, so a capped plan may sit at a
     different placement with the same rate. The start is the first
-    strictly interior central point of the max-slack solve (not the
-    max-slack point: any interior start will do), and Dinkelbach starts
+    positive-slack iterate of the max-slack solve (not the max-slack
+    point: any interior start will do), and Dinkelbach starts
     from its ratio, so when that point already reaches Pa_max it is the
     plan, after 0 rounds. The trace holds the rate at the start point and
     then one rate per round.
@@ -554,8 +562,9 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     and uses it for two estimates: (a) the warden's fading-averaged minimum
     detection error under the solution's powers and placement, and (b)
     Bob's mean rate with the jamming power drawn uniform on [0, Pj_hat] per
-    slot. The two are separate expectations over the same law of X and are
-    never combined, so sharing the draws leaves each estimate's law and
+    slot (not drawn when varpi = 0, where Bob cancels it all). The two
+    are separate expectations over the same law of X and are never
+    combined, so sharing the draws leaves each estimate's law and
     standard error exactly as with independent draws; the two estimates
     are merely correlated. The physical links to the warden and to Bob fade
     independently, so a statistic that combines both per trial (a joint
@@ -579,8 +588,10 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     xi_mc = float(xi.mean())
     xi_se = float(xi.std(ddof=1) / math.sqrt(trials))
 
-    pj = rng.uniform(0.0, pw.Pj_hat, trials)
-    rate = np.log2(1.0 + sig / (s.varpi * pj * g_ub + s.sigma_b2))
+    # with varpi = 0 Bob cancels the jamming, whose draw (the last one)
+    # would only add 0.0 to Bob's noise
+    jam = s.varpi * rng.uniform(0.0, pw.Pj_hat, trials) * g_ub if s.varpi else 0.0
+    rate = np.log2(1.0 + sig / (jam + s.sigma_b2))
     rate_mc = float(rate.mean())
     rate_se = float(rate.std(ddof=1) / math.sqrt(trials))
 

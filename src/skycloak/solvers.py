@@ -21,7 +21,7 @@ and transparent. The power step needs no solver; its optimum is explicit
   weight, where a later solve over the same rows with a nearby objective
   can start;
 - a max-slack interior point finder, which can also stop at its first
-  strictly interior central point, and a Dinkelbach driver for
+  positive-slack iterate, and a Dinkelbach driver for
   concave/convex fractional objectives, whose rounds after the first
   start from the previous round's central point at the second weight.
 
@@ -150,12 +150,19 @@ class ConeConstraint:
         r, t, _, _ = self.rows(x)
         return t - np.sqrt(_rowdot(r, r))
 
-    def lifted(self):
+    def lifted(self, cap):
         """The same rows in (x, s) with the slack s taken off every
-        right-hand side: ||A_i x - b_i|| <= c_i.x + d_i - s."""
-        m, k, _ = self.A.shape
-        return ConeConstraint(np.concatenate([self.A, np.zeros((m, k, 1))], axis=2),
-                              self.b, np.hstack([self.c, -np.ones((m, 1))]), self.d)
+        right-hand side, ||A_i x - b_i|| <= c_i.x + d_i - s, and then the
+        half-space row s <= cap."""
+        m, k, n = self.A.shape
+        A = np.zeros((m + 1, k, n + 1))
+        A[:m, :, :n] = self.A
+        b = np.zeros((m + 1, k))
+        b[:m] = self.b
+        c = np.zeros((m + 1, n + 1))
+        c[:m, :n] = self.c
+        c[:, n] = -1.0
+        return ConeConstraint(A, b, c, np.append(self.d, cap))
 
     def step_bound(self, r, t, v, s):
         """The smallest alpha > 0 at which x + alpha*s reaches the boundary
@@ -382,9 +389,11 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     degree: where a solve ends sets the last digits of every plan.
     ``_stop_below`` ends the solve as soon as that bound falls below it,
     with ``info["stopped_below"]`` set; the bound is then
-    objective(x) + info["gap_bound"]. ``_stop_above`` ends the solve after
-    the first centring that ended on the decrement test at an objective
-    value above it.
+    objective(x) + info["gap_bound"]. ``_stop_above`` ends the solve at
+    the first accepted Newton iterate whose objective value is above it,
+    mid-centring (or at the start point, if it is above and the first
+    centring accepts no step): a caller that needs only some point past
+    that value need not centre it.
 
     ``info["warm"]`` is the point where the centring at weight
     ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
@@ -472,18 +481,20 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
                 break  # progress is below floating-point resolution at this t
             x, r, u, vals, fx, logs = xn, rn, un, valsn, fn, logsn
             newton_steps += 1
+            if fx > _stop_above:
+                break  # past the caller's target: no need to centre
             if phin - phi0 > 0.25 * alpha * slope:
                 # accepted only through the fuzz term: the centring has
                 # stalled at floating-point resolution. Taken as a
                 # difference, the test also holds for a step that leaves x
                 # unchanged when 0.25*alpha*slope is below phi0's ulp
                 break
+        if fx > _stop_above:
+            break
         if t == t_warm and centred:
             warm = x
         if centred and fx + theta / t < _stop_below:
             stopped_below = True
-            break
-        if centred and fx > _stop_above:
             break
         if m / t < tol:
             break
@@ -517,12 +528,13 @@ def max_slack_point(cons, anchor, *, first_interior=False):
     0); s_star is then that upper bound, and x is not a max-slack point.
 
     A feasible stack runs the full solve, unless ``first_interior`` is
-    set: the solve then also ends after the first centring that ends
-    centred at a positive slack, and (x, s_star) is that centring's
-    point, strictly interior with every margin at least s_star > 0, up
-    to rounding (a lower bound on the best slack, not the best slack
-    itself). A caller that needs only some strictly interior point sets
-    it; a negative verdict is the same either way.
+    set: the solve then ends at its first positive-slack iterate, and
+    (x, s_star) is that iterate, strictly interior with every margin at
+    least s_star > 0, up to rounding (a lower bound on the best slack,
+    not the best slack itself). A phase-I solve may stop at any strictly
+    feasible point (Boyd & Vandenberghe 11.4), so a caller that needs
+    only some strictly interior point sets it; a negative verdict needs
+    a centred iterate and is the same either way.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
@@ -530,14 +542,9 @@ def max_slack_point(cons, anchor, *, first_interior=False):
     s0 = margins.min() - 1.0
     # bound s so the lifted program cannot be unbounded
     cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
-    # the lifted rows and s <= cap, a half-space row
-    rows = cons.lifted()
-    k = rows.A.shape[1]
-    e_s = np.eye(n + 1)[n]
-    rows = ConeConstraint(np.concatenate([rows.A, np.zeros((1, k, n + 1))]),
-                          np.vstack([rows.b, np.zeros(k)]),
-                          np.vstack([rows.c, -e_s]), np.append(rows.d, cap))
-    xs, info = _barrier_maximize(QuadraticObjective(e_s), rows,
+    e_s = np.zeros(n + 1)
+    e_s[n] = 1.0
+    xs, info = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(cap),
                                  np.append(anchor, s0), tol=_GAP_TOL,
                                  _stop_below=0.0,
                                  _stop_above=0.0 if first_interior else math.inf)

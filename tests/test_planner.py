@@ -427,7 +427,9 @@ def test_perfect_cancellation_near_singular_newton_system():
 
 def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
     # without the stop at Pa_max the rounds go on to the near-singular
-    # Newton systems; the plan must still converge to the same rate
+    # Newton systems; the plan must still converge to the same rate. The
+    # rounds start from the max-slack point, from which they reach those
+    # systems (from the first positive-slack iterate they reach none)
     def uncapped(*args, **kwargs):
         return dinkelbach(*args, **dict(kwargs, lam_max=math.inf))
 
@@ -443,11 +445,13 @@ def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(planner, "dinkelbach", uncapped)
     monkeypatch.setattr(solvers, "_newton_solve", solve)
+    monkeypatch.setattr(planner, "max_slack_point",
+                        lambda cons, anchor, **_: solvers.max_slack_point(cons, anchor))
     s = near_singular_scenario()
     sol = perfect_cancellation_optimize(s)
-    assert len(sol.trace) == 4  # the start rate and 3 rounds
+    assert len(sol.trace) == 5  # the start rate and 4 rounds
     assert_capped_near_singular_plan(s, sol)
-    assert singular  # 7 of the 1,061 systems on x86-64
+    assert singular  # 8 of the 1,453 systems on x86-64
 
 
 def test_perfect_cancellation_powers_are_the_power_step(perfect_scenario,
@@ -489,7 +493,7 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
     # counts stable across machines; a change must not raise them
     assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 244
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           perfect_scenario) <= 46
+                           perfect_scenario) <= 38
     # the start point is already capped: Dinkelbach runs 0 rounds
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
                            near_singular_scenario()) <= 10
@@ -864,6 +868,49 @@ def test_validate_draws_the_fading_once(monkeypatch, default_scenario,
     assert len(calls) == 1
 
 
+class CountingGenerator:
+    """A numpy Generator that counts the variates each method draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws[name] = self.draws.get(name, 0) + np.size(out)
+            return out
+        return counted
+
+
+@pytest.mark.parametrize("name", ["default", "default_perfect"])
+def test_validate_draws_jamming_only_when_bob_feels_it(request, name):
+    # with varpi = 0 the jamming draw, the last one, would only add 0.0 to
+    # Bob's noise: the report equals the one made with the draw
+    s, sol = stock_plan(request, name)
+    trials, seed = 10_000, 5
+    rng = CountingGenerator(seed)
+    rep = validate_solution(s, sol, trials=trials, rng=rng)
+    assert rng.draws.get("uniform", 0) == (trials if s.varpi else 0)
+    assert rng.draws["gamma"] == trials
+    ref = np.random.default_rng(seed)
+    pw = sol.powers
+    g_uw = uav_gain(sol.placement, s.willie, s.budget.beta0_chi)
+    g_ub = uav_gain(sol.placement, s.bob, s.budget.beta0_chi)
+    sig = pw.Pa * s.sat.ell * sample_sr_power(s.sr, ref, trials)
+    xi = planner.min_dep(sig, pw.Pj_hat * g_uw)
+    pj = ref.uniform(0.0, pw.Pj_hat, trials)
+    rate = np.log2(1.0 + sig / (s.varpi * pj * g_ub + s.sigma_b2))
+    drawn = planner.ValidationReport(
+        trials=trials, xi_mc=float(xi.mean()),
+        xi_stderr=float(xi.std(ddof=1) / math.sqrt(trials)),
+        rate_mc=float(rate.mean()),
+        rate_stderr=float(rate.std(ddof=1) / math.sqrt(trials)),
+        covert_pass=rep.covert_pass, rb_deterministic=sol.Rb)
+    assert rep == drawn
+
+
 @pytest.mark.parametrize("name", ["default", "default_perfect"])
 def test_validate_rate_agrees_with_independent_fading(request, name):
     # Bob's estimate reuses the warden's fading draws; one made from
@@ -919,6 +966,9 @@ def test_scenario_kappa_follows_eps(default_scenario, bcd_solution):
         phi_inverse(loose.eps, s.gamma) / phi_inverse(s.eps, s.gamma),
         rel=1e-14)
     assert loose.kappa > s.kappa
+    # kappa is derived at construction, never carried over from a copy
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(s, kappa=loose.kappa)
     # kappa is the covertness cap Pa <= kappa * Pj_hat / D_w, binding at
     # the uncapped stock plan
     pl, pw = bcd_solution.placement, bcd_solution.powers
@@ -941,3 +991,69 @@ def test_residuals_flag_violations(default_scenario, bcd_solution):
     res_low = constraint_residuals(s, low, sol.powers)
     assert res_low["altitude"] > 0.0
     assert res_low["elevation"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the model objects' own input checks (the scenario reader rejects
+# non-finite numbers first, so only a direct construction reaches these)
+
+
+SCENARIO_FLOATS = [f.name for f in dataclasses.fields(planner.Scenario)
+                   if f.init and f.type == "float"]
+
+
+def test_scenario_float_fields_are_listed():
+    assert SCENARIO_FLOATS == ["sigma_kappa2", "sigma_b2", "sigma_w2", "varpi",
+                               "eps", "P_tot", "Pa_max", "H_min", "H_max",
+                               "R_tg", "delta"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", SCENARIO_FLOATS)
+def test_scenario_rejects_a_non_finite_number(default_scenario, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        dataclasses.replace(default_scenario, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["bob", "willie", "ues"])
+def test_scenario_rejects_a_non_finite_position(default_scenario, name, bad):
+    value = np.array(getattr(default_scenario, name))
+    value.flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        dataclasses.replace(default_scenario, **{name: value})
+
+
+def power_split(field, value):
+    """A valid allocation with ``field`` set to ``value`` (Pk's last
+    entry for Pk)."""
+    kw = {"Pk": np.array([0.5, 0.25]), "Pj_hat": 1.0, "Pa": 2.0}
+    if field == "Pk":
+        kw["Pk"][-1] = value
+    else:
+        kw[field] = value
+    return PowerAllocation(**kw)
+
+
+@pytest.mark.parametrize("field", ["Pk", "Pj_hat", "Pa"])
+def test_power_allocation_clamps_rounding_dust(field):
+    pw = power_split(field, -1e-18)
+    got = pw.Pk[-1] if field == "Pk" else getattr(pw, field)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert pw.Pk[0] == 0.5
+
+
+@pytest.mark.parametrize("bad", [-1e-6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["Pk", "Pj_hat", "Pa"])
+def test_power_allocation_rejects_negative_and_non_finite(field, bad):
+    name = "UE powers" if field == "Pk" else field
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        power_split(field, bad)
+
+
+def test_power_allocation_copies_the_ue_powers():
+    pk = np.array([0.5, 0.25])
+    pw = PowerAllocation(Pk=pk, Pj_hat=1.0, Pa=2.0)
+    pk[0] = 7.0
+    assert pw.Pk.tolist() == [0.5, 0.25]
+    assert PowerAllocation(Pk=[], Pj_hat=0.0, Pa=0.0).Pk.shape == (0,)

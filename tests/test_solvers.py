@@ -109,7 +109,8 @@ def test_max_step_matches_bisection_on_interior():
 
 
 def test_max_step_on_a_lifted_stack():
-    # cones, a ball and a half-space in R^3 lifted to (x, slack)
+    # cones, a ball and a half-space in R^3 lifted to (x, slack), with a
+    # cap on the slack
     rng = np.random.default_rng(12)
     for _ in range(20):
         rows, xs = zip(*(random_row(rng, 3, kind) for kind in
@@ -118,8 +119,8 @@ def test_max_step_on_a_lifted_stack():
         x = xs[0]
         # shift every right-hand side so xs[0] is inside all rows
         cons.d += np.maximum(0.0, -cons.margin(x)) + 0.5
-        lifted = cons.lifted()
         z = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
+        lifted = cons.lifted(z[-1] + 1.0)
         assert inside(lifted, z)
         assert_exit_steps(lifted, z, rng.normal(size=4))
 
@@ -162,7 +163,7 @@ def test_row_gradients_match_the_per_row_formula():
                         rng.integers(0, 3, size=int(rng.integers(1, 6)))))
         cons = stack(*rows)
         for c, x in ((cons, rng.normal(size=3)),
-                     (cons.lifted(), rng.normal(size=4))):
+                     (cons.lifted(10.0), rng.normal(size=4))):
             got = c.grad(*c.rows(x)[:2])
             assert_allclose(got, reference_grads(c, x), rtol=1e-12,
                             atol=1e-12 * np.abs(got).max())
@@ -386,9 +387,9 @@ def test_max_slack_two_balls():
     assert x[0] == pytest.approx(1.5, abs=1e-5)
 
 
-def max_slack_solve(monkeypatch, cons, anchor, early):
-    """``max_slack_point(cons, anchor)`` and its Newton steps; with
-    ``early`` False the barrier solve runs to its final weight."""
+def max_slack_solve(monkeypatch, cons, anchor, early, first_interior=False):
+    """``max_slack_point(cons, anchor, first_interior=...)`` and its Newton
+    steps; with ``early`` False the barrier solve runs to its final weight."""
     steps = []
 
     def solve(*args, _stop_below=-math.inf, **kwargs):
@@ -399,7 +400,7 @@ def max_slack_solve(monkeypatch, cons, anchor, early):
 
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "_barrier_maximize", solve)
-        x, s = max_slack_point(cons, anchor)
+        x, s = max_slack_point(cons, anchor, first_interior=first_interior)
     return x, s, steps[0]
 
 
@@ -408,7 +409,8 @@ def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
     # early with an upper bound on the best slack, a feasible one runs
     # the full solve; with ``first_interior`` a feasible one ends at a
     # strictly interior point whose every margin is at least the
-    # returned slack, and an infeasible one gives the same answer
+    # returned slack, an infeasible one gives the same answer, and
+    # neither takes more Newton steps than without it
     rng = np.random.default_rng(17)
     verdicts = {True: 0, False: 0}
     for _ in range(60):
@@ -421,7 +423,9 @@ def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
         x_full, s_full, steps_full = max_slack_solve(monkeypatch, cons,
                                                      anchor, False)
         x, s, steps = max_slack_solve(monkeypatch, cons, anchor, True)
-        x_in, s_in = max_slack_point(cons, anchor, first_interior=True)
+        x_in, s_in, steps_in = max_slack_solve(monkeypatch, cons, anchor, True,
+                                               first_interior=True)
+        assert steps_in <= steps
         verdicts[s_full > 0.0] += 1
         if s_full > 0.0:
             assert s == s_full and np.array_equal(x, x_full)
@@ -658,14 +662,16 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
                 break
             x, r, u, vals, fx = xn, rn, un, valsn, fn
             newton_steps += 1
+            if fx > _stop_above:
+                break
             if phin - phi0 > 0.25 * alpha * slope:
                 break
+        if fx > _stop_above:
+            break
         if t == t_warm and centred:
             warm = x
         if centred and fx + theta / t < _stop_below:
             stopped_below = True
-            break
-        if centred and fx > _stop_above:
             break
         if m / t < tol:
             break
@@ -686,7 +692,8 @@ def same_bits(a, b):
 def random_stacks(rng, count, lift=0.5):
     """Random bounded stacks (a ball and 1-5 cone, ball or half-space rows)
     in R^2..R^4, each with a point strictly inside every row, lifted to
-    (x, slack) with probability ``lift``. Every stack has at least two rows: the
+    (x, slack) under a cap on the slack with probability ``lift``. Every
+    stack has at least two rows: the
     planner's have at least three, and for one row numpy computes c.x
     by its dot kernel, which need not round as the stacked product."""
     for _ in range(count):
@@ -699,7 +706,7 @@ def random_stacks(rng, count, lift=0.5):
                               + np.maximum(0.0, -cons.margin(x)))
         if rng.random() < lift:
             x = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
-            cons = cons.lifted()
+            cons = cons.lifted(x[-1] + 1.0)
         assert inside(cons, x)
         yield cons, x
 
