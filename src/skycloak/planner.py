@@ -27,6 +27,16 @@ Both paths hand the solvers one stacked constraint over the lifted
 placement (q, H): a row per elevation cone, two half-space rows for the
 altitude band, and a row per ball (UE rate, covertness, or the UE power
 budget ball of the varpi = 0 path).
+
+Every ground node sits at height 0, so the cones meet at altitude H
+exactly when H / tan(phi_min) reaches the radius R of the smallest circle
+around the nodes. Both paths first try this closed form before a start
+solve: when max(H_min, R tan(phi_min)) is not below the ceiling (H_max,
+and at varpi = 0 also the radius of the UE power budget ball, centred at
+height 0) by a 1e-9 relative margin, no interior placement exists and
+the verdict is "infeasible" without a barrier solve. Every other
+verdict, and every case within that margin of the boundary, is left to
+``max_slack_point``.
 """
 
 from __future__ import annotations
@@ -263,6 +273,69 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 
 _SCA_TOL = 1e-6  # m^2: the placement step stops below this gain
 _SCA_MAX = 30  # linearization rounds per placement step
+_CERT_MARGIN = 1e-9  # relative: nearer the boundary the barrier decides
+
+
+def _enclosing_radius(points) -> float:
+    """Radius of the smallest circle enclosing the 2D ``points``.
+
+    Welzl's incremental algorithm (Welzl 1991) in its iterative form, on
+    Python floats: a point outside the circle of the points before it
+    lies on the boundary of their enclosing circle with it, so the loops
+    rebuild that circle through one, two, then three boundary points. A
+    point within a relative 1e-12 of the squared radius counts as
+    inside. The points are taken about their centroid, farthest first:
+    the far points usually span the circle, which keeps rebuilds few.
+    """
+    n = len(points)
+    mx, my = sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
+    pts = sorted(((x - mx, y - my) for x, y in points),
+                 key=lambda p: p[0] * p[0] + p[1] * p[1], reverse=True)
+    tol = 1.0 + 1e-12
+    cx = cy = r2 = 0.0
+    for i, (px, py) in enumerate(pts):
+        if (px - cx) ** 2 + (py - cy) ** 2 <= r2 * tol:
+            continue
+        cx, cy, r2 = px, py, 0.0
+        for j in range(i):
+            qx, qy = pts[j]
+            if (qx - cx) ** 2 + (qy - cy) ** 2 <= r2 * tol:
+                continue
+            cx, cy = 0.5 * (px + qx), 0.5 * (py + qy)
+            r2 = (px - cx) ** 2 + (py - cy) ** 2
+            for tx, ty in pts[:j]:
+                if (tx - cx) ** 2 + (ty - cy) ** 2 <= r2 * tol:
+                    continue
+                cx, cy, r2 = _circle_through(px, py, qx, qy, tx, ty)
+    return math.sqrt(r2)
+
+
+def _circle_through(px, py, qx, qy, tx, ty):
+    """Centre and squared radius of the circle through three points; for
+    a collinear triple, or one with coincident points, the circle on its
+    farthest pair."""
+    bx, by, ux, uy = qx - px, qy - py, tx - px, ty - py
+    b2, u2 = bx * bx + by * by, ux * ux + uy * uy
+    det = 2.0 * (bx * uy - by * ux)
+    if abs(det) > 1e-12 * (b2 + u2):
+        ox, oy = (uy * b2 - by * u2) / det, (bx * u2 - ux * b2) / det
+        return px + ox, py + oy, ox * ox + oy * oy
+    vx, vy = tx - qx, ty - qy
+    d2, ax, ay, bx, by = max((b2, qx, qy, px, py), (u2, tx, ty, px, py),
+                             (vx * vx + vy * vy, tx, ty, qx, qy))
+    return 0.5 * (ax + bx), 0.5 * (ay + by), 0.25 * d2
+
+
+def _cones_unclearable(s: Scenario, ceiling: float) -> bool:
+    """True when no strictly interior placement below ``ceiling`` sees
+    every ground node: the cones, all with apex at height 0, meet at
+    altitude H exactly when H / tan(phi_min) reaches the radius R of the
+    smallest circle around the nodes, so an interior placement needs
+    max(H_min, R tan(phi_min)) < H < ceiling. Holds only with a
+    ``_CERT_MARGIN`` relative margin."""
+    need = max(s.H_min, math.tan(s.budget.phi_min)
+               * _enclosing_radius(s.ground_nodes.tolist()))
+    return need >= ceiling * (1.0 + _CERT_MARGIN)
 
 
 def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
@@ -416,7 +489,15 @@ def _split_power(s: Scenario, pl: UavPlacement, cap_jamming: bool) -> PowerAlloc
 
 
 def _initial_placement(s: Scenario) -> UavPlacement:
-    """Centroid of all ground nodes at the lowest altitude clearing the cones."""
+    """Centroid of all ground nodes at the lowest altitude clearing the cones.
+
+    When the centroid cannot clear them below H_max, any interior
+    placement will do: the max-slack point of the cones and the altitude
+    band. That solve is skipped, and the verdict is "infeasible", when
+    the smallest circle around the ground nodes proves that no altitude
+    in the band sees them all (``_cones_unclearable``); ``max_slack_point``
+    decides the cases within its margin of the boundary.
+    """
     nodes = s.ground_nodes
     centroid = nodes.mean(axis=0)
     maxdist = float(np.max(np.linalg.norm(nodes - centroid[None, :], axis=1)))
@@ -424,9 +505,12 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     h0 = max(s.H_min, h_need)
     if h0 <= s.H_max:
         return UavPlacement(q=centroid, H=h0)
-    # centroid cannot clear the cones below H_max: find any interior placement
-    anchor = np.array([centroid[0], centroid[1], 0.5 * (s.H_min + s.H_max)])
-    x, slack = max_slack_point(_placement_set(s), anchor)
+    # centroid cannot clear the cones below H_max: find any interior
+    # placement, unless the enclosing circle proves there is none
+    slack = 0.0
+    if not _cones_unclearable(s, s.H_max):
+        anchor = np.array([centroid[0], centroid[1], 0.5 * (s.H_min + s.H_max)])
+        x, slack = max_slack_point(_placement_set(s), anchor)
     if slack <= 0.0:
         raise PlannerInfeasible(
             "elevation cones", "no altitude in range sees every ground node")
@@ -493,12 +577,20 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     from its ratio, so when that point already reaches Pa_max it is the
     plan, after 0 rounds. The trace holds the rate at the start point and
     then one rate per round.
+
+    An "infeasible" verdict has one of three sources. The UE floors
+    exceed the budget everywhere when the budget ball is empty.
+    Otherwise the closed form ``_cones_unclearable`` proves, without the
+    start solve, that the cones need an altitude at or above
+    min(H_max, r), r the budget ball's radius. Any other empty set, or
+    one within the closed form's margin of that boundary, is found by
+    ``max_slack_point``.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
     kappa, xi = s.kappa, s.xi_coeff
     centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
-    ball = ((), ())
+    ball, ceiling = ((), ()), s.H_max
     if s.K:
         centroid = centers.mean(axis=0)
         spread = float(np.sum((centers - centroid[None, :]) ** 2))
@@ -506,11 +598,14 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         if r2 <= 0.0:
             return Solution(None, None, math.nan, [], "infeasible",
                             "ue-rate power floors exceed the budget everywhere")
-        ball = ([centroid], [math.sqrt(r2)])
-    cons = _placement_set(s, *ball)
+        r = math.sqrt(r2)
+        ball, ceiling = ([centroid], [r]), min(s.H_max, r)
 
-    anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
-    x0, slack = max_slack_point(cons, anchor, first_interior=True)
+    slack = 0.0
+    if not _cones_unclearable(s, ceiling):
+        cons = _placement_set(s, *ball)
+        anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
+        x0, slack = max_slack_point(cons, anchor, first_interior=True)
     if slack <= 0.0:
         return Solution(None, None, math.nan, [], "infeasible",
                         "no placement satisfies cones, altitude, and power budget")

@@ -190,9 +190,10 @@ def _resolve_ues(node, seed: int, path: str):
     count = sq["count"]
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ScenarioError(f"{path}.uniform_square.count: must be a nonnegative integer")
+    if count == 0:
+        return np.empty((0, 2))  # nothing to draw: no generator is built
     rng = np.random.default_rng([1, seed])  # stream 1: UE placement
-    ues = rng.uniform(-side / 2.0, side / 2.0, size=(count, 2))
-    return ues
+    return rng.uniform(-side / 2.0, side / 2.0, size=(count, 2))
 
 
 def load_scenario(source, seed: int | None = None) -> LoadedScenario:

@@ -1,6 +1,7 @@
 """Placement/power optimizers, residual audit, Monte Carlo validation."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -310,6 +311,23 @@ def test_bcd_infeasible_reports():
     assert sol2.status == "infeasible"
 
 
+def test_perfect_cancellation_infeasible_reports():
+    d = default_scenario_dict(0.0, 12)
+    d["uav"]["phi_min"] = {"value": 89.0, "unit": "deg"}
+    s = load_scenario(d).scenario
+    sol = perfect_cancellation_optimize(s)
+    assert sol.status == "infeasible"
+    assert sol.placement is None and sol.powers is None
+    assert sol.message == "no placement satisfies cones, altitude, and power budget"
+    assert math.isnan(sol.Rb) and sol.trace == []
+
+    s2 = dataclasses.replace(load_scenario(default_scenario_dict(0.0, 12)).scenario,
+                             P_tot=1e-5)
+    sol2 = perfect_cancellation_optimize(s2)
+    assert sol2.status == "infeasible"
+    assert sol2.message == "ue-rate power floors exceed the budget everywhere"
+
+
 def test_perfect_cancellation_requires_zero_varpi(default_scenario):
     with pytest.raises(ValueError):
         perfect_cancellation_optimize(default_scenario)
@@ -502,6 +520,153 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
         s = steep_cone_scenario(varpi)
         assert _run_planner(s)[0].status == "infeasible"
         assert newton_steps_of(monkeypatch, _run_planner, s) <= 11
+
+
+# ---------------------------------------------------------------------------
+# closed-form certificate: no altitude sees every ground node
+
+
+def brute_enclosing_radius(points):
+    """Smallest enclosing circle by exhaustion: the least, over every
+    point, every pair's midpoint and every non-degenerate triple's
+    circumcentre, of the largest distance to the points."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    centres = list(p)
+    for a, b in itertools.combinations(p, 2):
+        centres.append(0.5 * (a + b))
+    for a, b, c in itertools.combinations(p, 3):
+        m = 2.0 * np.array([b - a, c - a])
+        if np.linalg.det(m) != 0.0:
+            centres.append(a + np.linalg.solve(
+                m, [np.sum((b - a) ** 2), np.sum((c - a) ** 2)]))
+    return min(float(np.max(np.linalg.norm(p - o, axis=1))) for o in centres)
+
+
+def polygon(n, radius, centre=(0.0, 0.0), turn=0.3):
+    ang = turn + 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([centre[0] + radius * np.cos(ang),
+                            centre[1] + radius * np.sin(ang)])
+
+
+ENCLOSING_CASES = [
+    pytest.param([(3.0, 4.0), (3.0, 4.0)], id="coincident-pair"),
+    pytest.param([(0.0, 0.0), (0.0, 0.0), (3.0, 4.0)], id="coincident-triple"),
+    pytest.param([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], id="collinear"),
+    pytest.param([(2.0, 0.0), (5.0, 0.0), (0.0, 0.0)], id="collinear-unsorted"),
+    pytest.param([(x, -0.5 * x + 7.0) for x in (4.0, -3.0, 9.0, 0.0, 1.5)],
+                 id="collinear-five"),
+    pytest.param(polygon(3, 37.0), id="triangle-on-circle"),
+    pytest.param(polygon(12, 37.0, centre=(-20.0, 45.0)), id="twelve-on-circle"),
+    pytest.param(polygon(7, 250.0, centre=(1e5, -1e5)), id="on-circle-offset"),
+]
+
+
+@pytest.mark.parametrize("points", ENCLOSING_CASES)
+def test_enclosing_radius_special_cases(points):
+    ref = brute_enclosing_radius(points)
+    got = planner._enclosing_radius(np.asarray(points, dtype=float).tolist())
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_circle_through_a_degenerate_triple_is_on_its_farthest_pair():
+    # collinear, then with two coincident points
+    assert planner._circle_through(0.0, 0.0, 1.0, 1.0, 3.0, 3.0) == (1.5, 1.5, 4.5)
+    assert planner._circle_through(2.0, 0.0, 2.0, 0.0, 5.0, 4.0) == (3.5, 2.0, 6.25)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e5, -1e5)])
+def test_enclosing_radius_matches_brute_force(offset):
+    rng = np.random.default_rng(18)
+    for n in range(1, 16):
+        for _ in range(6):
+            pts = rng.uniform(-400.0, 400.0, size=(n, 2)) + offset
+            ref = brute_enclosing_radius(pts)
+            got = planner._enclosing_radius(pts.tolist())
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (n, pts)
+
+
+def barrier_solves_of(monkeypatch, plan, s):
+    """(plan(s), number of barrier solves it makes)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _barrier_maximize(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_barrier_maximize", counted)
+        m.setattr(planner, "_barrier_maximize", counted)
+        return plan(s), len(calls)
+
+
+def plan_without_certificate(monkeypatch, s):
+    """``_run_planner(s)`` with every verdict left to the barrier."""
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_cones_unclearable", lambda s, ceiling: False)
+        return _run_planner(s)
+
+
+def plan_bits(sol, iterations):
+    pl = None if sol.placement is None else sol.placement.lifted.tolist()
+    pw = None if sol.powers is None else (
+        sol.powers.Pk.tolist(), sol.powers.Pj_hat, sol.powers.Pa)
+    # repr tells every float bit pattern apart, and nan equals nan
+    return repr((sol.status, sol.message, sol.Rb, sol.trace, iterations,
+                 pl, pw))
+
+
+CONE_REACH = (-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3)
+
+
+# bases of the 24-scenario corpora, each with K from 0 to 11 UEs
+@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
+@pytest.mark.parametrize("varpis, bases", [
+    pytest.param((0.01, 0.1, 1.0), (1, 2, 3, 9, 15, 22), id="bcd"),
+    pytest.param((0.0,), (0, 4, 7, 8, 11, 14), id="cancel"),
+])
+def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
+        monkeypatch, varpis, bases):
+    corpus = benchmark_corpus(max(bases) + 1, varpis)
+    for base in bases:
+        s0 = load_scenario(corpus[base]).scenario
+        reach = brute_enclosing_radius(s0.ground_nodes)
+        for delta in CONE_REACH:
+            # cones that reach R * (1 + delta) at H_max
+            s = dataclasses.replace(s0, H_max=reach * (1.0 + delta)
+                                    * math.tan(s0.budget.phi_min))
+            (sol, iterations), solves = barrier_solves_of(
+                monkeypatch, _run_planner, s)
+            ref = plan_without_certificate(monkeypatch, s)
+            assert plan_bits(sol, iterations) == plan_bits(*ref), (base, delta)
+            if delta <= -1e-6:
+                assert sol.status == "infeasible" and solves == 0, (base, delta)
+
+
+# 96-scenario plan-cancel bases whose cones alone clear below H_max, but
+# not below the radius of the UE-budget ball (base 58: 335.648 m needed
+# against a radius of 335.001 m)
+@pytest.mark.parametrize("base", [32, 44, 58, 64, 93])
+def test_certificate_covers_the_budget_ball(monkeypatch, base):
+    s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
+    assert not planner._cones_unclearable(s, s.H_max)
+    (sol, iterations), solves = barrier_solves_of(monkeypatch, _run_planner, s)
+    assert solves == 0
+    assert plan_bits(sol, iterations) == plan_bits(
+        *plan_without_certificate(monkeypatch, s))
+    assert sol.message == "no placement satisfies cones, altitude, and power budget"
+
+
+# 24-scenario corpus bases whose cones and altitude band do not meet
+@pytest.mark.parametrize("varpis, base", [
+    pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}")
+    for base in (4, 6, 7, 19, 20, 21)] + [
+    pytest.param((0.0,), base, id=f"cancel-{base}")
+    for base in (0, 2, 6, 8, 15, 20, 21, 22, 23)])
+def test_cone_verdicts_make_no_barrier_solve(monkeypatch, varpis, base):
+    s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
+    (sol, _), solves = barrier_solves_of(monkeypatch, _run_planner, s)
+    assert sol.status == "infeasible"
+    assert solves == 0
 
 
 def stalled_centring_scenario():

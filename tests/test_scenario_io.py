@@ -340,6 +340,30 @@ def test_zero_ue_count_allowed():
     assert s.ues.shape == (0, 2)
 
 
+def test_zero_ue_square_builds_no_generator(monkeypatch):
+    # an empty square loads without a generator, to the same scenario the
+    # draw of 0 points gave and the same hash
+    d = default_scenario_dict(0.0, 7)
+    d["ue_placement"]["uniform_square"]["count"] = 0
+    drawn = np.random.default_rng([1, 7]).uniform(size=(0, 2))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generator built for an empty square")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    ls = load_scenario(d)
+    assert ls.scenario.ues.shape == drawn.shape
+    assert ls.scenario.ues.dtype == drawn.dtype
+    assert (ls.seed, ls.hash) == (
+        7, "676a7e2c2a150305ccdac532c86cf561b3e3e2cfdcfce2a5af2f376f20d82391")
+    # the side and count checks still run
+    for side, count in ((-1.0, 0), (100.0, -1), (100.0, 0.0)):
+        d["ue_placement"]["uniform_square"] = {
+            "side": {"value": side, "unit": "m"}, "count": count}
+        with pytest.raises(ScenarioError, match="uniform_square"):
+            load_scenario(d)
+
+
 # ---------------------------------------------------------------------------
 # hashing
 
