@@ -182,20 +182,9 @@ def _run_planner(scenario) -> tuple[Solution, int]:
 def cmd_dep_sweep(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
-    names = [t.strip() for t in args.shadowing.split(",") if t.strip()]
-    if not names:
-        print("dep-sweep: empty shadowing list", file=sys.stderr)
-        return EXIT_ERROR
-    for name in names:
-        if name not in SHADOWING_ROWS:
-            known = ", ".join(sorted(SHADOWING_ROWS))
-            print(f"dep-sweep: unknown shadowing row {name!r} (known: {known})",
-                  file=sys.stderr)
-            return EXIT_ERROR
-
     rows = []
     for ie, eps in enumerate(args.eps_grid):
-        for ir, name in enumerate(names):
+        for ir, name in enumerate(args.shadowing):
             params = SHADOWING_ROWS[name]
             gamma = gamma_from_sr(params)
             # operating point on the covertness boundary: the jamming-to-
@@ -344,6 +333,19 @@ def _eps_grid(text: str) -> list:
     return values
 
 
+def _shadowing_rows(text: str) -> list:
+    """A comma-separated list of at least one known shadowing row."""
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("empty shadowing list")
+    for name in names:
+        if name not in SHADOWING_ROWS:
+            known = ", ".join(sorted(SHADOWING_ROWS))
+            raise argparse.ArgumentTypeError(
+                f"unknown shadowing row {name!r} (known: {known})")
+    return names
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", type=_eps_grid, default=DEFAULT_EPS_GRID,
                    help="comma-separated covertness levels "
                         f"(default {DEFAULT_EPS_GRID})")
-    p.add_argument("--shadowing", default=DEFAULT_SHADOWING,
+    p.add_argument("--shadowing", type=_shadowing_rows, default=DEFAULT_SHADOWING,
                    help="comma-separated shadowing rows "
                         f"(default {DEFAULT_SHADOWING})")
     p.add_argument("--trials", type=_trials, default=10_000,

@@ -28,15 +28,10 @@ placement (q, H): a row per elevation cone, two half-space rows for the
 altitude band, and a row per ball (UE rate, covertness, or the UE power
 budget ball of the varpi = 0 path).
 
-Every ground node sits at height 0, so the cones meet at altitude H
-exactly when H / tan(phi_min) reaches the radius R of the smallest circle
-around the nodes. Both paths first try this closed form before a start
-solve: when max(H_min, R tan(phi_min)) is not below the ceiling (H_max,
-and at varpi = 0 also the radius of the UE power budget ball, centred at
-height 0) by a 1e-9 relative margin, no interior placement exists and
-the verdict is "infeasible" without a barrier solve. Every other
-verdict, and every case within that margin of the boundary, is left to
-``max_slack_point``.
+Every ground node sits at height 0, so ``_placement_region`` gives both
+paths one closed-form start, the max-slack (Chebyshev) point of the
+cones and the altitude band, and decides without a solve the verdicts
+that the smallest circle around the nodes proves "infeasible".
 """
 
 from __future__ import annotations
@@ -87,6 +82,7 @@ class PlannerInfeasible(RuntimeError):
 
     def __init__(self, constraint: str, detail: str = ""):
         super().__init__(f"infeasible: {constraint}" + (f" ({detail})" if detail else ""))
+        self.constraint = constraint
 
 
 def _check_eps(eps: float) -> None:
@@ -273,11 +269,12 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 
 _SCA_TOL = 1e-6  # m^2: the placement step stops below this gain
 _SCA_MAX = 30  # linearization rounds per placement step
-_CERT_MARGIN = 1e-9  # relative: nearer the boundary the barrier decides
+_CERT_MARGIN = 1e-9  # relative: nearer the boundary the start decides
 
 
-def _enclosing_radius(points) -> float:
-    """Radius of the smallest circle enclosing the 2D ``points``.
+def _enclosing_circle(points) -> tuple[float, float, float]:
+    """Centre (x, y) and radius of the smallest circle enclosing the 2D
+    ``points``.
 
     Welzl's incremental algorithm (Welzl 1991) in its iterative form, on
     Python floats: a point outside the circle of the points before it
@@ -307,7 +304,7 @@ def _enclosing_radius(points) -> float:
                 if (tx - cx) ** 2 + (ty - cy) ** 2 <= r2 * tol:
                     continue
                 cx, cy, r2 = _circle_through(px, py, qx, qy, tx, ty)
-    return math.sqrt(r2)
+    return mx + cx, my + cy, math.sqrt(r2)
 
 
 def _circle_through(px, py, qx, qy, tx, ty):
@@ -326,16 +323,45 @@ def _circle_through(px, py, qx, qy, tx, ty):
     return 0.5 * (ax + bx), 0.5 * (ay + by), 0.25 * d2
 
 
-def _cones_unclearable(s: Scenario, ceiling: float) -> bool:
-    """True when no strictly interior placement below ``ceiling`` sees
-    every ground node: the cones, all with apex at height 0, meet at
-    altitude H exactly when H / tan(phi_min) reaches the radius R of the
-    smallest circle around the nodes, so an interior placement needs
-    max(H_min, R tan(phi_min)) < H < ceiling. Holds only with a
-    ``_CERT_MARGIN`` relative margin."""
-    need = max(s.H_min, math.tan(s.budget.phi_min)
-               * _enclosing_radius(s.ground_nodes.tolist()))
-    return need >= ceiling * (1.0 + _CERT_MARGIN)
+_CONES = ("elevation cones", "no altitude in range sees every ground node")
+
+
+def _placement_region(s: Scenario):
+    """The closed forms that both planners apply before their start.
+
+    With c and R the centre and radius of the smallest circle around the
+    ground nodes (cone apexes, all at height 0), the cone slack
+    H cot(phi_min) - max_k ||q - n_k|| at altitude H, in
+    ``ConeConstraint.margin``'s units, is largest at q = c. So the slack
+    of the cones and the altitude band, min(H cot(phi_min) - R,
+    H - H_min, H_max - H), peaks at x = (c, H*) (Boyd & Vandenberghe
+    8.5.1), unique when the cone term sets H*, with
+    H* = max((H_max + R) / (1 + cot(phi_min)), (H_min + H_max) / 2)
+    and slack H_max - H*.
+
+    Returns (x, slack, ball), ball the (centres, radii) of the UE power
+    budget ball where the UE rate floors fit in P_tot (empty without
+    UEs). Raises PlannerInfeasible when that ball is empty, or when
+    max(H_min, R tan(phi_min)) is not below min(H_max, its radius) by a
+    ``_CERT_MARGIN`` relative margin.
+    """
+    cx, cy, R = _enclosing_circle(s.ground_nodes.tolist())
+    ball, ceiling = ((), ()), s.H_max
+    if s.K:
+        centers = np.array([_lift(u) for u in s.ues])
+        centroid = centers.mean(axis=0)
+        spread = float(np.sum((centers - centroid[None, :]) ** 2))
+        r2 = (s.P_tot / s.xi_coeff - spread) / s.K
+        if r2 <= 0.0:
+            raise PlannerInfeasible("ue-rate power floors",
+                                    "exceed the budget everywhere")
+        r = math.sqrt(r2)
+        ball, ceiling = ([centroid], [r]), min(s.H_max, r)
+    tan = math.tan(s.budget.phi_min)
+    if max(s.H_min, tan * R) >= ceiling * (1.0 + _CERT_MARGIN):
+        raise PlannerInfeasible(*_CONES)
+    h = max((s.H_max + R) / (1.0 + 1.0 / tan), 0.5 * (s.H_min + s.H_max))
+    return np.array([cx, cy, h]), s.H_max - h, ball
 
 
 def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
@@ -491,13 +517,12 @@ def _split_power(s: Scenario, pl: UavPlacement, cap_jamming: bool) -> PowerAlloc
 def _initial_placement(s: Scenario) -> UavPlacement:
     """Centroid of all ground nodes at the lowest altitude clearing the cones.
 
-    When the centroid cannot clear them below H_max, any interior
-    placement will do: the max-slack point of the cones and the altitude
-    band. That solve is skipped, and the verdict is "infeasible", when
-    the smallest circle around the ground nodes proves that no altitude
-    in the band sees them all (``_cones_unclearable``); ``max_slack_point``
-    decides the cases within its margin of the boundary.
+    ``_placement_region`` first decides the verdicts its closed forms
+    prove. When the centroid cannot clear the cones below H_max, the
+    start is the region's point (c, H*); the verdict is "infeasible"
+    when that has no positive slack. No barrier solve runs.
     """
+    x, slack, _ = _placement_region(s)
     nodes = s.ground_nodes
     centroid = nodes.mean(axis=0)
     maxdist = float(np.max(np.linalg.norm(nodes - centroid[None, :], axis=1)))
@@ -505,15 +530,8 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     h0 = max(s.H_min, h_need)
     if h0 <= s.H_max:
         return UavPlacement(q=centroid, H=h0)
-    # centroid cannot clear the cones below H_max: find any interior
-    # placement, unless the enclosing circle proves there is none
-    slack = 0.0
-    if not _cones_unclearable(s, s.H_max):
-        anchor = np.array([centroid[0], centroid[1], 0.5 * (s.H_min + s.H_max)])
-        x, slack = max_slack_point(_placement_set(s), anchor)
     if slack <= 0.0:
-        raise PlannerInfeasible(
-            "elevation cones", "no altitude in range sees every ground node")
+        raise PlannerInfeasible(*_CONES)
     return UavPlacement(q=x[:2], H=float(x[2]))
 
 
@@ -555,6 +573,12 @@ def bcd_optimize(s: Scenario) -> Solution:
 # perfect cancellation (varpi = 0): Dinkelbach over the placement
 
 
+# the varpi = 0 planner's two verdicts, worded as its solution files have
+# always worded them: the UE floors, or any other empty set
+_PC_FLOORS = "ue-rate power floors exceed the budget everywhere"
+_PC_EMPTY = "no placement satisfies cones, altitude, and power budget"
+
+
 def perfect_cancellation_optimize(s: Scenario) -> Solution:
     """Exact planner for varpi = 0.
 
@@ -571,48 +595,36 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     rate then depends on nothing but Pa, the iteration stops once the
     ratio reaches Pa_max: later rounds would only move the placement
     within a tie for the best rate, so a capped plan may sit at a
-    different placement with the same rate. The start is the first
-    positive-slack iterate of the max-slack solve (not the max-slack
-    point: any interior start will do), and Dinkelbach starts
-    from its ratio, so when that point already reaches Pa_max it is the
-    plan, after 0 rounds. The trace holds the rate at the start point and
-    then one rate per round.
+    different placement with the same rate. Dinkelbach starts from the
+    ratio at its start point, so when that point already reaches Pa_max
+    it is the plan, after 0 rounds. The trace holds the rate at the
+    start point and then one rate per round.
 
-    An "infeasible" verdict has one of three sources. The UE floors
-    exceed the budget everywhere when the budget ball is empty.
-    Otherwise the closed form ``_cones_unclearable`` proves, without the
-    start solve, that the cones need an altitude at or above
-    min(H_max, r), r the budget ball's radius. Any other empty set, or
-    one within the closed form's margin of that boundary, is found by
-    ``max_slack_point``.
+    ``_placement_region`` first decides the verdicts its closed forms
+    prove. The start is its point (c, H*) when that lies strictly inside
+    every row, the budget ball included; otherwise ``max_slack_point``
+    over the rows gives the start or proves there is none.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
-    kappa, xi = s.kappa, s.xi_coeff
-    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
-    ball, ceiling = ((), ()), s.H_max
-    if s.K:
-        centroid = centers.mean(axis=0)
-        spread = float(np.sum((centers - centroid[None, :]) ** 2))
-        r2 = (s.P_tot / xi - spread) / s.K
-        if r2 <= 0.0:
-            return Solution(None, None, math.nan, [], "infeasible",
-                            "ue-rate power floors exceed the budget everywhere")
-        r = math.sqrt(r2)
-        ball, ceiling = ([centroid], [r]), min(s.H_max, r)
-
-    slack = 0.0
-    if not _cones_unclearable(s, ceiling):
-        cons = _placement_set(s, *ball)
-        anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
-        x0, slack = max_slack_point(cons, anchor, first_interior=True)
-    if slack <= 0.0:
+    try:
+        x0, _, ball = _placement_region(s)
+    except PlannerInfeasible as e:
         return Solution(None, None, math.nan, [], "infeasible",
-                        "no placement satisfies cones, altitude, and power budget")
+                        _PC_FLOORS if e.constraint == "ue-rate power floors"
+                        else _PC_EMPTY)
+    cons = _placement_set(s, *ball)
+    if not cons.rows(x0)[3]:
+        anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
+        x0, slack = max_slack_point(cons, anchor)
+        if slack <= 0.0:
+            return Solution(None, None, math.nan, [], "infeasible", _PC_EMPTY)
 
     # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and lam)
     # is unchanged but the Dinkelbach residual f - lam*g then lives in
     # watts, matching delta
+    kappa, xi = s.kappa, s.xi_coeff
+    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
     w_bar = _lift(s.willie)
     d0 = float(np.sum((x0 - w_bar) ** 2))
     f_obj = QuadraticObjective(np.zeros(3), const=kappa * s.P_tot / d0,

@@ -20,8 +20,7 @@ and transparent. The power step needs no solver; its optimum is explicit
   indefinite; a solve reports its central point at the second barrier
   weight, where a later solve over the same rows with a nearby objective
   can start;
-- a max-slack interior point finder, which can also stop at its first
-  positive-slack iterate, and a Dinkelbach driver for
+- a max-slack interior point finder, and a Dinkelbach driver for
   concave/convex fractional objectives, whose rounds after the first
   start from the previous round's central point at the second weight.
 
@@ -369,7 +368,7 @@ _GAP_TOL = 1e-9
 
 
 def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
-                      _stop_above=math.inf, _warm=None):
+                      _warm=None):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
@@ -389,11 +388,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     degree: where a solve ends sets the last digits of every plan.
     ``_stop_below`` ends the solve as soon as that bound falls below it,
     with ``info["stopped_below"]`` set; the bound is then
-    objective(x) + info["gap_bound"]. ``_stop_above`` ends the solve at
-    the first accepted Newton iterate whose objective value is above it,
-    mid-centring (or at the start point, if it is above and the first
-    centring accepts no step): a caller that needs only some point past
-    that value need not centre it.
+    objective(x) + info["gap_bound"].
 
     ``info["warm"]`` is the point where the centring at weight
     ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
@@ -481,16 +476,12 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
                 break  # progress is below floating-point resolution at this t
             x, r, u, vals, fx, logs = xn, rn, un, valsn, fn, logsn
             newton_steps += 1
-            if fx > _stop_above:
-                break  # past the caller's target: no need to centre
             if phin - phi0 > 0.25 * alpha * slope:
                 # accepted only through the fuzz term: the centring has
                 # stalled at floating-point resolution. Taken as a
                 # difference, the test also holds for a step that leaves x
                 # unchanged when 0.25*alpha*slope is below phi0's ulp
                 break
-        if fx > _stop_above:
-            break
         if t == t_warm and centred:
             warm = x
         if centred and fx + theta / t < _stop_below:
@@ -514,7 +505,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     return x, info
 
 
-def max_slack_point(cons, anchor, *, first_interior=False):
+def max_slack_point(cons, anchor):
     """Chebyshev-style strictly feasible point: maximize the minimum slack.
 
     The slack variable is taken off the right-hand side of every row
@@ -526,15 +517,6 @@ def max_slack_point(cons, anchor, *, first_interior=False):
     The solve ends early once a centred iterate proves the best slack
     negative (its slack plus the barrier's duality gap theta/t is below
     0); s_star is then that upper bound, and x is not a max-slack point.
-
-    A feasible stack runs the full solve, unless ``first_interior`` is
-    set: the solve then ends at its first positive-slack iterate, and
-    (x, s_star) is that iterate, strictly interior with every margin at
-    least s_star > 0, up to rounding (a lower bound on the best slack,
-    not the best slack itself). A phase-I solve may stop at any strictly
-    feasible point (Boyd & Vandenberghe 11.4), so a caller that needs
-    only some strictly interior point sets it; a negative verdict needs
-    a centred iterate and is the same either way.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
@@ -546,8 +528,7 @@ def max_slack_point(cons, anchor, *, first_interior=False):
     e_s[n] = 1.0
     xs, info = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(cap),
                                  np.append(anchor, s0), tol=_GAP_TOL,
-                                 _stop_below=0.0,
-                                 _stop_above=0.0 if first_interior else math.inf)
+                                 _stop_below=0.0)
     s_star = float(xs[n])
     if info["stopped_below"]:
         s_star += info["gap_bound"]

@@ -318,6 +318,17 @@ def test_dep_sweep_rejects_unknown_row(tmp_path, default_path, capsys):
     rc = main(["dep-sweep", "--scenario", default_path,
                "--shadowing", "monsoon", "--out", str(tmp_path)])
     assert rc == 1
+    assert "argument --shadowing: unknown shadowing row 'monsoon'" \
+        in capsys.readouterr().err
+
+
+def test_dep_sweep_rejects_an_empty_row_list(tmp_path, default_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["dep-sweep", "--scenario", default_path,
+               "--shadowing", " , ", "--out", str(out)])
+    assert rc == 1
+    assert "argument --shadowing: empty shadowing list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

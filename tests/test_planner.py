@@ -309,6 +309,8 @@ def test_bcd_infeasible_reports():
                              P_tot=1e-5)
     sol2 = bcd_optimize(s2)
     assert sol2.status == "infeasible"
+    assert sol2.message == \
+        "infeasible: ue-rate power floors (exceed the budget everywhere)"
 
 
 def test_perfect_cancellation_infeasible_reports():
@@ -443,11 +445,23 @@ def test_perfect_cancellation_near_singular_newton_system():
     assert_capped_near_singular_plan(s, sol)
 
 
+def max_slack_start(monkeypatch):
+    """Start the varpi = 0 planner at ``max_slack_point`` over all its
+    rows: a NaN closed-form start fails ``cons.rows``, which sends the
+    planner to its barrier fallback."""
+    def region(s):
+        x, slack, ball = placement_region(s)
+        return np.full(3, math.nan), slack, ball
+
+    placement_region = planner._placement_region
+    monkeypatch.setattr(planner, "_placement_region", region)
+
+
 def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
     # without the stop at Pa_max the rounds go on to the near-singular
     # Newton systems; the plan must still converge to the same rate. The
     # rounds start from the max-slack point, from which they reach those
-    # systems (from the first positive-slack iterate they reach none)
+    # systems (the closed-form start is already capped)
     def uncapped(*args, **kwargs):
         return dinkelbach(*args, **dict(kwargs, lam_max=math.inf))
 
@@ -463,8 +477,7 @@ def test_perfect_cancellation_near_singular_rounds_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(planner, "dinkelbach", uncapped)
     monkeypatch.setattr(solvers, "_newton_solve", solve)
-    monkeypatch.setattr(planner, "max_slack_point",
-                        lambda cons, anchor, **_: solvers.max_slack_point(cons, anchor))
+    max_slack_start(monkeypatch)
     s = near_singular_scenario()
     sol = perfect_cancellation_optimize(s)
     assert len(sol.trace) == 5  # the start rate and 4 rounds
@@ -511,10 +524,10 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
     # counts stable across machines; a change must not raise them
     assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 244
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           perfect_scenario) <= 38
-    # the start point is already capped: Dinkelbach runs 0 rounds
+                           perfect_scenario) <= 37
+    # the closed-form start is already capped: Dinkelbach runs 0 rounds
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           near_singular_scenario()) <= 10
+                           near_singular_scenario()) == 0
     # an "infeasible" verdict ends once the best slack is proved negative
     for varpi in (0.1, 0.0):
         s = steep_cone_scenario(varpi)
@@ -561,11 +574,21 @@ ENCLOSING_CASES = [
 ]
 
 
+def assert_enclosing_circle(points):
+    """``_enclosing_circle`` against the brute force: the radius, and a
+    centre whose farthest point lies at that radius (the smallest circle
+    is unique, so no other centre has one)."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    ref = brute_enclosing_radius(p)
+    cx, cy, radius = planner._enclosing_circle(p.tolist())
+    assert radius == pytest.approx(ref, rel=1e-12, abs=0.0), p
+    far = float(np.max(np.hypot(p[:, 0] - cx, p[:, 1] - cy)))
+    assert far == pytest.approx(ref, rel=1e-12, abs=0.0), p
+
+
 @pytest.mark.parametrize("points", ENCLOSING_CASES)
 def test_enclosing_radius_special_cases(points):
-    ref = brute_enclosing_radius(points)
-    got = planner._enclosing_radius(np.asarray(points, dtype=float).tolist())
-    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert_enclosing_circle(points)
 
 
 def test_circle_through_a_degenerate_triple_is_on_its_farthest_pair():
@@ -579,10 +602,8 @@ def test_enclosing_radius_matches_brute_force(offset):
     rng = np.random.default_rng(18)
     for n in range(1, 16):
         for _ in range(6):
-            pts = rng.uniform(-400.0, 400.0, size=(n, 2)) + offset
-            ref = brute_enclosing_radius(pts)
-            got = planner._enclosing_radius(pts.tolist())
-            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (n, pts)
+            assert_enclosing_circle(rng.uniform(-400.0, 400.0, size=(n, 2))
+                                    + offset)
 
 
 def barrier_solves_of(monkeypatch, plan, s):
@@ -600,10 +621,22 @@ def barrier_solves_of(monkeypatch, plan, s):
 
 
 def plan_without_certificate(monkeypatch, s):
-    """``_run_planner(s)`` with every verdict left to the barrier."""
+    """``_run_planner(s)`` with an infinite certificate margin, so that
+    no cone verdict comes from the closed form."""
     with monkeypatch.context() as m:
-        m.setattr(planner, "_cones_unclearable", lambda s, ceiling: False)
+        m.setattr(planner, "_CERT_MARGIN", math.inf)
         return _run_planner(s)
+
+
+def budget_ball(s):
+    """(centres, radii) of the placements where the UE rate floors fit in
+    P_tot: sum_k xi ||x - u_k||^2 <= P_tot is the ball around the UE
+    centroid of squared radius (P_tot/xi - sum_k ||u_k - centroid||^2)/K."""
+    if not s.K:
+        return [], []
+    centroid = s.ues.mean(axis=0)
+    r2 = (s.P_tot / s.xi_coeff - np.sum((s.ues - centroid) ** 2)) / s.K
+    return [np.append(centroid, 0.0)], [math.sqrt(r2)]
 
 
 def plan_bits(sol, iterations):
@@ -627,6 +660,7 @@ CONE_REACH = (-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3)
 def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
         monkeypatch, varpis, bases):
     corpus = benchmark_corpus(max(bases) + 1, varpis)
+    cones = str(planner.PlannerInfeasible(*planner._CONES))
     for base in bases:
         s0 = load_scenario(corpus[base]).scenario
         reach = brute_enclosing_radius(s0.ground_nodes)
@@ -636,10 +670,52 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
                                     * math.tan(s0.budget.phi_min))
             (sol, iterations), solves = barrier_solves_of(
                 monkeypatch, _run_planner, s)
-            ref = plan_without_certificate(monkeypatch, s)
-            assert plan_bits(sol, iterations) == plan_bits(*ref), (base, delta)
             if delta <= -1e-6:
                 assert sol.status == "infeasible" and solves == 0, (base, delta)
+            if sol.placement is not None:
+                assert max(constraint_residuals(
+                    s, sol.placement, sol.powers).values()) <= 1e-8, (base, delta)
+            if s.varpi == 0.0:
+                # the barrier decides wherever the certificate does not
+                ref = plan_without_certificate(monkeypatch, s)
+                assert plan_bits(sol, iterations) == plan_bits(*ref), (base, delta)
+                continue
+            # BCD's start makes no barrier solve; its cone verdict agrees
+            # with the barrier's away from the boundary
+            if abs(delta) >= 1e-9:
+                anchor = np.append(s.ground_nodes.mean(axis=0),
+                                   0.5 * (s.H_min + s.H_max))
+                _, slack = solvers.max_slack_point(
+                    planner._placement_set(s, *budget_ball(s)), anchor)
+                assert (sol.message == cones) == (slack <= 0.0), (base, delta)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_closed_form_start_is_the_max_slack_point(offset):
+    # seeded node sets with K = 0..11 UEs, in bands where the cones set
+    # the best slack and in bands where the altitude band does; the
+    # oracle is the barrier's max-slack point of the same rows
+    rng = np.random.default_rng(19)
+    base = dataclasses.replace(scenario_with(), P_tot=1e3)
+    tan = math.tan(base.budget.phi_min)
+    for k in range(12):
+        for cones_bind in (True, False):
+            nodes = offset * rng.uniform(-1.0, 1.0, size=2) \
+                + rng.uniform(-400.0, 400.0, size=(k + 2, 2))
+            reach = brute_enclosing_radius(nodes) * tan
+            h_max = reach * rng.uniform(1.05, 2.0 if cones_bind else 4.0)
+            h_min = (0.1 if cones_bind else 0.9) * h_max
+            s = dataclasses.replace(base, ues=nodes[:k], bob=nodes[k],
+                                    willie=nodes[k + 1], H_min=h_min, H_max=h_max)
+            x, slack, _ = planner._placement_region(s)
+            cons = planner._placement_set(s)
+            anchor = np.append(nodes.mean(axis=0), 0.5 * (h_min + h_max))
+            ref, ref_slack = solvers.max_slack_point(cons, anchor)
+            assert slack == pytest.approx(ref_slack, rel=0.0, abs=1e-9 * h_max)
+            assert slack == pytest.approx(cons.margin(x).min(), rel=1e-12)
+            assert (x[2] > 0.5 * (h_min + h_max)) == cones_bind
+            if cones_bind:
+                assert_allclose(x, ref, rtol=0.0, atol=1e-6)
 
 
 # 96-scenario plan-cancel bases whose cones alone clear below H_max, but
@@ -648,7 +724,8 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
 @pytest.mark.parametrize("base", [32, 44, 58, 64, 93])
 def test_certificate_covers_the_budget_ball(monkeypatch, base):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
-    assert not planner._cones_unclearable(s, s.H_max)
+    reach = brute_enclosing_radius(s.ground_nodes) * math.tan(s.budget.phi_min)
+    assert max(s.H_min, reach) < s.H_max
     (sol, iterations), solves = barrier_solves_of(monkeypatch, _run_planner, s)
     assert solves == 0
     assert plan_bits(sol, iterations) == plan_bits(
@@ -828,28 +905,34 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
 
 
 # plan-cancel corpus scenarios: capped at the start point (4, 9), capped
-# after 1 round (14), and below the cap after 3 rounds (3)
+# after 1 round (14), below the cap after 3 rounds (3), and two whose
+# closed-form start lies outside the budget ball (47, 80)
 @pytest.mark.parametrize("base, capped", [(4, True), (9, True), (14, True),
-                                          (3, False)])
-def test_first_interior_start_matches_the_max_slack_start(monkeypatch, base,
-                                                          capped):
+                                          (3, False), (47, False), (80, False)])
+def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
+                                                       capped):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
+    x, _, ball = planner._placement_region(s)
+    closed_form = planner._placement_set(s, *ball).rows(x)[3]
+    assert closed_form == (base not in (47, 80))
     sol, iterations = _run_planner(s)
     with monkeypatch.context() as m:
-        m.setattr(planner, "max_slack_point",
-                  lambda cons, anchor, **_: solvers.max_slack_point(cons, anchor))
+        max_slack_start(m)
         ref, ref_iterations = _run_planner(s)
     assert (sol.status, iterations) == (ref.status, ref_iterations)
     assert sol.status == "converged"
+    assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
+        <= 1e-8
+    assert (sol.powers.Pa == s.Pa_max) == capped
+    if not closed_form:
+        assert plan_bits(sol, iterations) == plan_bits(ref, ref_iterations)
+        return
     # the two starts differ, and so do the two placements
     assert not np.array_equal(sol.placement.lifted, ref.placement.lifted)
-    assert (sol.powers.Pa == s.Pa_max) == capped
     if capped:
         assert sol.Rb == ref.Rb
     else:
         assert sol.Rb == pytest.approx(ref.Rb, rel=1e-9)
-    assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
-        <= 1e-8
 
 
 def test_bcd_warm_rounds_on_a_slow_corpus_scenario(monkeypatch):
