@@ -25,8 +25,8 @@ iteration, after which the power split follows in closed form.
 
 Both paths hand the solvers one stacked constraint over the lifted
 placement (q, H): a row per elevation cone, two half-space rows for the
-altitude band, and a row per ball (UE rate, covertness, or the UE power
-budget ball of the varpi = 0 path).
+altitude band, and, in the BCD placement step, a row per UE-rate or
+covertness ball.
 
 Every ground node sits at height 0, so ``_placement_region`` gives both
 paths one closed-form start, the max-slack (Chebyshev) point of the
@@ -324,6 +324,8 @@ def _circle_through(px, py, qx, qy, tx, ty):
 
 
 _CONES = ("elevation cones", "no altitude in range sees every ground node")
+_FLOORS_IN_CONES = ("ue-rate power floors",
+                    "exceed the budget everywhere in the elevation cones")
 
 
 def _placement_region(s: Scenario):
@@ -339,14 +341,16 @@ def _placement_region(s: Scenario):
     H* = max((H_max + R) / (1 + cot(phi_min)), (H_min + H_max) / 2)
     and slack H_max - H*.
 
-    Returns (x, slack, ball), ball the (centres, radii) of the UE power
-    budget ball where the UE rate floors fit in P_tot (empty without
-    UEs). Raises PlannerInfeasible when that ball is empty, or when
-    max(H_min, R tan(phi_min)) is not below min(H_max, its radius) by a
-    ``_CERT_MARGIN`` relative margin.
+    Returns (x, slack). The UE rate floors fit in P_tot exactly on the
+    UE power budget ball, sum_k xi ||x - u_k||^2 <= P_tot, centred on the
+    UE centroid at height 0. Raises PlannerInfeasible, one message per
+    cause, when that ball is empty; when max(H_min, R tan(phi_min)), the
+    lowest altitude in the cones and the band, is not below H_max by a
+    ``_CERT_MARGIN`` relative margin; or, failing that, when it is not
+    below the ball's radius by that margin, so the ball misses the cones.
     """
     cx, cy, R = _enclosing_circle(s.ground_nodes.tolist())
-    ball, ceiling = ((), ()), s.H_max
+    r2 = math.inf  # without UEs the ball is all of space
     if s.K:
         centers = np.array([_lift(u) for u in s.ues])
         centroid = centers.mean(axis=0)
@@ -355,13 +359,14 @@ def _placement_region(s: Scenario):
         if r2 <= 0.0:
             raise PlannerInfeasible("ue-rate power floors",
                                     "exceed the budget everywhere")
-        r = math.sqrt(r2)
-        ball, ceiling = ([centroid], [r]), min(s.H_max, r)
     tan = math.tan(s.budget.phi_min)
-    if max(s.H_min, tan * R) >= ceiling * (1.0 + _CERT_MARGIN):
+    low = max(s.H_min, tan * R)
+    if low >= s.H_max * (1.0 + _CERT_MARGIN):
         raise PlannerInfeasible(*_CONES)
+    if low >= math.sqrt(r2) * (1.0 + _CERT_MARGIN):
+        raise PlannerInfeasible(*_FLOORS_IN_CONES)
     h = max((s.H_max + R) / (1.0 + 1.0 / tan), 0.5 * (s.H_min + s.H_max))
-    return np.array([cx, cy, h]), s.H_max - h, ball
+    return np.array([cx, cy, h]), s.H_max - h
 
 
 def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
@@ -522,7 +527,7 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     start is the region's point (c, H*); the verdict is "infeasible"
     when that has no positive slack. No barrier solve runs.
     """
-    x, slack, _ = _placement_region(s)
+    x, slack = _placement_region(s)
     nodes = s.ground_nodes
     centroid = nodes.mean(axis=0)
     maxdist = float(np.max(np.linalg.norm(nodes - centroid[None, :], axis=1)))
@@ -573,12 +578,6 @@ def bcd_optimize(s: Scenario) -> Solution:
 # perfect cancellation (varpi = 0): Dinkelbach over the placement
 
 
-# the varpi = 0 planner's two verdicts, worded as its solution files have
-# always worded them: the UE floors, or any other empty set
-_PC_FLOORS = "ue-rate power floors exceed the budget everywhere"
-_PC_EMPTY = "no placement satisfies cones, altitude, and power budget"
-
-
 def perfect_cancellation_optimize(s: Scenario) -> Solution:
     """Exact planner for varpi = 0.
 
@@ -590,35 +589,33 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         f(x)/g(x) = kappa * (P_tot - xi * sum_k ||x-u_k||^2) / ||x - w||^2
 
     concave over convex positive, maximized by Dinkelbach iteration over
-    the cones, the altitude band, and the ball where the numerator stays
-    nonnegative. Powers then come from ``power_subproblem``. Since Bob's
-    rate then depends on nothing but Pa, the iteration stops once the
-    ratio reaches Pa_max: later rounds would only move the placement
-    within a tie for the best rate, so a capped plan may sit at a
-    different placement with the same rate. Dinkelbach starts from the
-    ratio at its start point, so when that point already reaches Pa_max
-    it is the plan, after 0 rounds. The trace holds the rate at the
-    start point and then one rate per round.
+    the cones and the altitude band. Powers then come from
+    ``power_subproblem``. Since Bob's rate then depends on nothing but
+    Pa, the iteration stops once the ratio reaches Pa_max: later rounds
+    would only move the placement within a tie for the best rate, so a
+    capped plan may sit at a different placement with the same rate.
+    Dinkelbach starts from the ratio at its start point, so when that
+    point already reaches Pa_max it is the plan, after 0 rounds. The
+    trace holds the rate at the start point and then one rate per round.
 
     ``_placement_region`` first decides the verdicts its closed forms
-    prove. The start is its point (c, H*) when that lies strictly inside
-    every row, the budget ball included; otherwise ``max_slack_point``
-    over the rows gives the start or proves there is none.
+    prove, and the start is its point (c, H*), which may lie where the
+    numerator is negative: Dinkelbach then starts at ratio 0, and its
+    first round maximizes the numerator itself. A round that ends at a
+    ratio <= 0 proves that the UE rate floors exceed the budget
+    everywhere in the cones and the band, and the plan is "infeasible".
+    So is a start (c, H*) not strictly inside the cones and the band,
+    which the closed-form verdict leaves possible within its margin.
     """
     if s.varpi != 0.0:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
     try:
-        x0, _, ball = _placement_region(s)
+        x0, _ = _placement_region(s)
+        cons = _placement_set(s)
+        if not cons.rows(x0)[3]:
+            raise PlannerInfeasible(*_CONES)
     except PlannerInfeasible as e:
-        return Solution(None, None, math.nan, [], "infeasible",
-                        _PC_FLOORS if e.constraint == "ue-rate power floors"
-                        else _PC_EMPTY)
-    cons = _placement_set(s, *ball)
-    if not cons.rows(x0)[3]:
-        anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
-        x0, slack = max_slack_point(cons, anchor)
-        if slack <= 0.0:
-            return Solution(None, None, math.nan, [], "infeasible", _PC_EMPTY)
+        return Solution(None, None, math.nan, [], "infeasible", str(e))
 
     # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and lam)
     # is unchanged but the Dinkelbach residual f - lam*g then lives in
@@ -632,6 +629,9 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     g_obj = QuadraticObjective(np.zeros(3), w=[1.0 / d0], u=w_bar[None, :])
     res = dinkelbach(f_obj, g_obj, cons, x0,
                      delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
+    if res.lam <= 0.0:
+        return Solution(None, None, math.nan, [], "infeasible",
+                        str(PlannerInfeasible(*_FLOORS_IN_CONES)))
 
     pl = UavPlacement(q=res.x[:2], H=float(res.x[2]))
     powers = power_subproblem(s, pl)

@@ -367,8 +367,7 @@ _MAX_NEWTON = 200
 _GAP_TOL = 1e-9
 
 
-def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
-                      _warm=None):
+def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
@@ -386,9 +385,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     (Boyd & Vandenberghe 11.6), and ``info["gap_bound"]`` reports theta/t.
     The outer stop stays m/t < tol, which undercounts each cone row's
     degree: where a solve ends sets the last digits of every plan.
-    ``_stop_below`` ends the solve as soon as that bound falls below it,
-    with ``info["stopped_below"]`` set; the bound is then
-    objective(x) + info["gap_bound"].
 
     ``info["warm"]`` is the point where the centring at weight
     ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
@@ -422,7 +418,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
     fx = objective.value(x)
     logs = float(np.log(-vals).sum())
     newton_steps = 0
-    stopped_below = False
     warm = None
     while True:
         # minimize phi(x) = -t*obj + sum -log(-g_i); the row parts
@@ -484,9 +479,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
                 break
         if t == t_warm and centred:
             warm = x
-        if centred and fx + theta / t < _stop_below:
-            stopped_below = True
-            break
         if m / t < tol:
             break
         t *= _T_FACTOR
@@ -499,7 +491,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _stop_below=-math.inf,
         "duals": lam,
         "kkt_residual": float(np.linalg.norm(stat, np.inf)),
         "gap_bound": theta / t,
-        "stopped_below": stopped_below,
         "warm": warm,
     }
     return x, info
@@ -512,11 +503,8 @@ def max_slack_point(cons, anchor):
     (||Ax-b|| <= c.x+d-s), which keeps the lifted problem a plain SOC
     program; the anchor point with s below its worst margin is always
     strictly feasible, so no further phase is needed. Returns (x, s_star);
-    s_star > 0 certifies a strictly feasible interior.
-
-    The solve ends early once a centred iterate proves the best slack
-    negative (its slack plus the barrier's duality gap theta/t is below
-    0); s_star is then that upper bound, and x is not a max-slack point.
+    s_star > 0 certifies a strictly feasible interior, and s_star <= 0
+    says, up to the solve's duality gap, that there is none.
     """
     anchor = np.asarray(anchor, dtype=float)
     n = anchor.size
@@ -526,13 +514,9 @@ def max_slack_point(cons, anchor):
     cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
     e_s = np.zeros(n + 1)
     e_s[n] = 1.0
-    xs, info = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(cap),
-                                 np.append(anchor, s0), tol=_GAP_TOL,
-                                 _stop_below=0.0)
-    s_star = float(xs[n])
-    if info["stopped_below"]:
-        s_star += info["gap_bound"]
-    return xs[:n], s_star
+    xs, _ = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(cap),
+                              np.append(anchor, s0), tol=_GAP_TOL)
+    return xs[:n], float(xs[n])
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +538,7 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     """Dinkelbach iteration for max f(x)/g(x) starting from strictly
     feasible x0, with f concave and g convex and positive over ``cons``.
 
-    lam starts at the ratio f(x0)/g(x0) (Dinkelbach 1967), which is
+    lam starts at max(0, f(x0)/g(x0)) (Dinkelbach 1967), which is
     ``lam_trace[0]``; each round maximizes f - lam*g over ``cons`` and
     stops once |f - lam_prev*g| < delta at the new point, or once lam
     reaches ``lam_max`` (for a caller that clamps the ratio there, any
@@ -562,6 +546,14 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     already reaches ``lam_max`` returns x0 after 0 rounds. The returned
     lam is f(x)/g(x) at the returned point. Non-convergence within i_max
     is flagged, not raised.
+
+    x0 need not have f(x0) >= 0: every round has lam >= 0, so f - lam*g
+    stays concave. A round from lam > 0 ends at a ratio >= lam, so in
+    exact arithmetic only the round from lam = 0, which maximizes f
+    itself, can end at a ratio <= 0; then f <= 0 on all of ``cons`` (up
+    to the barrier's duality gap) and no point has a positive ratio. A
+    round that ends at a ratio <= 0 stops the iteration, with that lam
+    and ``converged`` False.
 
     Round 1 starts the barrier solver cold from x0. Every later round
     maximizes over the same ``cons`` and starts from the previous round's
@@ -574,7 +566,7 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     gv = g.value(x)
     if gv <= 0.0:
         raise SolverError(f"denominator nonpositive ({gv:.3e}) at the start point")
-    lam = f.value(x) / gv
+    lam = max(0.0, f.value(x) / gv)
     trace = [lam]
     if lam >= lam_max:
         return DinkelbachResult(x=x, lam=lam, converged=True, iterations=0,
@@ -592,8 +584,8 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
         F = fv - lam * gv
         lam = fv / gv
         trace.append(lam)
-        if abs(F) < delta or lam >= lam_max:
-            return DinkelbachResult(x=x, lam=lam, converged=True,
+        if lam <= 0.0 or abs(F) < delta or lam >= lam_max:
+            return DinkelbachResult(x=x, lam=lam, converged=lam > 0.0,
                                     iterations=it, lam_trace=trace)
     return DinkelbachResult(x=x, lam=lam, converged=False,
                             iterations=i_max, lam_trace=trace)

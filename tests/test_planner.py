@@ -320,14 +320,15 @@ def test_perfect_cancellation_infeasible_reports():
     sol = perfect_cancellation_optimize(s)
     assert sol.status == "infeasible"
     assert sol.placement is None and sol.powers is None
-    assert sol.message == "no placement satisfies cones, altitude, and power budget"
+    assert sol.message == str(planner.PlannerInfeasible(*planner._CONES))
     assert math.isnan(sol.Rb) and sol.trace == []
 
     s2 = dataclasses.replace(load_scenario(default_scenario_dict(0.0, 12)).scenario,
                              P_tot=1e-5)
     sol2 = perfect_cancellation_optimize(s2)
     assert sol2.status == "infeasible"
-    assert sol2.message == "ue-rate power floors exceed the budget everywhere"
+    assert sol2.message == \
+        "infeasible: ue-rate power floors (exceed the budget everywhere)"
 
 
 def test_perfect_cancellation_requires_zero_varpi(default_scenario):
@@ -446,12 +447,16 @@ def test_perfect_cancellation_near_singular_newton_system():
 
 
 def max_slack_start(monkeypatch):
-    """Start the varpi = 0 planner at ``max_slack_point`` over all its
-    rows: a NaN closed-form start fails ``cons.rows``, which sends the
-    planner to its barrier fallback."""
+    """Start the varpi = 0 planner at the max-slack point of the cones,
+    the altitude band and the UE-budget ball, where the ratio is
+    positive; the closed-form verdicts still run first."""
     def region(s):
-        x, slack, ball = placement_region(s)
-        return np.full(3, math.nan), slack, ball
+        _, slack = placement_region(s)
+        anchor = np.append(s.ground_nodes.mean(axis=0),
+                           0.5 * (s.H_min + s.H_max))
+        x, _ = solvers.max_slack_point(
+            planner._placement_set(s, *budget_ball(s)), anchor)
+        return x, slack
 
     placement_region = planner._placement_region
     monkeypatch.setattr(planner, "_placement_region", region)
@@ -524,11 +529,11 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
     # counts stable across machines; a change must not raise them
     assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 244
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           perfect_scenario) <= 37
+                           perfect_scenario) <= 40
     # the closed-form start is already capped: Dinkelbach runs 0 rounds
     assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
                            near_singular_scenario()) == 0
-    # an "infeasible" verdict ends once the best slack is proved negative
+    # the steep cones' "infeasible" verdict is decided in closed form
     for varpi in (0.1, 0.0):
         s = steep_cone_scenario(varpi)
         assert _run_planner(s)[0].status == "infeasible"
@@ -631,12 +636,13 @@ def plan_without_certificate(monkeypatch, s):
 def budget_ball(s):
     """(centres, radii) of the placements where the UE rate floors fit in
     P_tot: sum_k xi ||x - u_k||^2 <= P_tot is the ball around the UE
-    centroid of squared radius (P_tot/xi - sum_k ||u_k - centroid||^2)/K."""
+    centroid of squared radius (P_tot/xi - sum_k ||u_k - centroid||^2)/K,
+    radius 0 when that is not positive (a row with no interior)."""
     if not s.K:
         return [], []
     centroid = s.ues.mean(axis=0)
     r2 = (s.P_tot / s.xi_coeff - np.sum((s.ues - centroid) ** 2)) / s.K
-    return [np.append(centroid, 0.0)], [math.sqrt(r2)]
+    return [np.append(centroid, 0.0)], [math.sqrt(max(r2, 0.0))]
 
 
 def plan_bits(sol, iterations):
@@ -676,7 +682,8 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
                 assert max(constraint_residuals(
                     s, sol.placement, sol.powers).values()) <= 1e-8, (base, delta)
             if s.varpi == 0.0:
-                # the barrier decides wherever the certificate does not
+                # the rows guard and Dinkelbach decide wherever the
+                # certificate does not, with the same messages
                 ref = plan_without_certificate(monkeypatch, s)
                 assert plan_bits(sol, iterations) == plan_bits(*ref), (base, delta)
                 continue
@@ -707,7 +714,7 @@ def test_closed_form_start_is_the_max_slack_point(offset):
             h_min = (0.1 if cones_bind else 0.9) * h_max
             s = dataclasses.replace(base, ues=nodes[:k], bob=nodes[k],
                                     willie=nodes[k + 1], H_min=h_min, H_max=h_max)
-            x, slack, _ = planner._placement_region(s)
+            x, slack = planner._placement_region(s)
             cons = planner._placement_set(s)
             anchor = np.append(nodes.mean(axis=0), 0.5 * (h_min + h_max))
             ref, ref_slack = solvers.max_slack_point(cons, anchor)
@@ -730,7 +737,61 @@ def test_certificate_covers_the_budget_ball(monkeypatch, base):
     assert solves == 0
     assert plan_bits(sol, iterations) == plan_bits(
         *plan_without_certificate(monkeypatch, s))
-    assert sol.message == "no placement satisfies cones, altitude, and power budget"
+    assert sol.message == str(planner.PlannerInfeasible(*planner._FLOORS_IN_CONES))
+
+
+# 400-scenario plan-cancel base 294: the cones clear below H_max and the
+# UE-budget ball's radius, yet the ball misses the cones and the band
+CANCEL_400_BASE_294 = {
+    "shadowing": "light",
+    "satellite": {"fc": {"value": 2.0, "unit": "GHz"},
+                  "d": {"value": 500.0, "unit": "km"},
+                  "G": {"value": 30.0, "unit": "dBi"}},
+    "uav": {"beta0_chi": {"value": -38.5, "unit": "dB"},
+            "beta0_kappa": {"value": -60.0, "unit": "dB"},
+            "phi_min": {"value": 50.0, "unit": "deg"}},
+    "bob": {"value": [-389.10014283297284, -45.388548496065425], "unit": "m"},
+    "willie": {"value": [6.1511637403731925, 289.2437238806084], "unit": "m"},
+    "ue_placement": {"explicit": {"unit": "m", "value": [
+        [-31.485035627976004, -352.7166604481032],
+        [316.0144340751307, 49.54520551943614],
+        [-57.16741854347845, 130.75173888119332],
+        [177.0606763104255, -169.01306410237854],
+        [158.42798436596013, -242.36532612891065]]}},
+    "noise": {"sigma_kappa2": {"value": -114.0, "unit": "dBm"},
+              "sigma_b2": {"value": -104.0, "unit": "dBm"},
+              "sigma_w2": {"value": -104.0, "unit": "dBm"}},
+    "varpi": 0.0,
+    "eps": 0.0021878314865785356,
+    "P_tot": {"value": 0.7914499507531361, "unit": "W"},
+    "Pa_max": {"value": 10.0, "unit": "W"},
+    "H_min": {"value": 50.0, "unit": "m"},
+    "H_max": {"value": 500.0, "unit": "m"},
+    "R_tg": 7.37756229045502,
+    "delta": 1e-06,
+    "i_max": 50,
+    "rng_seed": 0,
+}
+
+
+@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
+def test_cancel_verdict_matches_the_max_slack_oracle():
+    # the varpi = 0 planner says "infeasible" exactly when the cones, the
+    # altitude band and the UE-budget ball have no common interior point,
+    # as the barrier's max-slack point over those rows finds
+    scenes = [load_scenario(d).scenario for d in benchmark_corpus(96, (0.0,))]
+    scenes.append(load_scenario(CANCEL_400_BASE_294).scenario)
+    verdicts = []
+    for i, s in enumerate(scenes):
+        anchor = np.append(s.ground_nodes.mean(axis=0), 0.5 * (s.H_min + s.H_max))
+        _, slack = solvers.max_slack_point(
+            planner._placement_set(s, *budget_ball(s)), anchor)
+        sol = perfect_cancellation_optimize(s)
+        assert (sol.status == "infeasible") == (slack <= 0.0), (i, slack)
+        verdicts.append(sol.message)
+    floors = str(planner.PlannerInfeasible(*planner._FLOORS_IN_CONES))
+    assert verdicts[-1] == floors
+    assert "" in verdicts and verdicts.count(floors) >= 2
 
 
 # 24-scenario corpus bases whose cones and altitude band do not meet
@@ -906,15 +967,17 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
 
 # plan-cancel corpus scenarios: capped at the start point (4, 9), capped
 # after 1 round (14), below the cap after 3 rounds (3), and two whose
-# closed-form start lies outside the budget ball (47, 80)
+# closed-form start lies outside the UE-budget ball, where the ratio is
+# negative (47, 80)
 @pytest.mark.parametrize("base, capped", [(4, True), (9, True), (14, True),
                                           (3, False), (47, False), (80, False)])
 def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
                                                        capped):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
-    x, _, ball = planner._placement_region(s)
-    closed_form = planner._placement_set(s, *ball).rows(x)[3]
-    assert closed_form == (base not in (47, 80))
+    x, _ = planner._placement_region(s)
+    # the UE floors at x0 exceed P_tot exactly when f(x0) < 0
+    floors = s.xi_coeff * (np.sum((s.ues - x[:2]) ** 2) + s.K * x[2] ** 2)
+    assert (floors > s.P_tot) == (base in (47, 80))
     sol, iterations = _run_planner(s)
     with monkeypatch.context() as m:
         max_slack_start(m)
@@ -924,15 +987,13 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
     assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
         <= 1e-8
     assert (sol.powers.Pa == s.Pa_max) == capped
-    if not closed_form:
-        assert plan_bits(sol, iterations) == plan_bits(ref, ref_iterations)
-        return
-    # the two starts differ, and so do the two placements
-    assert not np.array_equal(sol.placement.lifted, ref.placement.lifted)
     if capped:
         assert sol.Rb == ref.Rb
     else:
         assert sol.Rb == pytest.approx(ref.Rb, rel=1e-9)
+    if base in (47, 80):
+        # Dinkelbach starts at ratio 0, so the trace starts at rate 0
+        assert sol.trace[0] == 0.0
 
 
 def test_bcd_warm_rounds_on_a_slow_corpus_scenario(monkeypatch):

@@ -387,49 +387,6 @@ def test_max_slack_two_balls():
     assert x[0] == pytest.approx(1.5, abs=1e-5)
 
 
-def max_slack_solve(monkeypatch, cons, anchor, early):
-    """``max_slack_point(cons, anchor)`` and its Newton steps; with
-    ``early`` False the barrier solve runs to its final weight."""
-    steps = []
-
-    def solve(*args, _stop_below=-math.inf, **kwargs):
-        x, info = _barrier_maximize(
-            *args, _stop_below=_stop_below if early else -math.inf, **kwargs)
-        steps.append(info["newton_steps"])
-        return x, info
-
-    with monkeypatch.context() as mp:
-        mp.setattr(solvers, "_barrier_maximize", solve)
-        x, s = max_slack_point(cons, anchor)
-    return x, s, steps[0]
-
-
-def test_max_slack_early_infeasible_verdict_is_certified(monkeypatch):
-    # random bounded stacks (each holds a ball): an infeasible one ends
-    # early with an upper bound on the best slack, a feasible one runs
-    # the full solve
-    rng = np.random.default_rng(17)
-    verdicts = {True: 0, False: 0}
-    for _ in range(60):
-        n = int(rng.integers(2, 4))
-        rows = [random_row(rng, n, "ball")[0]]
-        for _ in range(int(rng.integers(1, 7))):
-            kind = ("cone", "ball", "halfspace")[int(rng.integers(3))]
-            rows.append(random_row(rng, n, kind)[0])
-        cons, anchor = stack(*rows), rng.normal(size=n)
-        x_full, s_full, steps_full = max_slack_solve(monkeypatch, cons,
-                                                     anchor, False)
-        x, s, steps = max_slack_solve(monkeypatch, cons, anchor, True)
-        verdicts[s_full > 0.0] += 1
-        if s_full > 0.0:
-            assert s == s_full and np.array_equal(x, x_full)
-            assert steps == steps_full
-        else:
-            assert s_full <= s < 0.0
-            assert steps < steps_full
-    assert min(verdicts.values()) >= 10
-
-
 # ---------------------------------------------------------------------------
 # Dinkelbach
 
@@ -501,6 +458,33 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
         res = dinkelbach(*fp, x0, delta=1e-9, lam_max=lam_max)
         assert res.converged and res.iterations == k
         assert res.lam_trace == lams[:k + 1] and res.lam >= lam_max
+
+
+def test_dinkelbach_starts_at_ratio_zero_below_zero():
+    # max (1 - ||x||^2) / ||x - (2, 0)||^2 over the ball of radius 1.8:
+    # off the x axis f falls and g grows, and on it the ratio
+    # (1 - x^2)/(x - 2)^2 peaks where x = 1/2, at 1/3. The start has
+    # f = -1.5, so lam starts at 0 and round 1 maximizes f itself
+    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
+    g = QuadraticObjective(np.zeros(2), w=[1.0], u=[[2.0, 0.0]])
+    x0 = np.array([-1.5, 0.5])
+    assert f.value(x0) < 0.0
+    res = dinkelbach(f, g, stack(ball(np.zeros(2), 1.8)), x0, delta=1e-10)
+    assert res.lam_trace[0] == 0.0
+    assert res.converged
+    assert res.lam == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert_allclose(res.x, [0.5, 0.0], atol=1e-4)
+
+
+def test_dinkelbach_reports_no_positive_ratio():
+    # f = 1 - ||x||^2 is negative on the whole ball of radius 0.5 around
+    # (3, 0): round 1 ends at ratio <= 0, which is not a convergence
+    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
+    g = QuadraticObjective(np.zeros(2), w=[1.0], u=[[-5.0, 0.0]])
+    res = dinkelbach(f, g, stack(ball([3.0, 0.0], 0.5)), np.array([3.0, 0.0]))
+    assert res.lam_trace[0] == 0.0
+    assert res.lam <= 0.0 and not res.converged
+    assert res.iterations == 1 and len(res.lam_trace) == 2
 
 
 def test_dinkelbach_boundary_optimum():
@@ -593,8 +577,7 @@ def reference_newton_solve(H, g):
     return np.array(y)
 
 
-def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
-                               _stop_below=-math.inf, _warm=None):
+def reference_barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
     """``_barrier_maximize`` over ``ReferenceRows``."""
     ref = ReferenceRows(cons)
     m = cons.A.shape[0]
@@ -616,7 +599,6 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
     row_hess = ref.hess.reshape(m, n * n)
     fx = objective.value(x)
     newton_steps = 0
-    stopped_below = False
     warm = None
     while True:
         centred = False
@@ -656,9 +638,6 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
                 break
         if t == t_warm and centred:
             warm = x
-        if centred and fx + theta / t < _stop_below:
-            stopped_below = True
-            break
         if m / t < tol:
             break
         t *= solvers._T_FACTOR
@@ -666,8 +645,7 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8,
     stat = objective.grad(x) - lam @ ref.grad(r, u)
     return x, {"t": t, "newton_steps": newton_steps, "duals": lam,
                "kkt_residual": float(np.linalg.norm(stat, np.inf)),
-               "gap_bound": theta / t, "stopped_below": stopped_below,
-               "warm": warm}
+               "gap_bound": theta / t, "warm": warm}
 
 
 def same_bits(a, b):
@@ -791,7 +769,7 @@ def assert_same_solve(got, want):
 def test_barrier_matches_the_reference_bit_for_bit():
     rng = np.random.default_rng(34)
     for objective, cons, x in barrier_programs(rng):
-        for kwargs in ({}, {"tol": 1e-10}, {"_stop_below": 0.0}):
+        for kwargs in ({}, {"tol": 1e-10}):
             want = reference_barrier_maximize(objective, cons, x, **kwargs)
             assert_same_solve(_barrier_maximize(objective, cons, x, **kwargs),
                               want)
