@@ -146,14 +146,16 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
 def _series_sum(terms, tol: float):
     """Sum one of the SR series with the shared truncation rule.
 
-    ``terms`` yields the series terms (arrays or scalars) in order. The sum
+    ``terms`` yields the series terms (arrays or floats) in order. The sum
     stops once every element's current term is <= tol times its running
     sum, with at least 20 terms taken, capped at 500.
     """
     total = 0.0
     for n, term in zip(range(_SERIES_CAP), terms):
         total = total + term
-        if n >= _SERIES_MIN_TERMS - 1 and np.all(term <= tol * total):
+        if n >= _SERIES_MIN_TERMS - 1 and (
+                term <= tol * total if isinstance(term, float)
+                else np.all(term <= tol * total)):
             return total
     if np.any(term > 1e-6 * total):
         raise SeriesConvergenceError(
@@ -187,10 +189,13 @@ def _gammainc_orders(z):
 
     P(1, z) = 1 - e^(-z) and P(k+1, z) = P(k, z) - e^(-z) z^k / k!, so each
     order costs three flops; the absolute error of order k stays within
-    about k ulps of P(1, z).
+    about k ulps of P(1, z). A float z takes numpy's exponentials once and
+    goes on in Python float arithmetic, which rounds as numpy's does.
     """
     pmf = np.exp(-z)
     lower = -np.expm1(-z)
+    if isinstance(z, float):
+        pmf, lower = float(pmf), float(lower)
     k = 1
     while True:
         yield lower
@@ -236,14 +241,22 @@ def sample_sr_power(p: SRParams, rng: np.random.Generator, size=None):
         (sqrt(b)*N1 + sqrt(zeta))^2 + b*N2^2,   N1, N2 ~ N(0, 1),
 
     and no phase is drawn. Each call draws zeta, then N1, then N2, one
-    fill each, with no trigonometry. Returns a float for size=None, else
-    an array of draws.
+    fill each, with no trigonometry, and works in place on the three
+    fills, so an array call holds no more than them. Returns a float for
+    size=None, else an array of draws.
     """
     zeta = rng.gamma(shape=p.m, scale=p.omega / p.m, size=size)
     n1 = rng.standard_normal(size)
     n2 = rng.standard_normal(size)
-    out = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
-    return float(out) if size is None else out
+    if size is None:
+        return float((math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2)
+    n1 *= math.sqrt(p.b)
+    n1 += np.sqrt(zeta, out=zeta)
+    np.square(n1, out=n1)
+    np.square(n2, out=n2)
+    n2 *= p.b
+    n1 += n2
+    return n1
 
 
 @dataclass(frozen=True)

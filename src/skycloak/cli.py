@@ -43,7 +43,7 @@ from .channel import SHADOWING_ROWS, gamma_from_sr, sample_sr_power
 from .detection import (avg_min_dep_lower_bound, avg_min_dep_quadrature,
                         min_dep, phi_inverse)
 from .planner import (PowerAllocation, Solution, UavPlacement, bcd_optimize,
-                      _check_eps, perfect_cancellation_optimize,
+                      _check_eps, _mc_estimate, perfect_cancellation_optimize,
                       validate_solution)
 from .scenario_io import ScenarioError, load_scenario
 
@@ -195,9 +195,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
             quad = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
             rng = np.random.default_rng([3, loaded.seed, ie, ir])
             x = sample_sr_power(params, rng, args.trials)
-            xi = min_dep(x, ratio)
-            mc_mean = float(xi.mean())
-            mc_stderr = float(xi.std(ddof=1) / math.sqrt(args.trials))
+            mc_mean, mc_stderr = _mc_estimate(min_dep(x, ratio))
             rows.append((eps, name, bound, quad, mc_mean, mc_stderr))
 
     path = outdir / "dep_sweep.csv"

@@ -20,6 +20,7 @@ planner.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
 
         pref * sum_n c_n * [P(n+1, z) - (n+1)/z * P(n+2, z)],
 
-    summed to machine precision. Its value fills the ``quadrature`` column
-    of ``dep_sweep.csv``.
+    summed to machine precision on Python floats. Its value fills the
+    ``quadrature`` column of ``dep_sweep.csv``.
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
@@ -79,7 +80,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     jam = pj_hat * g_uw
     if jam == 0.0:
         return 0.0  # unjammed: detected with probability one
-    z = jam / (pa * ell_aw) / (2.0 * params.b)
+    z = float(jam / (pa * ell_aw) / (2.0 * params.b))
 
     def terms():
         orders = _gammainc_orders(z)
@@ -88,7 +89,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
             yield w * (lower - k / z * upper)
             lower = upper
 
-    val = float(_series_sum(terms(), np.finfo(float).eps))
+    val = float(_series_sum(terms(), sys.float_info.epsilon))
     return min(1.0, max(0.0, val))
 
 
@@ -134,10 +135,16 @@ def phi(x, gamma: GammaApprox):
     increasing, so requiring a detection error of at least 1 - eps is the
     scalar constraint phi(x) <= eps. Accepts scalar or array input.
     """
-    arr = np.asarray(x, dtype=float)
-    if (arr <= 0.0).any():
+    if isinstance(x, float):
+        bad = x <= 0.0
+    else:
+        x = np.asarray(x, dtype=float)
+        bad = (x <= 0.0).any()
+    if bad:
         raise ValueError("phi is defined for positive arguments only")
-    out = gamma.alpha * (np.exp(-gamma.mu / arr) + arr)
+    # np.exp, not math.exp, for a float too: the two differ in the last
+    # bit on some inputs, and a float must get the bits a 0-d array gets
+    out = gamma.alpha * (np.exp(-gamma.mu / x) + x)
     return float(out) if out.ndim == 0 else out
 
 

@@ -37,6 +37,7 @@ that the smallest circle around the nodes proves "infeasible".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -661,6 +662,21 @@ class ValidationReport:
     rb_deterministic: float
 
 
+def _mc_estimate(x: np.ndarray):
+    """(mean, standard error) of the Monte Carlo draws in ``x``.
+
+    The two numbers carry the bits of ``x.mean()`` and of
+    ``x.std(ddof=1) / sqrt(n)``: numpy takes the sum over n, subtracts that
+    mean, squares, sums over n - 1 and takes the root, and so does this,
+    in place: ``x`` is scratch, and holds the squared deviations after.
+    """
+    n = x.size
+    mean = float(np.add.reduce(x)) / n
+    np.subtract(x, mean, out=x)
+    np.multiply(x, x, out=x)
+    return mean, math.sqrt(float(np.add.reduce(x)) / (n - 1)) / math.sqrt(n)
+
+
 def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
                       rng: np.random.Generator | None = None) -> ValidationReport:
     """Monte Carlo validation of a feasible solution.
@@ -677,11 +693,19 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     independently, so a statistic that combines both per trial (a joint
     event, a covariance) would need independent draws for each link.
 
+    The per-trial arithmetic runs in place on the generator's fills, so a
+    call holds no more arrays of ``trials`` doubles than the fading
+    sampler does.
+
     The covertness verdict requires the detection-error estimate to clear
     1 - eps minus two standard errors, so at least 2 trials are needed.
     """
     if sol.placement is None or sol.powers is None:
         raise ValueError("cannot validate an infeasible solution")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if rng is None:
@@ -690,17 +714,22 @@ def validate_solution(s: Scenario, sol: Solution, trials: int = 10_000,
     g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
     g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
 
-    sig = pw.Pa * s.sat.ell * sample_sr_power(s.sr, rng, trials)
-    xi = min_dep(sig, pw.Pj_hat * g_uw)
-    xi_mc = float(xi.mean())
-    xi_se = float(xi.std(ddof=1) / math.sqrt(trials))
+    sig = sample_sr_power(s.sr, rng, trials)
+    sig *= pw.Pa * s.sat.ell
+    xi_mc, xi_se = _mc_estimate(min_dep(sig, pw.Pj_hat * g_uw))
 
     # with varpi = 0 Bob cancels the jamming, whose draw (the last one)
     # would only add 0.0 to Bob's noise
-    jam = s.varpi * rng.uniform(0.0, pw.Pj_hat, trials) * g_ub if s.varpi else 0.0
-    rate = np.log2(1.0 + sig / (jam + s.sigma_b2))
-    rate_mc = float(rate.mean())
-    rate_se = float(rate.std(ddof=1) / math.sqrt(trials))
+    if s.varpi:
+        noise = rng.uniform(0.0, pw.Pj_hat, trials)
+        noise *= s.varpi
+        noise *= g_ub
+        noise += s.sigma_b2
+    else:
+        noise = s.sigma_b2
+    rate = np.divide(sig, noise, out=sig)
+    rate += 1.0
+    rate_mc, rate_se = _mc_estimate(np.log2(rate, out=rate))
 
     return ValidationReport(
         trials=trials,

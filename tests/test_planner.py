@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1195,10 +1196,21 @@ class CountingGenerator:
 
 @pytest.mark.parametrize("name", ["default", "default_perfect"])
 def test_validate_draws_jamming_only_when_bob_feels_it(request, name):
+    check_jamming_draws(request, name, 5)
+
+
+@pytest.mark.parametrize("seed", [0, 9, [2, 12]])
+@pytest.mark.parametrize("name", ["default", "default_perfect"])
+def test_validate_draws_jamming_only_when_bob_feels_it_at_more_seeds(
+        request, name, seed):
+    check_jamming_draws(request, name, seed)
+
+
+def check_jamming_draws(request, name, seed):
     # with varpi = 0 the jamming draw, the last one, would only add 0.0 to
     # Bob's noise: the report equals the one made with the draw
     s, sol = stock_plan(request, name)
-    trials, seed = 10_000, 5
+    trials = 10_000
     rng = CountingGenerator(seed)
     rep = validate_solution(s, sol, trials=trials, rng=rng)
     assert rng.draws.get("uniform", 0) == (trials if s.varpi else 0)
@@ -1252,6 +1264,48 @@ def test_validate_needs_two_trials(default_scenario, bcd_solution, trials):
     # one draw has no standard error, so no covertness verdict
     with pytest.raises(ValueError, match="at least 2 trials"):
         validate_solution(default_scenario, bcd_solution, trials=trials)
+
+
+def test_validate_takes_an_integer_trial_count(default_scenario,
+                                               bcd_solution):
+    with pytest.raises(ValueError, match="trials"):
+        validate_solution(default_scenario, bcd_solution, trials=10000.0)
+    rep = validate_solution(default_scenario, bcd_solution,
+                            trials=np.int64(100), rng=np.random.default_rng(3))
+    assert type(rep.trials) is int
+    assert rep == validate_solution(default_scenario, bcd_solution,
+                                    trials=100, rng=np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 129, 8193, 100_003])
+def test_mc_estimate_has_numpys_bits(n):
+    x = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+    want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+    assert planner._mc_estimate(x.copy()) == want
+
+
+@pytest.mark.parametrize("name", ["default", "default_perfect"])
+def test_monte_carlo_passes_hold_three_fills(request, name):
+    # the sampler and the validation work in place on the generator's
+    # three fills: at their peak they hold no other array of draws
+    s, sol = stock_plan(request, name)
+    trials = 100_000
+    passes = {
+        "sample": lambda: sample_sr_power(s.sr, np.random.default_rng(1),
+                                          trials),
+        "validate": lambda: validate_solution(
+            s, sol, trials=trials, rng=np.random.default_rng(1)),
+    }
+    for what, run in passes.items():
+        run()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.15 * 8 * trials, (what, peak / (8 * trials))
 
 
 # ---------------------------------------------------------------------------
