@@ -228,7 +228,7 @@ def sr_cdf(x, p: SRParams, tol: float = 1e-10):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def sample_sr_power(p: SRParams, rng: np.random.Generator, size=None):
+def sample_sr_power(p: SRParams, rng: np.random.Generator, size):
     """Draw |h|^2 under the squared-SR law.
 
     Loo-type construction: h = scatter + sqrt(zeta) * e^(j*phi), where the
@@ -242,14 +242,12 @@ def sample_sr_power(p: SRParams, rng: np.random.Generator, size=None):
 
     and no phase is drawn. Each call draws zeta, then N1, then N2, one
     fill each, with no trigonometry, and works in place on the three
-    fills, so an array call holds no more than them. Returns a float for
-    size=None, else an array of draws.
+    fills, so a call holds no more than them. Returns an array of ``size``
+    draws.
     """
     zeta = rng.gamma(shape=p.m, scale=p.omega / p.m, size=size)
     n1 = rng.standard_normal(size)
     n2 = rng.standard_normal(size)
-    if size is None:
-        return float((math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2)
     n1 *= math.sqrt(p.b)
     n1 += np.sqrt(zeta, out=zeta)
     np.square(n1, out=n1)
@@ -273,11 +271,19 @@ class SatelliteLink:
 
 
 def satellite_large_scale(fc: float, d: float, G: float) -> float:
-    """Free-space large-scale gain (c / (4 pi fc d))^2 * G."""
+    """Free-space large-scale gain (c / (4 pi fc d))^2 * G; a gain that
+    leaves the positive doubles raises ValueError."""
     if not all(0.0 < v < math.inf for v in (fc, d, G)):
         raise ValueError("fc, d, G must all be positive and finite")
-    lam_over = SPEED_OF_LIGHT / (4.0 * math.pi * fc * d)
-    return lam_over * lam_over * G
+    try:
+        lam_over = SPEED_OF_LIGHT / (4.0 * math.pi * fc * d)
+    except ZeroDivisionError:  # 4 pi fc d underflows to 0
+        lam_over = math.inf
+    ell = lam_over * lam_over * G
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"fc, d, G give a large-scale gain (c / (4 pi fc d))^2 * G "
+                         f"outside the positive doubles, got {ell}")
+    return ell
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
-        if not np.isfinite(v) or v < 0.0:
+        if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     if pa * ell_aw == 0.0:
         return 1.0  # no incident signal power: the warden can only guess
@@ -119,7 +119,7 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
-        if not np.isfinite(v) or v <= 0.0:
+        if not math.isfinite(v) or v <= 0.0:
             raise ValueError(f"{name} must be finite and positive, got {v}")
     r = pj_hat * g_uw / (pa * ell_aw)
     value = 1.0 - gamma.alpha * np.exp(-gamma.mu * r / gamma.theta) \
@@ -154,7 +154,8 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
     Returns the largest double x with ``phi(x) <= eps``, so the cap it
     sets is never on the wrong side of the bound. Requires
     0 < eps < alpha so the solution is unique and bounded away from the
-    linear regime.
+    linear regime, and eps at least alpha times the least double, since
+    phi(x) > alpha * x.
 
     Since phi(x) > alpha*x the root lies below eps/alpha; Newton steps
     from there land within a few doubles of it, a bracket of doubling
@@ -164,12 +165,18 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
     if not 0.0 < eps < gamma.alpha:
         raise ValueError(f"eps must lie in (0, alpha)=(0, {gamma.alpha}), got {eps}")
     a, mu = gamma.alpha, gamma.mu
+    if a * math.ulp(0.0) > eps:  # phi(x) >= phi(ulp(0)) = alpha * ulp(0)
+        raise ValueError(f"eps must be at least alpha times the least double, "
+                         f"{a * math.ulp(0.0)}, got {eps}")
     x = eps / a
     # phi is convex below mu/2, where Newton from above stays above the
-    # root; past mu/2 a step may overshoot, and halving at most keeps x > 0
+    # root; past mu/2 a step may overshoot, and halving at most keeps x > 0.
+    # Where e underflows to 0, x * x may too (eps near the least double);
+    # the slope term mu * e / x^2 is then nothing next to 1
     for _ in range(50):
         e = math.exp(-mu / x)
-        xn = max(x - (a * (e + x) - eps) / (a * (mu * e / (x * x) + 1.0)), 0.5 * x)
+        de = mu * e / (x * x) if e else 0.0
+        xn = max(x - (a * (e + x) - eps) / (a * (de + 1.0)), 0.5 * x)
         if xn == x:
             break
         x = xn

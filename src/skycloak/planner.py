@@ -104,14 +104,17 @@ class Scenario:
     cancel.
 
     ``kappa`` is the covertness cap coefficient, m^2: Pa <= kappa *
-    Pj_hat / D_w with D_w the squared 3D UAV-warden distance. Like
-    ``gamma`` it is derived once, at construction, so a copy made by
-    ``dataclasses.replace`` derives it afresh.
+    Pj_hat / D_w with D_w the squared 3D UAV-warden distance.
+    ``xi_coeff`` is the minimum UE service power per squared 3D distance,
+    W/m^2. Like ``gamma`` both are derived once, at construction, so a
+    copy made by ``dataclasses.replace`` derives them afresh; either one
+    outside the positive doubles raises ValueError.
     """
 
     sr: SRParams
     gamma: GammaApprox = field(init=False)
     kappa: float = field(init=False)
+    xi_coeff: float = field(init=False)
     sat: SatelliteLink
     budget: UavLinkBudget
     bob: np.ndarray
@@ -159,18 +162,23 @@ class Scenario:
             raise ValueError("R_tg must be positive")
         if self.delta <= 0.0 or self.i_max < 1:
             raise ValueError("need delta > 0 and i_max >= 1")
-        object.__setattr__(self, "kappa", phi_inverse(self.eps, self.gamma)
-                           * self.budget.beta0_chi
-                           / (self.gamma.theta * self.sat.ell))
+        try:
+            rate_gap = 2.0 ** self.R_tg - 1.0
+        except OverflowError:  # R_tg past the double range of 2^R_tg
+            rate_gap = math.inf
+        kappa = (phi_inverse(self.eps, self.gamma) * self.budget.beta0_chi
+                 / (self.gamma.theta * self.sat.ell))
+        xi_coeff = rate_gap * self.sigma_kappa2 / self.budget.beta0_kappa
+        for name, v, formula in (
+                ("kappa", kappa, "phi_inverse(eps) * beta0_chi / (theta * ell)"),
+                ("xi_coeff", xi_coeff, "(2^R_tg - 1) * sigma_kappa2 / beta0_kappa")):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} = {formula} must be a positive double, got {v}")
+            object.__setattr__(self, name, v)
 
     @property
     def K(self) -> int:
         return self.ues.shape[0]
-
-    @property
-    def xi_coeff(self) -> float:
-        """Minimum UE service power per squared 3D distance, W/m^2."""
-        return (2.0 ** self.R_tg - 1.0) * self.sigma_kappa2 / self.budget.beta0_kappa
 
     @property
     def ground_nodes(self) -> np.ndarray:

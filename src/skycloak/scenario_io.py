@@ -1,17 +1,10 @@
 """Scenario files: strict unit-tagged JSON in, SI-unit problem instances out.
 
-A scenario file carries every dimensioned quantity as ``{"value": ...,
-"unit": "..."}`` so that nothing is ambiguous at the boundary: frequencies
-in Hz or GHz, distances in m or km, powers in W or dBm, gains linear or in
-dB/dBi, angles in rad or deg. Everything is converted to SI (Hz, m, W,
-linear, rad) on load. Unknown keys are rejected at every nesting level; a
-typo never silently falls back to a default.
-
-UE positions come either as an explicit list or as a ``uniform_square``
-sampler resolved from the scenario's RNG seed at load time; the resolved
-positions are part of the returned object so every downstream run is
-replayable. The scenario hash is the SHA-256 of the canonical (sorted-key)
-JSON encoding of the raw file, so it is stable under field reordering.
+The field table ``_SCENARIO`` and the tables it nests are the one statement
+of the file format: each key of each object, how it is read, its default
+when optional and the keyword it fills. A quantity is written ``{"value":
+..., "unit": "..."}`` and converted to SI (Hz, m, W, linear, rad) on load.
+An unknown key is an error at every level, never a fallback to a default.
 """
 
 from __future__ import annotations
@@ -19,28 +12,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import (
-    SHADOWING_ROWS,
-    SatelliteLink,
-    SRParams,
-    UavLinkBudget,
-)
+from .channel import SHADOWING_ROWS, SatelliteLink, SRParams, UavLinkBudget
 from .planner import Scenario
 
-__all__ = [
-    "ScenarioError",
-    "LoadedScenario",
-    "load_scenario",
-    "scenario_hash",
-    "dbm_to_watts",
-    "db_to_linear",
-]
+__all__ = ["ScenarioError", "LoadedScenario", "load_scenario", "scenario_hash",
+           "dbm_to_watts", "db_to_linear"]
 
 
 class ScenarioError(ValueError):
@@ -63,23 +49,24 @@ _GAIN = {"linear": lambda v: v, "dB": db_to_linear, "dBi": db_to_linear}
 _ANGLE = {"rad": lambda v: v, "deg": math.radians}
 
 
-def _check_keys(node: dict, allowed, required, path: str) -> None:
+def _check_keys(node, allowed: frozenset, required: frozenset, path: str):
     if not isinstance(node, dict):
         raise ScenarioError(f"{path}: expected an object, got {type(node).__name__}")
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"{path}: unknown field(s) {unknown}")
-    missing = sorted(set(required) - set(node))
-    if missing:
-        raise ScenarioError(f"{path}: missing required field(s) {missing}")
+    keys = node.keys()
+    if not keys <= allowed:
+        raise ScenarioError(f"{path}: unknown field(s) {sorted(keys - allowed)}")
+    if not keys >= required:
+        raise ScenarioError(f"{path}: missing required field(s) {sorted(required - keys)}")
+
+
+_QUANTITY_KEYS = frozenset(("value", "unit"))
 
 
 def _quantity(node, units: dict, path: str):
-    _check_keys(node, ("value", "unit"), ("value", "unit"), path)
+    _check_keys(node, _QUANTITY_KEYS, _QUANTITY_KEYS, path)
     unit = node["unit"]
     if unit not in units:
-        raise ScenarioError(
-            f"{path}: unit {unit!r} not one of {sorted(units)}")
+        raise ScenarioError(f"{path}: unit {unit!r} not one of {sorted(units)}")
     return units[unit], node["value"]
 
 
@@ -107,33 +94,143 @@ def _si(conv, v, path: str) -> float:
     return x
 
 
-def _scalar(node, units: dict, path: str) -> float:
-    conv, v = _quantity(node, units, path)
-    return _si(conv, v, path)
-
-
-def _point2(node, path: str) -> np.ndarray:
-    conv, v = _quantity(node, _DIST, path)
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ScenarioError(f"{path}: value must be a 2-element [x, y]")
-    return np.array([_si(conv, c, path) for c in v])
-
-
-def _model(cls, *args, **kwargs):
-    """cls(*args, **kwargs); a ValueError from the model's range checks is
-    re-raised as a ScenarioError with the same message."""
+def _model(cls, **kwargs):
+    """cls(**kwargs), a model's ValueError re-raised as a ScenarioError."""
     try:
-        return cls(*args, **kwargs)
+        return cls(**kwargs)
     except ValueError as e:
         raise ScenarioError(str(e)) from e
 
 
-def _plain_number(raw: dict, key: str, default=None) -> float:
-    if key not in raw:
-        if default is None:
-            raise ScenarioError(f"missing required field '{key}'")
-        return default
-    return _number(raw[key], key)
+def _scalar(units: dict, least: float = -math.inf):
+    """Reader of a ``{"value", "unit"}`` number, at least ``least`` in SI."""
+    def read(node, path: str) -> float:
+        conv, v = _quantity(node, units, path)
+        x = _si(conv, v, path)
+        if x < least:
+            raise ScenarioError(f"{path}: must be >= {least:g}")
+        return x
+    return read
+
+
+def _point2(node, path: str, many: bool = False) -> np.ndarray:
+    """Reader of a ``{"value", "unit"}`` [x, y] pair, or ``many`` of them."""
+    conv, v = _quantity(node, _DIST, path)
+    rows = v if many and isinstance(v, (list, tuple)) else [v]
+    if not all(isinstance(xy, (list, tuple)) and len(xy) == 2 for xy in rows):
+        raise ScenarioError(f"{path}: value must be " + (
+            "a list of [x, y] pairs" if many else "a 2-element [x, y]"))
+    xy = np.array([[_si(conv, c, path) for c in row] for row in rows])
+    return xy.reshape(-1, 2) if many else xy[0]
+
+
+def _integer(v, path: str, nonneg: bool = False) -> int:
+    """Read an integer (not a bool); with ``nonneg``, a nonnegative one."""
+    if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
+            or (nonneg and v < 0)):
+        what = "a nonnegative integer" if nonneg else "an integer"
+        raise ScenarioError(f"{path}: must be {what}")
+    return operator.index(v)
+
+
+_count = partial(_integer, nonneg=True)
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One key: ``read(value, path)`` reads it, ``default`` stands in when
+    it is absent (none: required), and it fills the keyword ``arg`` (empty:
+    the key; ``"**"``: its own keywords fill the enclosing object's)."""
+
+    key: str
+    read: Callable
+    default: object = _REQUIRED
+    arg: str = ""
+
+
+class _Object:
+    """Reader of an object by its field table: checks the keys, reads each
+    field in table order and passes the keywords they fill to ``cls``."""
+
+    def __init__(self, cls, *fields: _Field):
+        self.cls, self.fields = cls, fields
+        self.keys = frozenset(f.key for f in fields)
+        self.required = frozenset(f.key for f in fields if f.default is _REQUIRED)
+
+    def __call__(self, node, path: str):
+        _check_keys(node, self.keys, self.required, path or "scenario")
+        kw = {}
+        for f in self.fields:
+            v = (f.read(node[f.key], f"{path}.{f.key}" if path else f.key)
+                 if f.key in node else f.default)
+            if f.arg == "**":
+                kw.update(v)
+            else:
+                kw[f.arg or f.key] = v
+        return _model(self.cls, **kw)
+
+
+_SHADOWING = _Object(SRParams, *(_Field(key, _number) for key in ("b", "m", "omega")))
+
+
+def _shadowing(node, path: str) -> SRParams:
+    """A row of ``SHADOWING_ROWS`` by name, or an explicit object."""
+    if not isinstance(node, str):
+        return _SHADOWING(node, path)
+    if node not in SHADOWING_ROWS:
+        raise ScenarioError(f"{path}: unknown shadowing row {node!r}; expected one of "
+                            f"{sorted(SHADOWING_ROWS)} or explicit "
+                            f"{{{', '.join(f.key for f in _SHADOWING.fields)}}}")
+    return SHADOWING_ROWS[node]
+
+
+def _uniform_square(side: float, count: int):
+    """UE positions uniform on a square about the origin, drawn from stream
+    1 of the seed; no generator is built for count 0."""
+    return lambda seed: np.random.default_rng([1, seed]).uniform(
+        -side / 2.0, side / 2.0, size=(count, 2)) if count else np.empty((0, 2))
+
+
+_UE_MODES = _Object(dict, _Field("explicit", partial(_point2, many=True), None),
+                    _Field("uniform_square", _Object(
+                        _uniform_square, _Field("side", _scalar(_DIST, 0.0)),
+                        _Field("count", _count)), None))
+
+
+def _ue_placement(node, path: str):
+    """Exactly one UE mode, read to the positions as a function of the seed."""
+    explicit, draw = _UE_MODES(node, path).values()
+    if (explicit is None) == (draw is None):
+        raise ScenarioError(f"{path}: give exactly one of "
+                            + " or ".join(repr(f.key) for f in _UE_MODES.fields))
+    return draw or (lambda seed: explicit)
+
+
+_SEED = _Field("rng_seed", _count, 0, "seed")
+
+# the file format, read in this order; load_scenario settles the seed
+_SCENARIO = _Object(
+    dict, _Field("shadowing", _shadowing, arg="sr"),
+    _Field("satellite", _Object(
+        SatelliteLink, _Field("fc", _scalar(_FREQ)), _Field("d", _scalar(_DIST)),
+        _Field("G", _scalar(_GAIN))), arg="sat"),
+    _Field("uav", _Object(
+        UavLinkBudget, _Field("beta0_chi", _scalar(_GAIN)),
+        _Field("beta0_kappa", _scalar(_GAIN)), _Field("phi_min", _scalar(_ANGLE))),
+        arg="budget"),
+    _Field("noise", _Object(
+        dict, _Field("sigma_kappa2", _scalar(_POWER)),
+        _Field("sigma_b2", _scalar(_POWER)), _Field("sigma_w2", _scalar(_POWER))),
+        arg="**"),
+    _SEED,
+    _Field("ue_placement", _ue_placement, arg="ues"),
+    _Field("i_max", _integer, 50),
+    _Field("bob", _point2), _Field("willie", _point2),
+    _Field("varpi", _number), _Field("eps", _number),
+    _Field("P_tot", _scalar(_POWER)), _Field("Pa_max", _scalar(_POWER)),
+    _Field("H_min", _scalar(_DIST)), _Field("H_max", _scalar(_DIST)),
+    _Field("R_tg", _number), _Field("delta", _number, 1e-6),
+)
 
 
 @dataclass(frozen=True)
@@ -146,64 +243,18 @@ class LoadedScenario:
 
 
 def scenario_hash(raw: dict) -> str:
+    """SHA-256 of the sorted-key JSON, so stable under field reordering."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-_TOP_KEYS = (
-    "shadowing", "satellite", "uav", "bob", "willie", "ue_placement", "noise",
-    "varpi", "eps", "P_tot", "Pa_max", "H_min", "H_max", "R_tg",
-    "delta", "i_max", "rng_seed",
-)
-_TOP_REQUIRED = tuple(k for k in _TOP_KEYS if k not in ("delta", "i_max", "rng_seed"))
-
-
-def _parse_shadowing(node, path: str) -> SRParams:
-    if isinstance(node, str):
-        if node not in SHADOWING_ROWS:
-            raise ScenarioError(
-                f"{path}: unknown shadowing row {node!r}; "
-                f"expected one of {sorted(SHADOWING_ROWS)} or explicit {{b, m, omega}}")
-        return SHADOWING_ROWS[node]
-    _check_keys(node, ("b", "m", "omega"), ("b", "m", "omega"), path)
-    return _model(SRParams, *(_number(node[key], f"{path}.{key}")
-                              for key in ("b", "m", "omega")))
-
-
-def _resolve_ues(node, seed: int, path: str):
-    _check_keys(node, ("explicit", "uniform_square"), (), path)
-    if ("explicit" in node) == ("uniform_square" in node):
-        raise ScenarioError(
-            f"{path}: give exactly one of 'explicit' or 'uniform_square'")
-    if "explicit" in node:
-        conv, v = _quantity(node["explicit"], _DIST, f"{path}.explicit")
-        if not isinstance(v, (list, tuple)) or not all(
-                isinstance(xy, (list, tuple)) and len(xy) == 2 for xy in v):
-            raise ScenarioError(f"{path}.explicit: value must be a list of [x, y] pairs")
-        return np.array([[_si(conv, c, f"{path}.explicit") for c in xy]
-                         for xy in v]).reshape(-1, 2)
-    sq = node["uniform_square"]
-    _check_keys(sq, ("side", "count"), ("side", "count"), f"{path}.uniform_square")
-    side = _scalar(sq["side"], _DIST, f"{path}.uniform_square.side")
-    if side < 0.0:
-        raise ScenarioError(f"{path}.uniform_square.side: must be >= 0")
-    count = sq["count"]
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ScenarioError(f"{path}.uniform_square.count: must be a nonnegative integer")
-    if count == 0:
-        return np.empty((0, 2))  # nothing to draw: no generator is built
-    rng = np.random.default_rng([1, seed])  # stream 1: UE placement
-    return rng.uniform(-side / 2.0, side / 2.0, size=(count, 2))
 
 
 def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     """Parse a scenario file (path, JSON string content not accepted) or dict.
 
     ``seed`` overrides the file's ``rng_seed`` for UE sampling and any
-    downstream Monte Carlo, and must be a nonnegative integer as well.
-    Raises ScenarioError on any unknown field, missing field, unmappable
-    unit, negative seed or value out of the model's range.
-    """
+    downstream Monte Carlo, and like it must be a nonnegative integer, not
+    a bool. Raises ScenarioError on any unknown field, missing field,
+    unmappable unit, bad seed or value out of the model's range."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -213,62 +264,9 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
             raise ScenarioError(f"cannot read scenario file {source}: {e}") from e
         except json.JSONDecodeError as e:
             raise ScenarioError(f"scenario file {source} is not valid JSON: {e}") from e
-    _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "scenario")
-
-    sr = _parse_shadowing(raw["shadowing"], "shadowing")
-    sat_node = raw["satellite"]
-    _check_keys(sat_node, ("fc", "d", "G"), ("fc", "d", "G"), "satellite")
-    sat = _model(
-        SatelliteLink,
-        fc=_scalar(sat_node["fc"], _FREQ, "satellite.fc"),
-        d=_scalar(sat_node["d"], _DIST, "satellite.d"),
-        G=_scalar(sat_node["G"], _GAIN, "satellite.G"),
-    )
-    uav_node = raw["uav"]
-    _check_keys(uav_node, ("beta0_chi", "beta0_kappa", "phi_min"),
-                ("beta0_chi", "beta0_kappa", "phi_min"), "uav")
-    budget = _model(
-        UavLinkBudget,
-        beta0_chi=_scalar(uav_node["beta0_chi"], _GAIN, "uav.beta0_chi"),
-        beta0_kappa=_scalar(uav_node["beta0_kappa"], _GAIN, "uav.beta0_kappa"),
-        phi_min=_scalar(uav_node["phi_min"], _ANGLE, "uav.phi_min"),
-    )
-    noise = raw["noise"]
-    _check_keys(noise, ("sigma_kappa2", "sigma_b2", "sigma_w2"),
-                ("sigma_kappa2", "sigma_b2", "sigma_w2"), "noise")
-
-    rng_seed = raw.get("rng_seed", 0)
-    resolved_seed = rng_seed if seed is None else int(seed)
-    if (not isinstance(rng_seed, int) or isinstance(rng_seed, bool)
-            or min(rng_seed, resolved_seed) < 0):
-        raise ScenarioError("rng_seed: must be a nonnegative integer")
-    ues = _resolve_ues(raw["ue_placement"], resolved_seed, "ue_placement")
-
-    i_max = raw.get("i_max", 50)
-    if not isinstance(i_max, int) or isinstance(i_max, bool):
-        raise ScenarioError("i_max: must be an integer")
-
-    scenario = _model(
-        Scenario,
-        sr=sr,
-        sat=sat,
-        budget=budget,
-        bob=_point2(raw["bob"], "bob"),
-        willie=_point2(raw["willie"], "willie"),
-        ues=ues,
-        sigma_kappa2=_scalar(noise["sigma_kappa2"], _POWER, "noise.sigma_kappa2"),
-        sigma_b2=_scalar(noise["sigma_b2"], _POWER, "noise.sigma_b2"),
-        sigma_w2=_scalar(noise["sigma_w2"], _POWER, "noise.sigma_w2"),
-        varpi=_plain_number(raw, "varpi"),
-        eps=_plain_number(raw, "eps"),
-        P_tot=_scalar(raw["P_tot"], _POWER, "P_tot"),
-        Pa_max=_scalar(raw["Pa_max"], _POWER, "Pa_max"),
-        H_min=_scalar(raw["H_min"], _DIST, "H_min"),
-        H_max=_scalar(raw["H_max"], _DIST, "H_max"),
-        R_tg=_plain_number(raw, "R_tg"),
-        delta=_plain_number(raw, "delta", 1e-6),
-        i_max=i_max,
-    )
-    return LoadedScenario(scenario=scenario, seed=resolved_seed,
+    kw = _SCENARIO(raw, "")
+    file_seed = kw.pop(_SEED.arg)
+    seed = file_seed if seed is None else _SEED.read(seed, _SEED.key)
+    kw["ues"] = kw["ues"](seed)
+    return LoadedScenario(scenario=_model(Scenario, **kw), seed=seed,
                           hash=scenario_hash(raw))
-

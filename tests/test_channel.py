@@ -161,8 +161,8 @@ def test_sampler_construction_and_stream_use(name):
     want = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
     assert np.array_equal(sample_sr_power(p, rng, n), want)
     assert rng.standard_normal() == twin.standard_normal()
-    x = sample_sr_power(p, rng)
-    assert type(x) is float and x >= 0.0
+    with pytest.raises(TypeError):  # size is required: no scalar draw
+        sample_sr_power(p, rng)
 
 
 def test_heavy_row_is_exactly_exponential():
@@ -177,6 +177,14 @@ def test_heavy_row_is_exactly_exponential():
     draws = sample_sr_power(p, rng, 100_000)
     ks = ks_statistic(draws, lambda v: 1.0 - np.exp(-v / scale))
     assert ks < 0.006
+
+
+@pytest.mark.parametrize("fc,d,G", [(2.0e9, 1e203, 1000.0),   # underflows
+                                    (1e-300, 1e-300, 1.0),   # 4 pi fc d = 0
+                                    (1e-200, 1e-100, 1e10)])  # overflows
+def test_satellite_large_scale_outside_the_doubles_raises(fc, d, G):
+    with pytest.raises(ValueError, match="outside the positive doubles"):
+        satellite_large_scale(fc, d, G)
 
 
 def test_satellite_large_scale_value_and_scaling():

@@ -161,6 +161,38 @@ def test_optimize_out_of_range_value_exits_1(tmp_path, capsys, mutate,
     assert not (tmp_path / "solution.json").exists()
 
 
+# a value whose derived constant leaves the double range is a scenario
+# error naming the field, never a crash: the large-scale gain underflows at
+# d = 1e200 km and 2^R_tg overflows at R_tg = 2000
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["satellite"]["d"].update(value=1e200),
+     "fc, d, G give a large-scale gain"),
+    (lambda d: d.update(R_tg=2000), "xi_coeff = (2^R_tg - 1)"),
+])
+def test_optimize_derived_constant_out_of_range_exits_1(tmp_path, capsys,
+                                                        mutate, field):
+    d = default_scenario_dict(0.1, 12)
+    mutate(d)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {field}")
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
+    # eps = 1e-300 puts the covertness root where x * x underflows
+    d = default_scenario_dict(0.1, 12)
+    d["eps"] = 1e-300
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc in (0, 2)
+    assert "error:" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side", [math.nan, math.inf, -1.0])
 def test_optimize_bad_square_side_exits_1(tmp_path, capsys, side):
     d = default_scenario_dict(0.1, 12)

@@ -273,6 +273,41 @@ def test_phi_inverse_rejects_out_of_range():
         phi_inverse(0.0, g)
     with pytest.raises(ValueError):
         phi_inverse(g.alpha + 0.1, g)
+    # phi(x) >= alpha * x, so no double x > 0 reaches an eps below alpha
+    # times the least double
+    with pytest.raises(ValueError, match="at least alpha times the least"):
+        phi_inverse(math.ulp(0.0), g)
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
+def test_phi_inverse_near_the_least_double(name):
+    # at eps = 1e-300 the Newton iterate's square underflows to 0; the
+    # answer is still the one phi alone decides
+    g = gamma_from_sr(SHADOWING_ROWS[name])
+    for eps in (1e-300, 1e-310, 3e-323):
+        assert phi_inverse(eps, g) == bisect_phi_inverse(eps, g), eps
+
+
+FINITE_CHECKED = [
+    (avg_min_dep_quadrature, LIGHT_SHADOWING, "finite and nonnegative"),
+    (avg_min_dep_lower_bound, gamma_from_sr(LIGHT_SHADOWING),
+     "finite and positive"),
+]
+
+
+@pytest.mark.parametrize("fn,law,what", FINITE_CHECKED)
+def test_dep_scalar_checks(fn, law, what):
+    # numpy scalars and ints pass the checks and give the float answer
+    want = fn(1.0, 2.0, 3.0, 4.0, law)
+    assert fn(np.float64(1.0), 2, np.float64(3.0), 4, law) == want
+    names = ("pa", "ell_aw", "pj_hat", "g_uw")
+    for i, name in enumerate(names):
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            args = [1.0, 2.0, 3.0, 4.0]
+            args[i] = bad
+            with pytest.raises(ValueError) as e:
+                fn(*args, law)
+            assert str(e.value) == f"{name} must be {what}, got {bad}"
 
 
 def test_covert_constraint_boundary():

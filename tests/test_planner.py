@@ -1387,6 +1387,29 @@ def test_scenario_rejects_a_non_finite_position(default_scenario, name, bad):
         dataclasses.replace(default_scenario, **{name: value})
 
 
+def test_scenario_derives_its_coefficients_once(default_scenario):
+    s = default_scenario
+    assert s.xi_coeff == ((2.0 ** s.R_tg - 1.0) * s.sigma_kappa2
+                          / s.budget.beta0_kappa)
+    assert s.kappa == (phi_inverse(s.eps, s.gamma) * s.budget.beta0_chi
+                       / (s.gamma.theta * s.sat.ell))
+    t = dataclasses.replace(s, R_tg=2.0 * s.R_tg)
+    assert t.xi_coeff > s.xi_coeff and t.kappa == s.kappa
+
+
+@pytest.mark.parametrize("changes,name", [
+    (lambda s: {"R_tg": 2000.0}, "xi_coeff"),  # 2^R_tg overflows
+    (lambda s: {"R_tg": 1e-300}, "xi_coeff"),  # 2^R_tg - 1 rounds to 0
+    (lambda s: {"eps": 1e-300, "budget": dataclasses.replace(
+        s.budget, beta0_chi=1e-300)}, "kappa"),  # underflows to 0
+])
+def test_scenario_rejects_a_coefficient_outside_the_doubles(default_scenario,
+                                                            changes, name):
+    with pytest.raises(ValueError, match=f"^{name} = .* must be a positive "
+                                         "double, got"):
+        dataclasses.replace(default_scenario, **changes(default_scenario))
+
+
 def power_split(field, value):
     """A valid allocation with ``field`` set to ``value`` (Pk's last
     entry for Pk)."""

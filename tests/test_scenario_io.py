@@ -1,6 +1,7 @@
 """Scenario parsing: units, strictness, hashing, UE resolution."""
 
 import copy
+import hashlib
 import json
 import math
 
@@ -390,3 +391,246 @@ def test_hash_sensitive_to_values():
 def test_loaded_hash_matches_function(default_loaded, scenarios_dir):
     raw = json.loads((scenarios_dir / "default.json").read_text())
     assert default_loaded.hash == scenario_hash(raw)
+
+
+# ---------------------------------------------------------------------------
+# golden single-fault messages: each case mutates scenarios/default.json in
+# one place, and the loader's message is pinned byte for byte
+
+
+def q(value, unit):
+    return {"value": value, "unit": unit}
+
+
+def ue(placement):
+    return lambda d: d.update(ue_placement=copy.deepcopy(placement))
+
+
+GOLDEN_FAULTS = [
+    pytest.param(lambda d: d.update(extra=1),
+                 "scenario: unknown field(s) ['extra']",
+                 id='top-unknown'),
+    pytest.param(lambda d: d.pop("noise"),
+                 "scenario: missing required field(s) ['noise']",
+                 id='top-missing'),
+    pytest.param(lambda d: d["satellite"].update(extra=1),
+                 "satellite: unknown field(s) ['extra']",
+                 id='satellite-unknown'),
+    pytest.param(lambda d: d["satellite"].pop("fc"),
+                 "satellite: missing required field(s) ['fc']",
+                 id='satellite-missing'),
+    pytest.param(lambda d: d.update(satellite=[1]),
+                 'satellite: expected an object, got list',
+                 id='satellite-not-object'),
+    pytest.param(lambda d: d["uav"].update(tilt=1),
+                 "uav: unknown field(s) ['tilt']",
+                 id='uav-unknown'),
+    pytest.param(lambda d: d["uav"].pop("phi_min"),
+                 "uav: missing required field(s) ['phi_min']",
+                 id='uav-missing'),
+    pytest.param(lambda d: d["noise"].update(sigma_x=1),
+                 "noise: unknown field(s) ['sigma_x']",
+                 id='noise-unknown'),
+    pytest.param(lambda d: d["noise"].pop("sigma_b2"),
+                 "noise: missing required field(s) ['sigma_b2']",
+                 id='noise-missing'),
+    pytest.param(lambda d: d["ue_placement"].update(grid=1),
+                 "ue_placement: unknown field(s) ['grid']",
+                 id='ue_placement-unknown'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"].update(shape="hex"),
+                 "ue_placement.uniform_square: unknown field(s) ['shape']",
+                 id='uniform_square-unknown'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"].pop("count"),
+                 "ue_placement.uniform_square: missing required field(s) ['count']",
+                 id='uniform_square-missing'),
+    pytest.param(lambda d: d["P_tot"].update(tol=0.1),
+                 "P_tot: unknown field(s) ['tol']",
+                 id='quantity-unknown'),
+    pytest.param(lambda d: d["P_tot"].pop("unit"),
+                 "P_tot: missing required field(s) ['unit']",
+                 id='quantity-missing'),
+    pytest.param(lambda d: d.update(P_tot=1.0),
+                 'P_tot: expected an object, got float',
+                 id='quantity-not-object'),
+    pytest.param(lambda d: d["satellite"].update(fc=q(2.0, "MHz")),
+                 "satellite.fc: unit 'MHz' not one of ['GHz', 'Hz']",
+                 id='bad-unit'),
+    pytest.param(lambda d: d.update(P_tot=q(True, "W")),
+                 'P_tot: must be a number (a finite plain number, not a bool or a string)',
+                 id='bool'),
+    pytest.param(lambda d: d.update(varpi="small"),
+                 'varpi: must be a number (a finite plain number, not a bool or a string)',
+                 id='string'),
+    pytest.param(lambda d: d["Pa_max"].update(value=math.nan),
+                 'Pa_max: must be a number (a finite plain number, not a bool or a string)',
+                 id='nan'),
+    pytest.param(lambda d: d["H_max"].update(value=math.inf),
+                 'H_max: must be a number (a finite plain number, not a bool or a string)',
+                 id='infinity'),
+    pytest.param(lambda d: d.update(R_tg=10**400),
+                 'R_tg: must be a number (a finite plain number, not a bool or a string)',
+                 id='401-digit'),
+    pytest.param(lambda d: d["noise"].update(sigma_w2=q(4000.0, "dBm")),
+                 'noise.sigma_w2: value overflows a float in SI units',
+                 id='dBm-overflow'),
+    pytest.param(lambda d: d.update(shadowing="tropical"),
+                 "shadowing: unknown shadowing row 'tropical'; expected one of ['average', 'heavy', 'light'] or explicit {b, m, omega}",
+                 id='shadowing-row'),
+    pytest.param(lambda d: d.update(shadowing={"b": 0.126, "m": 10.1, "omega": 0.835, "k": 1}),
+                 "shadowing: unknown field(s) ['k']",
+                 id='shadowing-unknown'),
+    pytest.param(lambda d: d.update(shadowing={"b": 0.126, "m": 10.1}),
+                 "shadowing: missing required field(s) ['omega']",
+                 id='shadowing-missing'),
+    pytest.param(lambda d: d.update(shadowing={"b": 0.126, "m": "x", "omega": 0.835}),
+                 'shadowing.m: must be a number (a finite plain number, not a bool or a string)',
+                 id='shadowing-string'),
+    pytest.param(lambda d: d.update(shadowing={"b": 0.126, "m": 0.5, "omega": 0.835}),
+                 'm must be >= 1, got 0.5',
+                 id='shadowing-range'),
+    pytest.param(ue({"explicit": q([[0.0, 0.0]], "m"), "uniform_square": {"side": q(1.0, "m"), "count": 1}}),
+                 "ue_placement: give exactly one of 'explicit' or 'uniform_square'",
+                 id='ue-both'),
+    pytest.param(ue({}),
+                 "ue_placement: give exactly one of 'explicit' or 'uniform_square'",
+                 id='ue-neither'),
+    pytest.param(ue({"explicit": q([0.0, 0.0], "m")}),
+                 'ue_placement.explicit: value must be a list of [x, y] pairs',
+                 id='explicit-flat'),
+    pytest.param(ue({"explicit": q([["5", 0]], "m")}),
+                 'ue_placement.explicit: must be a number (a finite plain number, not a bool or a string)',
+                 id='explicit-string'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"]["side"].update(value=-1.0),
+                 'ue_placement.uniform_square.side: must be >= 0',
+                 id='side-negative'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"]["side"].update(value=math.nan),
+                 'ue_placement.uniform_square.side: must be a number (a finite plain number, not a bool or a string)',
+                 id='side-nan'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"].update(count=True),
+                 'ue_placement.uniform_square.count: must be a nonnegative integer',
+                 id='count-bool'),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"].update(count=-1),
+                 'ue_placement.uniform_square.count: must be a nonnegative integer',
+                 id='count-negative'),
+    pytest.param(lambda d: d.update(rng_seed=-1),
+                 'rng_seed: must be a nonnegative integer',
+                 id='rng_seed-negative'),
+    pytest.param(lambda d: d.update(i_max=2.5),
+                 'i_max: must be an integer',
+                 id='i_max-float'),
+    pytest.param(lambda d: d.update(bob=q([1.0, 2.0, 3.0], "m")),
+                 'bob: value must be a 2-element [x, y]',
+                 id='bob-3'),
+    pytest.param(lambda d: d.update(willie=q(5.0, "m")),
+                 'willie: value must be a 2-element [x, y]',
+                 id='willie-scalar'),
+    pytest.param(lambda d: d.update(eps=0.7),
+                 'eps must be in (0, 0.5), got 0.7',
+                 id='eps-range'),
+    pytest.param(lambda d: d["H_min"].update(value=d["H_max"]["value"]),
+                 'need 0 < H_min < H_max',
+                 id='altitude-range'),
+    pytest.param(lambda d: d["uav"].update(beta0_chi=q(0.0, "linear")),
+                 'reference gains must be positive and finite',
+                 id='gain-range'),
+    pytest.param(lambda d: d["satellite"]["d"].update(value=-500.0),
+                 'fc, d, G must all be positive and finite',
+                 id='satellite-range'),
+    pytest.param(lambda d: d.update(varpi=2),
+                 'varpi must be in [0, 1], got 2.0',
+                 id='varpi-range'),
+    pytest.param(lambda d: d.update(i_max=0),
+                 'need delta > 0 and i_max >= 1',
+                 id='i_max-range'),
+    pytest.param(lambda d: d["uav"].update(phi_min=q(95.0, "deg")),
+                 'phi_min must lie in (0, pi/2)',
+                 id='phi_min-range'),
+    pytest.param(lambda d: d["noise"]["sigma_b2"].update(value=0.0, unit="W"),
+                 'sigma_b2 must be positive',
+                 id='noise-range'),
+    pytest.param(lambda d: d["P_tot"].update(value=-1.0),
+                 'P_tot and Pa_max must be positive',
+                 id='power-range'),
+]
+
+
+@pytest.mark.parametrize("mutate,message", GOLDEN_FAULTS)
+def test_single_fault_message_is_pinned(tmp_path, mutate, message):
+    d = default_scenario_dict(0.1, 0)
+    mutate(d)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # NaN and Infinity written as such
+    for source in (d, p):
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(source)
+        assert str(e.value) == message
+
+
+def test_top_level_must_be_an_object(tmp_path):
+    p = tmp_path / "scenario.json"
+    p.write_text("[1]")
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(p)
+    assert str(e.value) == "scenario: expected an object, got list"
+
+
+# derived constants that leave the double range name their fields, and a
+# covertness level near the least double loads
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: d["satellite"]["d"].update(value=1e200),
+                 "fc, d, G give a large-scale gain (c / (4 pi fc d))^2 * G "
+                 "outside the positive doubles, got 0.0", id="satellite.d"),
+    pytest.param(lambda d: d["satellite"].update(fc=q(1e-300, "Hz"),
+                                                 d=q(1e-300, "m")),
+                 "fc, d, G give a large-scale gain (c / (4 pi fc d))^2 * G "
+                 "outside the positive doubles, got inf", id="fc*d"),
+    pytest.param(lambda d: d.update(R_tg=2000),
+                 "xi_coeff = (2^R_tg - 1) * sigma_kappa2 / beta0_kappa must "
+                 "be a positive double, got inf", id="R_tg"),
+    pytest.param(lambda d: d.update(R_tg=1e-300),
+                 "xi_coeff = (2^R_tg - 1) * sigma_kappa2 / beta0_kappa must "
+                 "be a positive double, got 0.0", id="R_tg-tiny"),
+    pytest.param(lambda d: d.update(eps=5e-324),
+                 "eps must be at least alpha times the least double, "
+                 "1.5e-323, got 5e-324", id="eps-least"),
+])
+def test_derived_constant_out_of_range_names_the_field(mutate, message):
+    d = default_scenario_dict(0.1, 0)
+    mutate(d)
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(d)
+    assert str(e.value) == message
+
+
+def test_tiny_eps_loads():
+    d = default_scenario_dict(0.1, 0)
+    d["eps"] = 1e-300
+    s = load_scenario(d).scenario
+    assert 0.0 < s.kappa < math.inf
+
+
+@pytest.mark.parametrize("seed", [1.9, True, "3", -0.5])
+def test_seed_override_must_be_a_nonnegative_integer(seed):
+    # no coercion: the override gets the check the file's rng_seed gets
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(default_scenario_dict(0.1, 12), seed=seed)
+    assert str(e.value) == "rng_seed: must be a nonnegative integer"
+
+
+def test_seed_override_takes_any_integer_type():
+    ls = load_scenario(default_scenario_dict(0.1, 12), seed=np.int64(4))
+    assert ls.seed == 4 and type(ls.seed) is int
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("default",
+     "9611ee74aed1e9160aeca6a607b65d8f99cfd65bb28af129ed8d88f5e336b156"),
+    ("default_perfect",
+     "16741cc4804244c98626f53c6ba3ac4ebe86c505b5a1752bac0f65d2bd686fc9"),
+])
+def test_stock_scenario_hashes_are_pinned(scenarios_dir, name, digest):
+    path = scenarios_dir / f"{name}.json"
+    assert load_scenario(path).hash == digest
+    canon = json.dumps(json.loads(path.read_text()), sort_keys=True,
+                       separators=(",", ":"))
+    assert hashlib.sha256(canon.encode("utf-8")).hexdigest() == digest
