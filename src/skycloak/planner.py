@@ -24,7 +24,7 @@ ratio of a concave to a convex quadratic maximized exactly by Dinkelbach
 iteration, after which the power split follows in closed form.
 
 Both paths hand the solvers one stacked constraint over the lifted
-placement (q, H): a row per elevation cone, two half-space rows for the
+placement (q, H): a row per elevation cone, one slab row for the
 altitude band, and, in the BCD placement step, a row per UE-rate or
 covertness ball.
 
@@ -292,8 +292,14 @@ def _enclosing_circle(points) -> tuple[float, float, float]:
     point within a relative 1e-12 of the squared radius counts as
     inside. The points are taken about their centroid, farthest first:
     the far points usually span the circle, which keeps rebuilds few.
+
+    It runs on the points scaled by 2^-e, 2^e above every coordinate's
+    magnitude, so no square leaves the doubles, and scales the result
+    back: both exact short of subnormals, so the circle keeps its bits.
     """
     n = len(points)
+    e = math.frexp(max(max(abs(x), abs(y)) for x, y in points))[1]
+    points = [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in points]
     mx, my = sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
     pts = sorted(((x - mx, y - my) for x, y in points),
                  key=lambda p: p[0] * p[0] + p[1] * p[1], reverse=True)
@@ -313,7 +319,8 @@ def _enclosing_circle(points) -> tuple[float, float, float]:
                 if (tx - cx) ** 2 + (ty - cy) ** 2 <= r2 * tol:
                     continue
                 cx, cy, r2 = _circle_through(px, py, qx, qy, tx, ty)
-    return mx + cx, my + cy, math.sqrt(r2)
+    return (math.ldexp(mx + cx, e), math.ldexp(my + cy, e),
+            math.ldexp(math.sqrt(r2), e))
 
 
 def _circle_through(px, py, qx, qy, tx, ty):
@@ -337,6 +344,27 @@ _FLOORS_IN_CONES = ("ue-rate power floors",
                     "exceed the budget everywhere in the elevation cones")
 
 
+def _band_top(s: Scenario) -> float:
+    """H_max, or a lower top of the altitude band that no plan sought flies
+    above, so that the band's slab row rounds at the scale of reachable
+    altitudes. With UEs, the H with K xi H^2 = P_tot: the rate floors take
+    sum_k xi d_k^2 <= P_tot with every d_k >= H. Without UEs (varpi = 0),
+    twice hypot(R, low): the ratio peaks nearest the warden w, and the
+    point at low = max(H_min, R tan(phi_min)) above the midpoint of Bob
+    and w, R from each, clears the cones hypot(R, low) from w."""
+    if s.K:
+        cap = math.sqrt(s.P_tot / s.xi_coeff / s.K)
+    else:
+        R = 0.5 * math.dist(s.bob, s.willie)
+        cap = 2.0 * math.hypot(R, max(s.H_min, math.tan(s.budget.phi_min) * R))
+    return min(s.H_max, cap)
+
+
+def _no_room(s: Scenario):
+    """The cones' verdict, or the floors' where they lower the band's top."""
+    return _FLOORS_IN_CONES if s.K and _band_top(s) < s.H_max else _CONES
+
+
 def _placement_region(s: Scenario):
     """The closed forms that both planners apply before their start.
 
@@ -344,11 +372,11 @@ def _placement_region(s: Scenario):
     ground nodes (cone apexes, all at height 0), the cone slack
     H cot(phi_min) - max_k ||q - n_k|| at altitude H, in
     ``ConeConstraint.margin``'s units, is largest at q = c. So the slack
-    of the cones and the altitude band, min(H cot(phi_min) - R,
-    H - H_min, H_max - H), peaks at x = (c, H*) (Boyd & Vandenberghe
-    8.5.1), unique when the cone term sets H*, with
-    H* = max((H_max + R) / (1 + cot(phi_min)), (H_min + H_max) / 2)
-    and slack H_max - H*.
+    of the cones and the band up to top = ``_band_top(s)``,
+    min(H cot(phi_min) - R, H - H_min, top - H), peaks at x = (c, H*)
+    (Boyd & Vandenberghe 8.5.1), unique when the cone term sets H*, with
+    H* = max((top + R) / (1 + cot(phi_min)), (H_min + top) / 2)
+    and slack top - H*.
 
     Returns (x, slack). The UE rate floors fit in P_tot exactly on the
     UE power budget ball, sum_k xi ||x - u_k||^2 <= P_tot, centred on the
@@ -362,8 +390,11 @@ def _placement_region(s: Scenario):
     r2 = math.inf  # without UEs the ball is all of space
     if s.K:
         centers = np.array([_lift(u) for u in s.ues])
-        centroid = centers.mean(axis=0)
-        spread = float(np.sum((centers - centroid[None, :]) ** 2))
+        # a centroid or spread past the doubles is inf, and r2 = -inf the
+        # verdict
+        with np.errstate(over="ignore"):
+            centroid = centers.mean(axis=0)
+            spread = float(np.sum((centers - centroid[None, :]) ** 2))
         r2 = (s.P_tot / s.xi_coeff - spread) / s.K
         if r2 <= 0.0:
             raise PlannerInfeasible("ue-rate power floors",
@@ -374,42 +405,51 @@ def _placement_region(s: Scenario):
         raise PlannerInfeasible(*_CONES)
     if low >= math.sqrt(r2) * (1.0 + _CERT_MARGIN):
         raise PlannerInfeasible(*_FLOORS_IN_CONES)
-    h = max((s.H_max + R) / (1.0 + 1.0 / tan), 0.5 * (s.H_min + s.H_max))
-    return np.array([cx, cy, h]), s.H_max - h
+    top = _band_top(s)
+    h = max((top + R) / (1.0 + 1.0 / tan), 0.5 * (s.H_min + top))
+    return np.array([cx, cy, h]), top - h
 
 
-def _placement_set(s: Scenario, centers=(), radii=()) -> ConeConstraint:
-    """Rows over the lifted placement x = (q, H): one elevation cone per
-    ground node (||q - node|| <= H / tan(phi_min)), the altitude band
-    H_min <= H <= H_max, then one ball ||x - center|| <= radius per
-    center."""
+def _placement_set(s: Scenario, centers=(), radii=(), origin=(0.0, 0.0),
+                   top=None) -> ConeConstraint:
+    """Rows over the lifted placement x = (q - origin, H): one elevation
+    cone per ground node (||q - node|| <= H / tan(phi_min)), the searched
+    altitude band H_min <= H <= top (by default from ``_band_top``) as the
+    slab row ||(H - mid, 0, 0)|| <= half, with mid and half the band's
+    centre and half-width, then one ball ||x - center|| <= radius per
+    center, each center given in the unshifted coordinates."""
     nodes = s.ground_nodes
     nc, nb = len(nodes), len(radii)
-    A = np.zeros((nc + 2 + nb, 3, 3))
-    b = np.zeros((nc + 2 + nb, 3))
-    c = np.zeros((nc + 2 + nb, 3))
-    d = np.zeros(nc + 2 + nb)
+    A = np.zeros((nc + 1 + nb, 3, 3))
+    b = np.zeros((nc + 1 + nb, 3))
+    c = np.zeros((nc + 1 + nb, 3))
+    d = np.zeros(nc + 1 + nb)
+    top = _band_top(s) if top is None else top
     A[:nc] = np.diag([1.0, 1.0, 0.0])
-    b[:nc, :2] = nodes
+    b[:nc, :2] = nodes - origin
     c[:nc, 2] = 1.0 / math.tan(s.budget.phi_min)
-    c[nc:nc + 2, 2] = (1.0, -1.0)
-    d[nc:nc + 2] = (-s.H_min, s.H_max)
-    A[nc + 2:] = np.eye(3)
-    b[nc + 2:] = np.reshape(centers, (nb, 3))
-    d[nc + 2:] = radii
+    A[nc, 0, 2] = 1.0
+    b[nc, 0] = 0.5 * s.H_min + 0.5 * top
+    d[nc] = 0.5 * top - 0.5 * s.H_min
+    A[nc + 1:] = np.eye(3)
+    b[nc + 1:] = np.reshape(centers, (nb, 3))
+    b[nc + 1:, :2] -= origin
+    d[nc + 1:] = radii
     return ConeConstraint(A, b, c, d)
 
 
 def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstraint:
     """Feasible placements at fixed powers: cones, altitude band, UE-rate
     balls (radius sqrt(Pk/Xi) around each lifted UE), and the covertness
-    ball around the lifted warden."""
+    ball around the lifted warden. Without UEs the band's top is the
+    covertness ball's, the only ball, centred on the ground, if below H_max."""
     centers = [_lift(u) for u in s.ues]
     radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk]
     if powers.Pa > 0.0:
         centers.append(_lift(s.willie))
         radii.append(math.sqrt(s.kappa * powers.Pj_hat / powers.Pa))
-    return _placement_set(s, centers, radii)
+    top = _band_top(s) if s.K else min([s.H_max, *radii])
+    return _placement_set(s, centers, radii, top=top)
 
 
 def placement_subproblem(s: Scenario, powers: PowerAllocation,
@@ -545,7 +585,7 @@ def _initial_placement(s: Scenario) -> UavPlacement:
     if h0 <= s.H_max:
         return UavPlacement(q=centroid, H=h0)
     if slack <= 0.0:
-        raise PlannerInfeasible(*_CONES)
+        raise PlannerInfeasible(*_no_room(s))
     return UavPlacement(q=x[:2], H=float(x[2]))
 
 
@@ -620,29 +660,37 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         raise ValueError("perfect_cancellation_optimize requires varpi = 0")
     try:
         x0, _ = _placement_region(s)
-        cons = _placement_set(s)
-        if not cons.rows(x0)[3]:
-            raise PlannerInfeasible(*_CONES)
+        # posed in y = x - o, o = (c, 0), the expansions below sum terms at
+        # the scale of the nodes' spread, not of their coordinates
+        o = np.array([x0[0], x0[1], 0.0])
+        cons = _placement_set(s, origin=o[:2])
+        y0 = x0 - o
+        if not cons.rows(y0)[3]:
+            raise PlannerInfeasible(*_no_room(s))
     except PlannerInfeasible as e:
         return Solution(None, None, math.nan, [], "infeasible", str(e))
 
     # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and lam)
     # is unchanged but the Dinkelbach residual f - lam*g then lives in
-    # watts, matching delta
+    # watts, matching delta. Each is expanded as const + c.y + a ||y||^2,
+    # by sum_k ||y - u_k||^2 = K ||y||^2 - 2 y.sum_k u_k + sum_k ||u_k||^2
     kappa, xi = s.kappa, s.xi_coeff
-    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3)
-    w_bar = _lift(s.willie)
-    d0 = float(np.sum((x0 - w_bar) ** 2))
-    f_obj = QuadraticObjective(np.zeros(3), const=kappa * s.P_tot / d0,
-                               w=np.full(s.K, -kappa * xi / d0), u=centers)
-    g_obj = QuadraticObjective(np.zeros(3), w=[1.0 / d0], u=w_bar[None, :])
-    res = dinkelbach(f_obj, g_obj, cons, x0,
+    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3) - o
+    w_bar = _lift(s.willie) - o
+    d0 = float(np.sum((y0 - w_bar) ** 2))
+    k = kappa * xi / d0
+    f_obj = QuadraticObjective(
+        2.0 * k * centers.sum(axis=0),
+        const=kappa * s.P_tot / d0 - k * float(np.sum(centers ** 2)), a=-k * s.K)
+    g_obj = QuadraticObjective(-2.0 / d0 * w_bar,
+                               const=float(w_bar @ w_bar) / d0, a=1.0 / d0)
+    res = dinkelbach(f_obj, g_obj, cons, y0,
                      delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
     if res.lam <= 0.0:
         return Solution(None, None, math.nan, [], "infeasible",
                         str(PlannerInfeasible(*_FLOORS_IN_CONES)))
 
-    pl = UavPlacement(q=res.x[:2], H=float(res.x[2]))
+    pl = UavPlacement(q=res.x[:2] + o[:2], H=float(res.x[2]))
     powers = power_subproblem(s, pl)
     g_ab = s.sat.ell * s.sr.mean_power
     trace = [covert_rate(min(l, s.Pa_max), g_ab, 0.0, powers.Pj_hat, 1.0,

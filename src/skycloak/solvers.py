@@ -5,10 +5,10 @@ position, altitude, optional slack), so the tools are deliberately simple
 and transparent. The power step needs no solver; its optimum is explicit
 (see :func:`skycloak.planner.power_subproblem`).
 
-- one stacked constraint type, rows ||A_i x - b_i|| <= c_i.x + d_i, with a
-  row whose A_i is zero (and then b_i too) standing for the half-space
-  c_i.x + d_i >= 0;
-- one objective type, const + c.x + sum_k w_k ||x - u_k||^2;
+- one stacked constraint type, rows ||A_i x - b_i|| <= c_i.x + d_i, every
+  one a second-order-cone row with A_i nonzero; a slab lo <= a.x <= hi is
+  the row ||a.x - (lo + hi)/2|| <= (hi - lo)/2;
+- one objective type, const + c.x + a ||x||^2;
 - a log-barrier Newton method over the stack, with a closed-form bound on
   the feasible step (Boyd & Vandenberghe, Convex Optimization, 9.5, 11.3);
   the barrier weight grows 50-fold per centring, and a centring ends when
@@ -33,9 +33,8 @@ stack holds [A; c] as one matrix, so a point's row parts come from one
 product; the interior verdict is read off the row values already formed;
 the step bound is one minimum taken in Python over the rows the ray
 leaves; the row gradients use 2*A_i^T and 2*c formed once (doubling is
-exact); the barrier carries its value from the accepted trial, takes the
-slope as minus the decrement, and skips the zero Hessian of a linear
-objective.
+exact); the barrier carries its value from the accepted trial and takes
+the slope as minus the decrement.
 """
 
 from __future__ import annotations
@@ -80,14 +79,20 @@ def _rowdot(p, q):
 
 @dataclass
 class ConeConstraint:
-    """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n), m >= 1.
+    """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n), m >= 1,
+    and every A_i nonzero.
 
-    A cone row (A_i nonzero) has value ||A_i x - b_i||^2 - (c_i.x + d_i)^2,
-    whose zero-sublevel set intersected with {c_i.x + d_i > 0} is the
+    A row has value ||A_i x - b_i||^2 - (c_i.x + d_i)^2, whose
+    zero-sublevel set intersected with {c_i.x + d_i > 0} is the
     second-order cone; -log(-value) is then the canonical (convex,
-    self-concordant) SOC barrier even though the value itself is not
-    convex. A half-space row (A_i = 0, and then b_i = 0) has value
-    -(c_i.x + d_i) and keeps the barrier -log(c_i.x + d_i).
+    self-concordant, degree 2) SOC barrier even though the value itself
+    is not convex. A slab lo <= a.x <= hi is the row ||a.x - mid|| <= half,
+    mid = (lo + hi)/2 and half = (hi - lo)/2, with barrier
+    -log(a.x - lo) - log(hi - a.x) (Boyd & Vandenberghe 11.6); its row
+    parts round at the scale of mid and half, so it resolves a point's
+    distance to an edge to about 2^-52 max(|lo|, |hi|). A row with A_i = 0
+    (a half-space as a degenerate cone, its barrier counted twice and its
+    exit step a double root) raises ValueError.
 
     The products the barrier solver needs per Newton step are formed once
     here from A, b and c, so those three are not to be changed afterwards.
@@ -106,24 +111,21 @@ class ConeConstraint:
         self.b = np.asarray(self.b, dtype=float).reshape(m, k)
         self.c = np.asarray(self.c, dtype=float).reshape(m, n)
         self.d = np.asarray(self.d, dtype=float).reshape(m)
-        self.cone = np.any(self.A != 0.0, axis=(1, 2))
-        bad = np.flatnonzero(~self.cone & np.any(self.b != 0.0, axis=1))
-        if bad.size:
-            raise ValueError(f"row {bad[0]}: a half-space row (A_i = 0) needs "
-                             f"b_i = 0, got {self.b[bad[0]].tolist()}")
+        zero = np.flatnonzero(~np.any(self.A != 0.0, axis=(1, 2)))
+        if zero.size:
+            raise ValueError(f"row {zero[0]}: A_i = 0; every row is a "
+                             "second-order-cone row with A_i nonzero")
         # one stacked matrix [A as (m*k, n); c], so that A x and c.x come
         # from one product
         self._mk = m * k
         self._Ac = np.vstack([self.A.reshape(m * k, n), self.c])
         # the row gradients' constants: per row 2*A_i^T, shape (m, n, k),
-        # 2*c, and -c for the half-space rows (doubling is exact)
+        # and 2*c (doubling is exact)
         self._A2T = np.ascontiguousarray(2.0 * self.A.transpose(0, 2, 1))
         self._c2 = 2.0 * self.c
-        self._neg_c = -self.c
         # the rows' value Hessians, constant in x
-        self.hess = 2.0 * self.cone[:, None, None] * (
-            np.einsum("mki,mkj->mij", self.A, self.A)
-            - np.einsum("mi,mj->mij", self.c, self.c))
+        self.hess = 2.0 * (np.einsum("mki,mkj->mij", self.A, self.A)
+                           - np.einsum("mi,mj->mij", self.c, self.c))
 
     def rows(self, x):
         """(r, t, values, interior) at x from one evaluation of the row
@@ -132,36 +134,36 @@ class ConeConstraint:
         p = self._Ac @ x
         r = p[:self._mk].reshape(self.b.shape) - self.b
         t = p[self._mk:] + self.d
-        q, nt = _rowdot(r, r) - t * t, -t
-        vals = np.where(self.cone, q, nt)
+        vals = _rowdot(r, r) - t * t
         # in IEEE arithmetic rr < t^2 exactly when rr - t^2 < 0, NaN fails
         # both, and np.maximum and max propagate it: x is interior exactly
-        # when every max(q_i, -t_i) < 0
-        return r, t, vals, bool(np.maximum(q, nt).max() < 0.0)
+        # when every max(value_i, -t_i) < 0
+        return r, t, vals, bool(np.maximum(vals, -t).max() < 0.0)
 
     def grad(self, r, t):
         """Every row's value gradient at the point with row parts r, t."""
-        g = np.matmul(self._A2T, r[:, :, None])[:, :, 0] - t[:, None] * self._c2
-        return np.where(self.cone[:, None], g, self._neg_c)
+        return np.matmul(self._A2T, r[:, :, None])[:, :, 0] - t[:, None] * self._c2
 
     def margin(self, x):
         """Distance-to-violation of every row in the row's own units."""
         r, t, _, _ = self.rows(x)
         return t - np.sqrt(_rowdot(r, r))
 
-    def lifted(self, cap):
+    def lifted(self, lo, cap):
         """The same rows in (x, s) with the slack s taken off every
         right-hand side, ||A_i x - b_i|| <= c_i.x + d_i - s, and then the
-        half-space row s <= cap."""
+        slab lo <= s <= cap."""
         m, k, n = self.A.shape
         A = np.zeros((m + 1, k, n + 1))
         A[:m, :, :n] = self.A
+        A[m, 0, n] = 1.0
         b = np.zeros((m + 1, k))
         b[:m] = self.b
+        b[m, 0] = 0.5 * lo + 0.5 * cap
         c = np.zeros((m + 1, n + 1))
         c[:m, :n] = self.c
-        c[:, n] = -1.0
-        return ConeConstraint(A, b, c, np.append(self.d, cap))
+        c[:m, n] = -1.0
+        return ConeConstraint(A, b, c, np.append(self.d, 0.5 * cap - 0.5 * lo))
 
     def step_bound(self, r, t, v, s):
         """The smallest alpha > 0 at which x + alpha*s reaches the boundary
@@ -169,7 +171,7 @@ class ConeConstraint:
         interior x whose ``rows(x)`` gave r, t and the values v.
 
         Along the ray a row's value is the scalar polynomial
-        a*alpha^2 + 2*h*alpha + v (linear for a half-space). With v < 0 its
+        a*alpha^2 + 2*h*alpha + v. With v < 0 its
         first positive root is -v / (h + sqrt(h^2 - a*v)), and there is
         none when that denominator is not positive. Inside a row the
         discriminant can be negative only with a < 0 and h < 0, where the
@@ -178,8 +180,8 @@ class ConeConstraint:
         """
         p = self._Ac @ s
         rs, ts = p[:self._mk].reshape(self.b.shape), p[self._mk:]
-        a = np.where(self.cone, _rowdot(rs, rs) - ts * ts, 0.0)
-        h = np.where(self.cone, _rowdot(r, rs) - t * ts, -0.5 * ts)
+        a = _rowdot(rs, rs) - ts * ts
+        h = _rowdot(r, rs) - t * ts
         den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
         # the roots in Python floats over the rows with a root: for a few
         # dozen rows this beats a masked divide and a reduction
@@ -189,36 +191,23 @@ class ConeConstraint:
 
 @dataclass
 class QuadraticObjective:
-    """const + c.x + sum_k w[k] * ||x - u[k]||^2 (concave iff sum(w) <= 0).
+    """const + c.x + a*(x.x), concave iff a <= 0; ``c`` an array.
 
-    ``c`` is a read-only copy, which ``grad`` returns as is when w is
-    empty."""
+    The value is summed as const + (c + a*x).x, so a linear objective
+    (a = 0) forms no x.x, which can overflow where c.x does not."""
 
     c: np.ndarray
     const: float = 0.0
-    w: np.ndarray = ()
-    u: np.ndarray = ()
-
-    def __post_init__(self):
-        self.c = np.array(self.c, dtype=float).ravel()
-        self.c.flags.writeable = False
-        self.w = np.asarray(self.w, dtype=float).ravel()
-        self.u = np.asarray(self.u, dtype=float).reshape(self.w.size, self.c.size)
+    a: float = 0.0
 
     def value(self, x):
-        if not self.w.size:
-            return self.const + float(self.c @ x)
-        diff = x[None, :] - self.u
-        return (self.const + float(self.c @ x)
-                + float(self.w @ np.sum(diff * diff, axis=1)))
+        return self.const + float((self.c + self.a * x) @ x)
 
     def grad(self, x):
-        if not self.w.size:
-            return self.c
-        return self.c + 2.0 * (self.w @ (x[None, :] - self.u))
+        return self.c + 2.0 * self.a * x
 
     def hess(self, x):
-        return 2.0 * self.w.sum() * np.eye(self.c.size)
+        return 2.0 * self.a * np.eye(x.size)
 
 
 def _cholesky_solve(a, g, ridge):
@@ -371,22 +360,22 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
     """Maximize a smooth concave objective over a constraint stack via log barrier.
 
     Outer loop multiplies the barrier weight by ``_T_FACTOR`` (50) until
-    m/t < tol; inner loop is damped Newton with an Armijo backtracking line
-    search that starts just inside the closed-form largest feasible step
-    and also checks strict feasibility. The inner loop ends when the Newton
-    decrement vanishes (the iterate is centred), when an accepted step
-    passed the Armijo test only through its rounding allowance ``fuzz``
-    (which includes a step that leaves x unchanged), or after
-    ``_MAX_NEWTON`` steps. Returns (x, info dict).
+    m/t < tol for the m rows; inner loop is damped Newton with an Armijo
+    backtracking line search that starts just inside the closed-form
+    largest feasible step and also checks strict feasibility. The inner
+    loop ends when the Newton decrement vanishes (the iterate is centred),
+    when an accepted step passed the Armijo test only through its rounding
+    allowance ``fuzz`` (which includes a step that leaves x unchanged), or
+    after ``_MAX_NEWTON`` steps. Returns (x, info).
 
-    The barrier's degree is theta = m + (number of cone rows): 1 per
-    half-space row, 2 per cone row. After a centring that ended on the
-    decrement test, objective + theta/t bounds the optimum from above
-    (Boyd & Vandenberghe 11.6), and ``info["gap_bound"]`` reports theta/t.
-    The outer stop stays m/t < tol, which undercounts each cone row's
-    degree: where a solve ends sets the last digits of every plan.
+    Every row's barrier has degree 2, so the barrier's degree is 2m, and
+    after a centring that ended on the decrement test objective + 2m/t
+    bounds the optimum from above (Boyd & Vandenberghe 11.6): at the stop
+    the gap is below 2*tol. A centring cut by the step cap or by the
+    rounding allowance carries no such bound.
 
-    ``info["warm"]`` is the point where the centring at weight
+    ``info`` holds the final weight ``t``, the accepted ``newton_steps``
+    and ``warm``: the point where the centring at weight
     ``_T0*_T_FACTOR`` ended on the decrement test, or None when that
     centring ended otherwise or never ran. A later solve over the same
     rows with another objective passes it as ``_warm``: the solve then
@@ -395,7 +384,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
     starts from x0 at ``_T0`` as without ``_warm``.
     """
     m = cons.A.shape[0]
-    theta = m + int(cons.cone.sum())
     t_warm = _T0 * _T_FACTOR
     t, x = _T0, None
     if _warm is not None:
@@ -410,9 +398,6 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
                 f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
     n = x.size
-    # a linear objective has a constant gradient and a zero Hessian, whose
-    # -0.0 entries add nothing to the barrier Hessian
-    linear = not objective.w.size
     obj_hess = objective.hess(x)  # constant, as are the rows' cons.hess
     row_hess = cons.hess.reshape(m, n * n)
     fx = objective.value(x)
@@ -424,19 +409,12 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
         # r = A x - b, u = c.x + d, the row values, their log-sum and the
         # objective value at x are those of the trial point accepted last
         centred = False
-        if linear:
-            obj_grad = -t * objective.c
-        else:
-            obj_hess_t = -t * obj_hess
+        obj_hess_t = -t * obj_hess
         for _ in range(_MAX_NEWTON):
             inv = -1.0 / vals
             gci = cons.grad(r, u) * inv[:, None]
-            if linear:
-                grad = obj_grad + gci.sum(axis=0)
-                H = gci.T @ gci + (inv @ row_hess).reshape(n, n)
-            else:
-                grad = -t * objective.grad(x) + gci.sum(axis=0)
-                H = obj_hess_t + gci.T @ gci + (inv @ row_hess).reshape(n, n)
+            grad = -t * objective.grad(x) + gci.sum(axis=0)
+            H = obj_hess_t + gci.T @ gci + (inv @ row_hess).reshape(n, n)
             # the Newton step is -y, its decrement grad.y and the Armijo
             # slope -grad.y
             y = _newton_solve(H, grad)
@@ -482,18 +460,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
         if m / t < tol:
             break
         t *= _T_FACTOR
-
-    lam = 1.0 / (t * -vals)
-    stat = objective.grad(x) - lam @ cons.grad(r, u)
-    info = {
-        "t": t,
-        "newton_steps": newton_steps,
-        "duals": lam,
-        "kkt_residual": float(np.linalg.norm(stat, np.inf)),
-        "gap_bound": theta / t,
-        "warm": warm,
-    }
-    return x, info
+    return x, {"t": t, "newton_steps": newton_steps, "warm": warm}
 
 
 def max_slack_point(cons, anchor):
@@ -501,8 +468,9 @@ def max_slack_point(cons, anchor):
 
     The slack variable is taken off the right-hand side of every row
     (||Ax-b|| <= c.x+d-s), which keeps the lifted problem a plain SOC
-    program; the anchor point with s below its worst margin is always
-    strictly feasible, so no further phase is needed. Returns (x, s_star);
+    program; a slab on s up to a cap keeps it bounded, and the anchor
+    with s = s0, 1 below its worst margin, is always strictly feasible,
+    so no further phase is needed. Returns (x, s_star);
     s_star > 0 certifies a strictly feasible interior, and s_star <= 0
     says, up to the solve's duality gap, that there is none.
     """
@@ -510,11 +478,13 @@ def max_slack_point(cons, anchor):
     n = anchor.size
     margins = cons.margin(anchor)
     s0 = margins.min() - 1.0
-    # bound s so the lifted program cannot be unbounded
+    # bound s so the lifted program cannot be unbounded; the slab rounds
+    # at the cap's scale, so its lower edge sits 1e-12 * cap or more below s0
     cap = max(abs(s0), np.abs(margins).max(), 1.0) * 10.0 + 1.0
+    lo = s0 - max(1.0, 1e-12 * cap)
     e_s = np.zeros(n + 1)
     e_s[n] = 1.0
-    xs, _ = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(cap),
+    xs, _ = _barrier_maximize(QuadraticObjective(e_s), cons.lifted(lo, cap),
                               np.append(anchor, s0), tol=_GAP_TOL)
     return xs[:n], float(xs[n])
 
@@ -574,8 +544,7 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     warm = None
     for it in range(1, i_max + 1):
         obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
-                                 np.concatenate([f.w, -lam * g.w]),
-                                 np.vstack([f.u, g.u]))
+                                 f.a - lam * g.a)
         x, info = _barrier_maximize(obj, cons, x, tol=_GAP_TOL, _warm=warm)
         warm = info["warm"]
         fv, gv = f.value(x), g.value(x)

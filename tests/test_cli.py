@@ -193,6 +193,66 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+# ground nodes whose squared distances leave the double range: a node at
+# [1e300, 0] m proves the cones' verdict, and UEs drawn in a 1e300 m square,
+# or two UEs near the largest double, whose centroid's sum overflows, the
+# UE floors' verdict, with no crash and no warning at either varpi
+@pytest.mark.parametrize("varpi", [0.1, 0.0])
+@pytest.mark.parametrize("mutate,verdict", [
+    pytest.param(lambda d: d["bob"].update(value=[1e300, 0.0]),
+                 "elevation cones", id="bob-1e300"),
+    pytest.param(lambda d: d["bob"].update(value=[1e160, 0.0]),
+                 "elevation cones", id="bob-1e160"),
+    pytest.param(lambda d: d["willie"].update(value=[1e300, 0.0]),
+                 "elevation cones", id="willie-1e300"),
+    pytest.param(lambda d: d["ue_placement"]["uniform_square"]["side"].update(
+        value=1e300), "ue-rate power floors", id="side-1e300"),
+    pytest.param(lambda d: d.update(ue_placement={"explicit": {
+        "value": [[1e308, 0.0], [1e308, 1.0]], "unit": "m"}}),
+                 "ue-rate power floors", id="ues-1e308"),
+])
+def test_optimize_nodes_past_the_double_range_exit_2(tmp_path, capsys, varpi,
+                                                     mutate, verdict):
+    d = default_scenario_dict(varpi, 12)
+    mutate(d)
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"infeasible: {verdict}" in err and "error:" not in err
+
+
+# the altitude band's slab row rounds at the band's scale, so the planners
+# search the band only up to an altitude a plan reaches: raising H_max
+# past it moves no plan's rate, whether the band's lower edge is active
+# (H_min = 400 m) or not, with UEs or without; each rate is the plan's at
+# H_max = 1e3 m
+@pytest.mark.parametrize("varpi, h_min, ues, rb", [
+    (0.1, 50.0, True, 0.1772684977376482),
+    (0.0, 50.0, True, 7.8492332732661625),
+    (0.1, 400.0, True, 0.15880119756158295),
+    (0.0, 400.0, True, 7.3565609619431),
+    (0.1, 400.0, False, 0.16886109593069337),
+    (0.0, 400.0, False, 7.79933581963515),
+])
+def test_optimize_rate_does_not_move_with_h_max(tmp_path, capsys, varpi, h_min,
+                                                ues, rb):
+    d = default_scenario_dict(varpi, 12)
+    d["H_min"]["value"] = h_min
+    if not ues:
+        d["ue_placement"] = {"explicit": {"value": [], "unit": "m"}}
+    p = tmp_path / "scenario.json"
+    for h_max in (1e3, 1e5, 1e7, 1e9, 1e11, 1e13, 1e15, 1e17, 1e19, 1e200):
+        d["H_max"]["value"] = h_max
+        p.write_text(json.dumps(d))
+        rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+        sol = json.loads((tmp_path / "solution.json").read_text())
+        assert (rc, sol["status"]) == (0, "converged"), h_max
+        assert sol["Rb"] == pytest.approx(rb, rel=1e-9), h_max
+    assert "error:" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side", [math.nan, math.inf, -1.0])
 def test_optimize_bad_square_side_exits_1(tmp_path, capsys, side):
     d = default_scenario_dict(0.1, 12)

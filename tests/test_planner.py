@@ -447,6 +447,29 @@ def test_perfect_cancellation_near_singular_newton_system():
     assert_capped_near_singular_plan(s, sol)
 
 
+# the varpi = 0 program is posed about the nodes' circle, so moving every
+# node by the same offset moves no rate: default_perfect.json with
+# H_min = 400 m (the band's lower edge active) and two plan-cancel corpus
+# scenarios below the cap (47; 180, whose start lies outside the UE-budget
+# ball)
+@pytest.mark.parametrize("offset", [(1e5, -1e5), (5e5, 5e6), (3e6, -4e6)])
+def test_perfect_cancellation_rate_does_not_move_with_the_nodes(offset):
+    d = default_scenario_dict(0.0, 12)
+    d["H_min"]["value"] = 400.0
+    corpus = benchmark_corpus(181, (0.0,))
+    o = np.array(offset)
+    for raw in (d, corpus[47], corpus[180]):
+        s = load_scenario(raw).scenario
+        ref = perfect_cancellation_optimize(s)
+        moved = perfect_cancellation_optimize(dataclasses.replace(
+            s, bob=s.bob + o, willie=s.willie + o, ues=s.ues + o))
+        assert ref.status == moved.status == "converged"
+        assert ref.powers.Pa < s.Pa_max
+        assert moved.Rb == pytest.approx(ref.Rb, rel=1e-10)
+        assert_allclose(moved.placement.lifted, ref.placement.lifted + [*o, 0.0],
+                        rtol=0.0, atol=1e-3)
+
+
 def max_slack_start(monkeypatch):
     """Start the varpi = 0 planner at the max-slack point of the cones,
     the altitude band and the UE-budget ball, where the ratio is
@@ -610,6 +633,20 @@ def test_enclosing_radius_matches_brute_force(offset):
         for _ in range(6):
             assert_enclosing_circle(rng.uniform(-400.0, 400.0, size=(n, 2))
                                     + offset)
+
+
+def test_enclosing_circle_scales_by_powers_of_two_exactly():
+    # the circle of 2^k P is 2^k times the circle of P, to the bit, out
+    # to points whose squares leave the double range
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 7, 15):
+        for _ in range(4):
+            p = rng.uniform(-400.0, 400.0, size=(n, 2)) + rng.uniform(-1e5, 1e5, 2)
+            circle = planner._enclosing_circle(p.tolist())
+            for k in (-900, -60, -1, 1, 60, 500, 1000):
+                scaled = planner._enclosing_circle(np.ldexp(p, k).tolist())
+                assert scaled == tuple(math.ldexp(v, k) for v in circle), (n, k)
+    assert planner._enclosing_circle([[1e300, 0.0], [-1e300, 0.0]]) == (0.0, 0.0, 1e300)
 
 
 def barrier_solves_of(monkeypatch, plan, s):
@@ -907,9 +944,8 @@ def cold_dinkelbach(f, g, cons, x0, delta=1e-6, i_max=50, lam_max=math.inf):
     if lam >= lam_max:
         return solvers.DinkelbachResult(x, lam, True, 0, trace)
     for it in range(1, i_max + 1):
-        obj = solvers.QuadraticObjective(
-            f.c - lam * g.c, f.const - lam * g.const,
-            np.concatenate([f.w, -lam * g.w]), np.vstack([f.u, g.u]))
+        obj = solvers.QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
+                                         f.a - lam * g.a)
         x, _ = _barrier_maximize(obj, cons, x, tol=solvers._GAP_TOL)
         fv, gv = f.value(x), g.value(x)
         F, lam = fv - lam * gv, fv / gv
@@ -967,18 +1003,24 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
 
 
 # plan-cancel corpus scenarios: capped at the start point (4, 9), capped
-# after 1 round (14), below the cap after 3 rounds (3), and two whose
+# after 1 round (14), below the cap (3, 47, 80), and two whose
 # closed-form start lies outside the UE-budget ball, where the ratio is
-# negative (47, 80)
+# negative, one below the cap after 4 rounds (180) and one capped after 1
+# (219); 47, 80, 180 and 219 search a band that the UE floors lower below
+# H_max = 500 m (to 390.6, 470.5, 489.8 and 440.3 m)
+OUTSIDE_THE_BALL = (180, 219)
+
+
 @pytest.mark.parametrize("base, capped", [(4, True), (9, True), (14, True),
-                                          (3, False), (47, False), (80, False)])
+                                          (3, False), (47, False), (80, False),
+                                          (180, False), (219, True)])
 def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
                                                        capped):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
     x, _ = planner._placement_region(s)
     # the UE floors at x0 exceed P_tot exactly when f(x0) < 0
     floors = s.xi_coeff * (np.sum((s.ues - x[:2]) ** 2) + s.K * x[2] ** 2)
-    assert (floors > s.P_tot) == (base in (47, 80))
+    assert (floors > s.P_tot) == (base in OUTSIDE_THE_BALL)
     sol, iterations = _run_planner(s)
     with monkeypatch.context() as m:
         max_slack_start(m)
@@ -992,7 +1034,7 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
         assert sol.Rb == ref.Rb
     else:
         assert sol.Rb == pytest.approx(ref.Rb, rel=1e-9)
-    if base in (47, 80):
+    if base in OUTSIDE_THE_BALL:
         # Dinkelbach starts at ratio 0, so the trace starts at rate 0
         assert sol.trace[0] == 0.0
 

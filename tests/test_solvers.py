@@ -23,10 +23,10 @@ def ball(center, radius):
     return np.eye(center.size), center, np.zeros(center.size), radius
 
 
-def halfspace(a, b):
-    """Row a.x <= b as (A, b, c, d): A = 0, c = -a, d = b."""
+def slab(a, lo, hi):
+    """Row lo <= a.x <= hi as (A, b, c, d): ||a.x - mid|| <= half."""
     a = np.asarray(a, dtype=float)
-    return np.zeros((1, a.size)), np.zeros(1), -a, b
+    return a[None, :], 0.5 * (lo + hi), np.zeros(a.size), 0.5 * (hi - lo)
 
 
 def stack(*rows):
@@ -73,7 +73,7 @@ def brute_exit(cons, x, s, far=1e9):
 
 
 def random_row(rng, n, kind):
-    """A random cone, ball or half-space row and a point strictly inside it."""
+    """A random cone, ball or slab row and a point strictly inside it."""
     x = rng.normal(size=n)
     if kind == "cone":
         A, b, c = rng.normal(size=(2, n)), rng.normal(size=2), rng.normal(size=n)
@@ -83,7 +83,7 @@ def random_row(rng, n, kind):
         center = x + rng.normal(size=n)
         return ball(center, np.linalg.norm(x - center) + rng.uniform(0.1, 2.0)), x
     a = rng.normal(size=n)
-    return halfspace(a, a @ x + rng.uniform(0.1, 2.0)), x
+    return slab(a, a @ x - rng.uniform(0.1, 2.0), a @ x + rng.uniform(0.1, 2.0)), x
 
 
 def assert_exit_steps(cons, x, s):
@@ -102,87 +102,103 @@ def assert_exit_steps(cons, x, s):
 
 def test_max_step_matches_bisection_on_interior():
     rng = np.random.default_rng(11)
-    for kind in ("cone", "ball", "halfspace"):
+    for kind in ("cone", "ball", "slab"):
         for _ in range(30):
             row, x = random_row(rng, 3, kind)
             assert_exit_steps(stack(row), x, rng.normal(size=3))
 
 
 def test_max_step_on_a_lifted_stack():
-    # cones, a ball and a half-space in R^3 lifted to (x, slack), with a
-    # cap on the slack
+    # cones, a ball and a slab in R^3 lifted to (x, slack), with a slab
+    # on the slack
     rng = np.random.default_rng(12)
     for _ in range(20):
         rows, xs = zip(*(random_row(rng, 3, kind) for kind in
-                         ("cone", "cone", "ball", "halfspace")))
+                         ("cone", "cone", "ball", "slab")))
         cons = stack(*rows)
         x = xs[0]
         # shift every right-hand side so xs[0] is inside all rows
         cons.d += np.maximum(0.0, -cons.margin(x)) + 0.5
         z = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
-        lifted = cons.lifted(z[-1] + 1.0)
+        lifted = cons.lifted(z[-1] - 1.0, z[-1] + 1.0)
         assert inside(lifted, z)
         assert_exit_steps(lifted, z, rng.normal(size=4))
 
 
 def test_max_step_is_inf_on_rays_that_stay_inside():
     # the cone ||(x1, x2)|| <= x3 keeps every ray whose direction lies in
-    # the cone, and a half-space every ray parallel to or away from its
-    # boundary
+    # the cone, and a slab every ray parallel to its boundaries
     cone = stack((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
                   np.array([0.0, 0.0, 1.0]), 0.0))
     x = np.array([0.1, -0.2, 1.0])
     for s in ([0.0, 0.0, 1.0], [0.3, 0.0, 1.0], [0.0, 0.0, 0.0]):
         assert exit_step(cone, x, s) == np.inf
-    half = stack(halfspace([1.0, 2.0], 3.0))
-    for s in ([-1.0, 0.0], [2.0, -1.0], [0.0, -5.0]):
-        assert exit_step(half, np.zeros(2), s) == np.inf
-    assert exit_step(half, np.zeros(2), [1.0, 0.0]) == 3.0
+    band = stack(slab([1.0, 2.0], -3.0, 3.0))
+    for s in ([2.0, -1.0], [-4.0, 2.0], [0.0, 0.0]):
+        assert exit_step(band, np.zeros(2), s) == np.inf
+    assert exit_step(band, np.zeros(2), [1.0, 0.0]) == 3.0
+    assert exit_step(band, np.zeros(2), [-1.0, 0.0]) == 3.0
     # the stack's bound is its first row exit along the ray
-    both = stack(halfspace([1.0, 0.0], 3.0), halfspace([1.0, 1.0], 2.0))
+    both = stack(slab([1.0, 0.0], -3.0, 3.0), slab([1.0, 1.0], -2.0, 2.0))
     assert exit_step(both, np.zeros(2), [1.0, 0.0]) == 2.0
 
 
 def reference_grads(cons, x):
     """Row value gradients written out per row: 2(A_i^T(A_i x - b_i)
-    - (c_i.x + d_i) c_i) for a cone or ball row, -c_i for a half-space."""
-    out = []
-    for A, b, c, d in zip(cons.A, cons.b, cons.c, cons.d):
-        if np.any(A != 0.0):
-            out.append(2.0 * (A.T @ (A @ x - b) - (c @ x + d) * c))
-        else:
-            out.append(-c)
-    return np.array(out)
+    - (c_i.x + d_i) c_i)."""
+    return np.array([2.0 * (A.T @ (A @ x - b) - (c @ x + d) * c)
+                     for A, b, c, d in zip(cons.A, cons.b, cons.c, cons.d)])
 
 
 def test_row_gradients_match_the_per_row_formula():
     rng = np.random.default_rng(13)
-    kinds = ("cone", "ball", "halfspace")
+    kinds = ("cone", "ball", "slab")
     for _ in range(20):
         rows, _ = zip(*(random_row(rng, 3, kinds[j]) for j in
                         rng.integers(0, 3, size=int(rng.integers(1, 6)))))
         cons = stack(*rows)
         for c, x in ((cons, rng.normal(size=3)),
-                     (cons.lifted(10.0), rng.normal(size=4))):
+                     (cons.lifted(-10.0, 10.0), rng.normal(size=4))):
             got = c.grad(*c.rows(x)[:2])
             assert_allclose(got, reference_grads(c, x), rtol=1e-12,
                             atol=1e-12 * np.abs(got).max())
 
 
-def test_half_space_row_with_nonzero_b_is_rejected():
-    # x0 >= 0 as a half-space row (A_i = 0) carries no b_i: with
-    # b_i = (5, 0) the point (1, 0) would read value -1 yet not interior
+def test_zero_row_is_rejected():
+    # a row with A_i = 0 is a half-space written as a degenerate cone;
+    # every row must be a second-order-cone row, whatever its b_i
     ball2 = ball(np.zeros(2), 2.0)
-    with pytest.raises(ValueError, match=r"row 1: a half-space row .* b_i = 0"):
-        stack(ball2, (np.zeros((2, 2)), [5.0, 0.0], [1.0, 0.0], 0.0))
-    cons = stack(ball2, (np.zeros((2, 2)), [0.0, 0.0], [1.0, 0.0], 0.0))
-    x = np.array([1.0, 0.0])
-    _, _, vals, interior = cons.rows(x)
-    assert vals[1] == -1.0 and interior
-    assert cons.margin(x)[1] == 1.0
+    for b in ([5.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"row 1: A_i = 0"):
+            stack(ball2, (np.zeros((2, 2)), b, [1.0, 0.0], 0.0))
+    with pytest.raises(ValueError, match=r"row 0: A_i = 0"):
+        ConeConstraint(np.zeros((1, 1, 2)), np.zeros((1, 1)), [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError, match="at least one row"):
         ConeConstraint(np.zeros((0, 2, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
                        np.zeros(0))
+
+
+def test_slab_row_is_the_two_half_spaces():
+    # the slab row's barrier -log(-value) is -log(a.x - lo) - log(hi - a.x),
+    # and its margin the nearer of the two distances, in a.x's units
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        a = rng.normal(size=n)
+        lo, hi = np.sort(rng.normal(scale=10.0, size=2))
+        cons = stack(slab(a, lo, hi), ball(np.zeros(n), 1e6))
+        for _ in range(5):
+            x = rng.normal(size=n)
+            v = a @ x
+            x *= rng.uniform(lo, hi) / v  # a.x now lies in (lo, hi)
+            v = a @ x
+            _, _, vals, interior = cons.rows(x)
+            assert interior
+            assert -vals[0] == pytest.approx((v - lo) * (hi - v), rel=1e-9)
+            assert cons.margin(x)[0] == pytest.approx(
+                min(v - lo, hi - v), rel=1e-9, abs=1e-12 * (abs(lo) + abs(hi)))
+        for v in (lo - 1e-3, hi + 1e-3):
+            assert not inside(cons, a * (v / (a @ a)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +279,47 @@ def test_barrier_ball_supporting_hyperplane():
         assert val == pytest.approx(float(c @ want_x), abs=1e-8)
 
 
-def test_barrier_cone_and_halfspace():
-    # max x1 inside ||(x1,x2)|| <= x3/2 with x3 <= 4: optimum (2, 0, 4)
-    cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
-            np.array([0.0, 0.0, 0.5]), 0.0)
-    cap = halfspace([0.0, 0.0, 1.0], 4.0)
-    x, val = maximize_linear(np.array([1.0, 0.0, 0.0]), stack(cone, cap),
+def test_barrier_cone_and_slab():
+    # max x1 inside ||(x1,x2)|| <= x3/2 with 1 <= x3 <= 4: optimum (2, 0, 4)
+    x, val = maximize_linear(np.array([1.0, 0.0, 0.0]), warm_start_stack()[0],
                              np.array([0.1, 0.0, 3.0]))
     assert_allclose(x, [2.0, 0.0, 4.0], atol=1e-5)
     assert val == pytest.approx(2.0, abs=1e-6)
 
 
-def test_gap_bound_counts_two_per_cone_row():
-    # one cone row (barrier degree 2) and one half-space row (degree 1)
-    cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
-            np.array([0.0, 0.0, 0.5]), 0.0)
-    cap = halfspace([0.0, 0.0, 1.0], 4.0)
-    _, info = _barrier_maximize(QuadraticObjective([1.0, 0.0, 0.0]),
-                                stack(cone, cap), np.array([0.1, 0.0, 3.0]))
-    assert info["gap_bound"] == 3.0 / info["t"]
+def warm_start_stack_decrement(x, t):
+    """Newton decrement squared and value of the barrier
+    phi = -t x1 - log(-v1) - log(-v2) of ``warm_start_stack`` at x, from
+    its two rows written out: v1 = x1^2 + x2^2 - x3^2/4 and
+    v2 = (x3 - 5/2)^2 - (3/2)^2."""
+    x1, x2, x3 = x
+    vals = (x1 * x1 + x2 * x2 - x3 * x3 / 4.0, (x3 - 2.5) ** 2 - 2.25)
+    grads = (np.array([2 * x1, 2 * x2, -x3 / 2]), np.array([0, 0, 2 * (x3 - 2.5)]))
+    hessians = (np.diag([2.0, 2.0, -0.5]), np.diag([0.0, 0.0, 2.0]))
+    g = np.array([-t, 0.0, 0.0])
+    H = np.zeros((3, 3))
+    for v, dv, d2v in zip(vals, grads, hessians):
+        g += dv / -v
+        H += np.outer(dv, dv) / (v * v) + d2v / -v
+    phi = -t * x1 - sum(math.log(-v) for v in vals)
+    return float(g @ np.linalg.solve(H, g)), phi
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_barrier_gap_is_within_two_per_row(tol):
+    # every row has barrier degree 2, so a solve whose last centring ended
+    # centred, at the first weight with m/t < tol, is within 2m/t of the
+    # optimum, here 2 with m = 2 rows. The bound holds only for a centred
+    # point, so the decrement at the returned point is checked first
+    cons, x0 = warm_start_stack()
+    x, info = _barrier_maximize(QuadraticObjective(np.array([1.0, 0.0, 0.0])),
+                                cons, x0, tol=tol)
+    assert info.keys() == {"t", "newton_steps", "warm"}
+    t = info["t"]
+    assert 2 / t < tol <= 2 / (t / solvers._T_FACTOR)
+    decrement, phi = warm_start_stack_decrement(x, t)
+    assert decrement <= 2e-11 * (1.0 + abs(phi))
+    assert 0.0 < 2.0 - x[0] <= 2 * 2 / t
 
 
 def test_barrier_two_ball_intersection_vs_grid():
@@ -300,25 +338,83 @@ def test_barrier_two_ball_intersection_vs_grid():
     assert val <= vals.max() + 1e-2  # grid resolution slack
 
 
-def test_quadratic_objective_gradient():
+def squares(n, const=0.0, w=(), u=(), c=None):
+    """const + c.x + sum_k w_k ||x - u_k||^2 expanded as a
+    QuadraticObjective: a = sum w_k, c - 2 sum w_k u_k and
+    const + sum w_k ||u_k||^2."""
+    w = np.asarray(w, dtype=float)
+    u = np.asarray(u, dtype=float).reshape(w.size, n)
+    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+    return QuadraticObjective(c - 2.0 * (w @ u),
+                              const + float(w @ np.sum(u * u, axis=1)),
+                              float(w.sum()))
+
+
+def direct(c, const, w, u):
+    """The value, gradient and Hessian at x of
+    const + c.x + sum_k w_k ||x - u_k||^2, written out term by term."""
+    def at(x):
+        value = const + c @ x + sum(wk * (x - uk) @ (x - uk)
+                                    for wk, uk in zip(w, u))
+        grad = c + sum(2.0 * wk * (x - uk) for wk, uk in zip(w, u))
+        return value, grad, 2.0 * sum(w) * np.eye(x.size)
+    return at
+
+
+def assert_objective(obj, at, x):
+    value, grad, hess = at(x)
+    scale = 1.0 + abs(value) + 10.0 * (x @ x)
+    assert obj.value(x) == pytest.approx(value, rel=0.0, abs=1e-13 * scale)
+    assert_allclose(obj.grad(x), grad, rtol=1e-12, atol=1e-12 * scale)
+    assert_allclose(obj.hess(x), hess, rtol=1e-12, atol=1e-15)
+
+
+def test_quadratic_objective_matches_the_sum_of_squares():
     rng = np.random.default_rng(11)
-    c = rng.normal(size=3)
-    x = rng.normal(size=3)
+    for n in (1, 2, 3, 4):
+        for k in (0, 1, 4):
+            c, const = rng.normal(size=n), rng.normal()
+            w, u = rng.normal(size=k), rng.normal(size=(k, n))
+            obj = squares(n, const, w, u, c)
+            for x in rng.normal(scale=3.0, size=(5, n)):
+                assert_objective(obj, direct(c, const, w, u), x)
+    # a linear objective's value and gradient are c.x and c to the bit
+    c, x = rng.normal(size=3), rng.normal(size=3)
     linear = QuadraticObjective(c, const=2.0)
+    assert linear.value(x) == 2.0 + float(c @ x)
     assert np.array_equal(linear.grad(x), c)
-    with pytest.raises(ValueError, match="read-only"):
-        linear.grad(x)[0] = 1.0
-    w, u = rng.normal(size=4), rng.normal(size=(4, 3))
-    quad = QuadraticObjective(c, w=w, u=u)
-    want = c + sum(2.0 * wk * (x - uk) for wk, uk in zip(w, u))
-    assert_allclose(quad.grad(x), want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(linear.hess(x), np.zeros((3, 3)))
+
+
+def test_dinkelbach_parametric_objective_matches_the_sum_of_squares(monkeypatch):
+    # each round's f - lam*g, formed field by field, against the two
+    # sums of squares combined term by term
+    rng = np.random.default_rng(16)
+    seen = []
+
+    def recording(objective, cons, x0, **kwargs):
+        seen.append((objective, x0))
+        return _barrier_maximize(objective, cons, x0, **kwargs)
+
+    fw, fu = -rng.uniform(0.5, 1.0, size=3), rng.normal(size=(3, 2))
+    gw, gu = np.array([1.0]), np.array([[4.0, 0.0]])
+    f, g = squares(2, 10.0, fw, fu), squares(2, 1.0, gw, gu)
+    cons = stack(ball(np.zeros(2), 1.5))
+    monkeypatch.setattr(solvers, "_barrier_maximize", recording)
+    res = dinkelbach(f, g, cons, np.array([0.2, -0.1]), delta=1e-10)
+    assert res.converged and len(seen) == res.iterations >= 2
+    for (obj, _), lam in zip(seen, res.lam_trace):
+        at = direct(np.zeros(2), 10.0 - lam * 1.0, np.concatenate([fw, -lam * gw]),
+                    np.vstack([fu, gu]))
+        for x in rng.normal(size=(5, 2)):
+            assert_objective(obj, at, x)
 
 
 def warm_start_stack():
-    """max over the cone ||(x1,x2)|| <= x3/2 under x3 <= 4, from x0."""
+    """The cone ||(x1,x2)|| <= x3/2 with 1 <= x3 <= 4, and x0 inside."""
     cone = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2),
             np.array([0.0, 0.0, 0.5]), 0.0)
-    return stack(cone, halfspace([0.0, 0.0, 1.0], 4.0)), np.array([0.1, 0.0, 3.0])
+    return stack(cone, slab([0.0, 0.0, 1.0], 1.0, 4.0)), np.array([0.1, 0.0, 3.0])
 
 
 def test_warm_start_resumes_at_the_second_weight():
@@ -374,9 +470,9 @@ def test_max_slack_two_balls():
     cons = stack(ball([-1.5, 0.0], 1.0), ball([1.5, 0.0], 1.0))
     _, s = max_slack_point(cons, np.zeros(2))
     assert s < 0.0
-    # halfspace x1 >= 0 with the unit ball around (1,0): the ball center
-    # is 1 deep in both, so it is the max-slack point
-    cons = stack(halfspace([-1.0, 0.0], 0.0), ball([1.0, 0.0], 1.0))
+    # the slab 0 <= x1 <= 10 with the unit ball around (1,0): the ball
+    # center is 1 deep in both, so it is the max-slack point
+    cons = stack(slab([1.0, 0.0], 0.0, 10.0), ball([1.0, 0.0], 1.0))
     x, s = max_slack_point(cons, np.array([0.5, 0.0]))
     assert s == pytest.approx(1.0, abs=1e-6)
     assert_allclose(x, [1.0, 0.0], atol=1e-5)
@@ -385,6 +481,13 @@ def test_max_slack_two_balls():
     x, s = max_slack_point(cons, np.array([1.4, 0.1]))
     assert s == pytest.approx(0.5, abs=1e-6)
     assert x[0] == pytest.approx(1.5, abs=1e-5)
+    # a row 1e150 deep at the anchor puts the slack's cap near 1e151,
+    # where the slab's centre and half-width round at 1e135: the start
+    # must still lie strictly inside the slab
+    cons = stack(ball([0.0, 0.0], 1.0), ball([0.0, 0.0], 1e150))
+    x, s = max_slack_point(cons, np.array([0.5, 0.0]))
+    assert s == pytest.approx(1.0, abs=1e-6)
+    assert_allclose(x, [0.0, 0.0], atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +497,8 @@ def test_max_slack_two_balls():
 def test_dinkelbach_symmetric_ratio():
     # max (1 - ||x||^2) / (1 + ||x||^2) on the unit ball: optimum x = 0,
     # ratio exactly 1
-    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
-    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
+    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
     res = dinkelbach(f, g, stack(ball(np.zeros(2), 0.9)), np.array([0.3, -0.2]),
                      delta=1e-10)
     assert isinstance(res, DinkelbachResult)
@@ -408,8 +511,8 @@ def test_dinkelbach_symmetric_ratio():
 
 
 def test_dinkelbach_starts_from_the_start_ratio():
-    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
-    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
+    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
     fp = (f, g, stack(ball(np.zeros(2), 0.9)))
     x0 = np.array([0.3, -0.2])
     ratio = f.value(x0) / g.value(x0)
@@ -420,7 +523,7 @@ def test_dinkelbach_starts_from_the_start_ratio():
         assert res.converged and res.iterations == 0
         assert res.lam_trace == [ratio] and res.lam == ratio
         assert np.array_equal(res.x, x0) and res.x is not x0
-    g0 = QuadraticObjective(np.zeros(2), const=-1.0, w=[1.0], u=np.zeros((1, 2)))
+    g0 = squares(2, -1.0, [1.0], [[0.0, 0.0]])
     with pytest.raises(SolverError, match="start point"):
         dinkelbach(f, g0, fp[2], x0)
 
@@ -429,8 +532,8 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     # the symmetric program starts at ratio 0.7699, reaches its optimum
     # ratio 1 in round 1 and confirms it in round 2; a cap of 0.5 ends
     # the run after 0 rounds, any cap in (0.7699, 1] after round 1
-    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
-    g = QuadraticObjective(np.zeros(2), const=1.0, w=[1.0], u=np.zeros((1, 2)))
+    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
+    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
     fp = (f, g, stack(ball(np.zeros(2), 0.9)))
     x0 = np.array([0.3, -0.2])
     full = dinkelbach(*fp, x0, delta=1e-10)
@@ -446,9 +549,8 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     assert np.array_equal(uncapped.x, full.x)
     # a three-round run stops at the first round whose ratio reaches the cap
     cons = stack(ball(np.zeros(2), 1.0))
-    fp = (QuadraticObjective(np.zeros(2), const=6.0, w=[-1.0], u=[[1.0, 1.0]]),
-          QuadraticObjective(np.zeros(2), const=0.5, w=[1.0], u=np.zeros((1, 2))),
-          cons)
+    fp = (squares(2, 6.0, [-1.0], [[1.0, 1.0]]),
+          squares(2, 0.5, [1.0], [[0.0, 0.0]]), cons)
     x0 = np.array([0.2, 0.1])
     full = dinkelbach(*fp, x0, delta=1e-9)
     assert full.converged and full.iterations == 3
@@ -465,8 +567,8 @@ def test_dinkelbach_starts_at_ratio_zero_below_zero():
     # off the x axis f falls and g grows, and on it the ratio
     # (1 - x^2)/(x - 2)^2 peaks where x = 1/2, at 1/3. The start has
     # f = -1.5, so lam starts at 0 and round 1 maximizes f itself
-    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
-    g = QuadraticObjective(np.zeros(2), w=[1.0], u=[[2.0, 0.0]])
+    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
+    g = squares(2, 0.0, [1.0], [[2.0, 0.0]])
     x0 = np.array([-1.5, 0.5])
     assert f.value(x0) < 0.0
     res = dinkelbach(f, g, stack(ball(np.zeros(2), 1.8)), x0, delta=1e-10)
@@ -479,8 +581,8 @@ def test_dinkelbach_starts_at_ratio_zero_below_zero():
 def test_dinkelbach_reports_no_positive_ratio():
     # f = 1 - ||x||^2 is negative on the whole ball of radius 0.5 around
     # (3, 0): round 1 ends at ratio <= 0, which is not a convergence
-    f = QuadraticObjective(np.zeros(2), const=1.0, w=[-1.0], u=np.zeros((1, 2)))
-    g = QuadraticObjective(np.zeros(2), w=[1.0], u=[[-5.0, 0.0]])
+    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
+    g = squares(2, 0.0, [1.0], [[-5.0, 0.0]])
     res = dinkelbach(f, g, stack(ball([3.0, 0.0], 0.5)), np.array([3.0, 0.0]))
     assert res.lam_trace[0] == 0.0
     assert res.lam <= 0.0 and not res.converged
@@ -489,9 +591,9 @@ def test_dinkelbach_reports_no_positive_ratio():
 
 def test_dinkelbach_boundary_optimum():
     # max (2 - x) / (1 + x) on [0, 1]: decreasing ratio, optimum x = 0
-    f = QuadraticObjective([-1.0], const=2.0)
-    g = QuadraticObjective([1.0], const=1.0)
-    box = stack(halfspace([-1.0], 0.0), halfspace([1.0], 1.0))
+    f = QuadraticObjective(np.array([-1.0]), const=2.0)
+    g = QuadraticObjective(np.array([1.0]), const=1.0)
+    box = stack(slab([1.0], 0.0, 1.0))
     res = dinkelbach(f, g, box, np.array([0.5]), delta=1e-10)
     assert res.converged
     assert res.lam == pytest.approx(2.0, abs=1e-6)
@@ -504,10 +606,8 @@ def test_dinkelbach_scale_invariance():
     cons = stack(ball(np.zeros(2), 1.0))
     lam = []
     for kappa in (1.0, 250.0):
-        f = QuadraticObjective(np.zeros(2), const=6.0 * kappa, w=[-kappa],
-                               u=center)
-        g = QuadraticObjective(np.zeros(2), const=0.5 * kappa, w=[kappa],
-                               u=np.zeros((1, 2)))
+        f = squares(2, 6.0 * kappa, [-kappa], center)
+        g = squares(2, 0.5 * kappa, [kappa], [[0.0, 0.0]])
         res = dinkelbach(f, g, cons, np.array([0.2, 0.1]),
                          delta=1e-9 * kappa)
         assert res.converged
@@ -530,24 +630,21 @@ class ReferenceRows:
 
     def __init__(self, cons):
         m, k, n = cons.A.shape
-        self.b, self.c, self.d, self.cone = cons.b, cons.c, cons.d, cons.cone
+        self.b, self.c, self.d = cons.b, cons.c, cons.d
         self.A_flat = cons.A.reshape(m * k, n)
         self.A_T = np.ascontiguousarray(cons.A.transpose(0, 2, 1))
-        self.hess = 2.0 * self.cone[:, None, None] * (
-            np.einsum("mki,mkj->mij", cons.A, cons.A)
-            - np.einsum("mi,mj->mij", self.c, self.c))
+        self.hess = 2.0 * (np.einsum("mki,mkj->mij", cons.A, cons.A)
+                           - np.einsum("mi,mj->mij", self.c, self.c))
 
     def rows(self, x):
         r = (self.A_flat @ x).reshape(self.b.shape) - self.b
         t = self.c @ x + self.d
         rr = _ref_rowdot(r, r)
-        vals = np.where(self.cone, rr - t * t, -t)
-        return r, t, vals, bool(np.all((t > 0.0) & (rr < t * t)))
+        return r, t, rr - t * t, bool(np.all((t > 0.0) & (rr < t * t)))
 
     def grad(self, r, t):
-        g = 2.0 * (np.matmul(self.A_T, r[:, :, None])[:, :, 0]
-                   - t[:, None] * self.c)
-        return np.where(self.cone[:, None], g, -self.c)
+        return 2.0 * (np.matmul(self.A_T, r[:, :, None])[:, :, 0]
+                      - t[:, None] * self.c)
 
     def margin(self, x):
         r, t, _, _ = self.rows(x)
@@ -557,8 +654,8 @@ class ReferenceRows:
         """Per row, the exit step of the ray x + alpha*s (inf where the
         ray never leaves the row)."""
         rs, ts = (self.A_flat @ s).reshape(self.b.shape), self.c @ s
-        a = np.where(self.cone, _ref_rowdot(rs, rs) - ts * ts, 0.0)
-        h = np.where(self.cone, _ref_rowdot(r, rs) - t * ts, -0.5 * ts)
+        a = _ref_rowdot(rs, rs) - ts * ts
+        h = _ref_rowdot(r, rs) - t * ts
         den = h + np.sqrt(np.maximum(h * h - a * v, 0.0))
         return np.divide(-v, den, out=np.full_like(v, np.inf),
                          where=den > 0.0)
@@ -581,7 +678,6 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
     """``_barrier_maximize`` over ``ReferenceRows``."""
     ref = ReferenceRows(cons)
     m = cons.A.shape[0]
-    theta = m + int(ref.cone.sum())
     t_warm = solvers._T0 * solvers._T_FACTOR
     t, x = solvers._T0, None
     if _warm is not None:
@@ -641,11 +737,7 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
         if m / t < tol:
             break
         t *= solvers._T_FACTOR
-    lam = 1.0 / (t * -vals)
-    stat = objective.grad(x) - lam @ ref.grad(r, u)
-    return x, {"t": t, "newton_steps": newton_steps, "duals": lam,
-               "kkt_residual": float(np.linalg.norm(stat, np.inf)),
-               "gap_bound": theta / t, "warm": warm}
+    return x, {"t": t, "newton_steps": newton_steps, "warm": warm}
 
 
 def same_bits(a, b):
@@ -654,15 +746,15 @@ def same_bits(a, b):
 
 
 def random_stacks(rng, count, lift=0.5):
-    """Random bounded stacks (a ball and 1-5 cone, ball or half-space rows)
+    """Random bounded stacks (a ball and 1-5 cone, ball or slab rows)
     in R^2..R^4, each with a point strictly inside every row, lifted to
-    (x, slack) under a cap on the slack with probability ``lift``. Every
+    (x, slack) under a slab on the slack with probability ``lift``. Every
     stack has at least two rows: the
     planner's have at least three, and for one row numpy computes c.x
     by its dot kernel, which need not round as the stacked product."""
     for _ in range(count):
         n = int(rng.integers(2, 5))
-        kinds = ["ball"] + [("cone", "ball", "halfspace")[j]
+        kinds = ["ball"] + [("cone", "ball", "slab")[j]
                             for j in rng.integers(0, 3, size=int(rng.integers(1, 6)))]
         rows, xs = zip(*(random_row(rng, n, kind) for kind in kinds))
         cons, x = stack(*rows), xs[0]
@@ -670,7 +762,7 @@ def random_stacks(rng, count, lift=0.5):
                               + np.maximum(0.0, -cons.margin(x)))
         if rng.random() < lift:
             x = np.append(x, cons.margin(x).min() - rng.uniform(0.1, 1.0))
-            cons = cons.lifted(x[-1] + 1.0)
+            cons = cons.lifted(x[-1] - 1.0, x[-1] + 1.0)
         assert inside(cons, x)
         yield cons, x
 
@@ -716,10 +808,12 @@ def test_step_bound_is_the_minimum_of_the_reference_exit_steps():
             s = scale * rng.normal(size=x.size)
             want = ReferenceRows(cons).max_step(r, t, v, s).min()
             assert same_bits(cons.step_bound(r, t, v, s), want)
-    # a ray that stays inside every row
-    cons = stack(halfspace([1.0, 0.0], 3.0), halfspace([0.0, 1.0], 2.0))
-    r, t, v, _ = cons.rows(np.zeros(2))
-    assert cons.step_bound(r, t, v, np.array([-1.0, -2.0])) == math.inf
+    # a ray that stays inside every row: up the axis of the cone
+    # |x1| <= x2, parallel to the slab -3 <= x1 <= 3
+    cons = stack((np.array([[1.0, 0.0]]), np.zeros(1), np.array([0.0, 1.0]), 0.0),
+                 slab([1.0, 0.0], -3.0, 3.0))
+    r, t, v, _ = cons.rows(np.array([0.0, 1.0]))
+    assert cons.step_bound(r, t, v, np.array([0.0, 2.0])) == math.inf
 
 
 def test_written_out_cholesky_solves_match_the_loop():
@@ -745,14 +839,12 @@ def test_written_out_cholesky_solves_match_the_loop():
 
 def barrier_programs(rng):
     """(objective, stack, x0) for linear and concave quadratic objectives
-    over random bounded stacks (a lifted stack leaves the slack unbounded
-    below)."""
-    for cons, x in random_stacks(rng, 20, lift=0.0):
+    over random bounded stacks, lifted ones included."""
+    for cons, x in random_stacks(rng, 20):
         n = x.size
         yield QuadraticObjective(rng.normal(size=n)), cons, x
         yield (QuadraticObjective(rng.normal(size=n), rng.normal(),
-                                  w=-rng.uniform(0.1, 2.0, size=2),
-                                  u=rng.normal(size=(2, n))), cons, x)
+                                  -rng.uniform(0.1, 2.0)), cons, x)
 
 
 def assert_same_solve(got, want):
