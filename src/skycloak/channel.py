@@ -6,12 +6,12 @@ component of total power 2b plus a line-of-sight component whose power is
 Nakagami-shadowed with severity m and mean omega. The UAV-to-ground links
 are distance-law LoS channels with a reference gain at 1 m.
 
-The SR squared envelope admits a series CDF in lower incomplete gamma
-functions and a Gamma(alpha, theta) surrogate that matches its first two
-moments exactly (alpha*theta = 2b + omega, alpha*theta^2 = 4b^2 + 4b*omega
-+ omega^2/m). The surrogate's shape/scale and the constant
-mu = Gamma(alpha+1)^(-1/alpha) feed the closed-form detection bound in
-:mod:`skycloak.detection`.
+The SR squared envelope has an exact sampler and a Gamma(alpha, theta)
+surrogate that matches its first two moments exactly (alpha*theta =
+2b + omega, alpha*theta^2 = 4b^2 + 4b*omega + omega^2/m). The surrogate's
+shape/scale and the constant mu = Gamma(alpha+1)^(-1/alpha) feed the
+closed-form detection bound in :mod:`skycloak.detection`, which also holds
+the exact incomplete-gamma series of the fading-averaged detection error.
 
 All quantities are linear and SI internally: watts, meters, Hz. Unit
 conversion belongs to the configuration boundary (scenario_io), never here.
@@ -36,9 +36,7 @@ __all__ = [
     "SatelliteLink",
     "UavPlacement",
     "UavLinkBudget",
-    "SeriesConvergenceError",
     "gamma_from_sr",
-    "sr_cdf",
     "sample_sr_power",
     "satellite_large_scale",
     "uav_gain",
@@ -47,14 +45,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-_SERIES_CAP = 500
-_SERIES_MIN_TERMS = 20
-
-
-class SeriesConvergenceError(RuntimeError):
-    """Raised when the SR series does not settle within the term cap."""
-
 
 @dataclass(frozen=True)
 class SRParams:
@@ -141,91 +131,6 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
             stacklevel=2,
         )
     return GammaApprox(alpha=alpha, theta=theta, mu=mu)
-
-
-def _series_sum(terms, tol: float):
-    """Sum one of the SR series with the shared truncation rule.
-
-    ``terms`` yields the series terms (arrays or floats) in order. The sum
-    stops once every element's current term is <= tol times its running
-    sum, with at least 20 terms taken, capped at 500.
-    """
-    total = 0.0
-    for n, term in zip(range(_SERIES_CAP), terms):
-        total = total + term
-        if n >= _SERIES_MIN_TERMS - 1 and (
-                term <= tol * total if isinstance(term, float)
-                else np.all(term <= tol * total)):
-            return total
-    if np.any(term > 1e-6 * total):
-        raise SeriesConvergenceError(
-            f"SR series not settled after {_SERIES_CAP} terms "
-            f"(worst term/sum = {float(np.max(term / np.maximum(total, 1e-300))):.3e})"
-        )
-    return total
-
-
-def _series_constants(p: SRParams):
-    """(pref, y): the squared SR law is a mixture of Gamma(n+1, 2b) laws
-    with weights pref * c_n, c_0 = 1, c_{n+1} = c_n * y * (m+n)/(n+1)."""
-    y = p.omega / (2.0 * p.b * p.m + p.omega)
-    pref = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
-    return pref, y
-
-
-def _mixture_weights(p: SRParams):
-    """Yield the mixture weights pref * c_n for n = 0, 1, 2, ..."""
-    w, y = _series_constants(p)
-    n = 0
-    while True:
-        yield w
-        w *= y * (p.m + n) / (n + 1.0)
-        n += 1
-
-
-def _gammainc_orders(z):
-    """Yield P(1, z), P(2, z), ...: the regularized lower incomplete gamma
-    function at integer orders, elementwise for scalar or array z >= 0.
-
-    P(1, z) = 1 - e^(-z) and P(k+1, z) = P(k, z) - e^(-z) z^k / k!, so each
-    order costs three flops; the absolute error of order k stays within
-    about k ulps of P(1, z). A float z takes numpy's exponentials once and
-    goes on in Python float arithmetic, which rounds as numpy's does.
-    """
-    pmf = np.exp(-z)
-    lower = -np.expm1(-z)
-    if isinstance(z, float):
-        pmf, lower = float(pmf), float(lower)
-    k = 1
-    while True:
-        yield lower
-        pmf = pmf * z / k
-        lower = lower - pmf
-        k += 1
-
-
-def sr_cdf(x, p: SRParams, tol: float = 1e-10):
-    """CDF of the squared-SR envelope at x (scalar or array).
-
-    The series is
-
-        F(x) = (2bm/(2bm+omega))^m * sum_n c_n * P(n+1, x/(2b)),
-        c_0 = 1,  c_{n+1} = c_n * y * (m+n)/(n+1),  y = omega/(2bm+omega),
-
-    where P is the regularized lower incomplete gamma function (the usual
-    (m)_n psi^n (2b)^n / (n!)^2 coefficients with one n! absorbed into P).
-    Truncation: stop when the term drops below tol times the running sum and
-    at least 20 terms were taken; error out at the 500-term cap.
-    """
-    if not (0.0 < tol <= 1e-8):
-        raise ValueError(f"tol must be in (0, 1e-8], got {tol}")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("x must be nonnegative")
-    z = xs / (2.0 * p.b)
-    terms = (w * lower for w, lower in zip(_mixture_weights(p), _gammainc_orders(z)))
-    out = np.clip(_series_sum(terms, tol), 0.0, 1.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def sample_sr_power(p: SRParams, rng: np.random.Generator, size):

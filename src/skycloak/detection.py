@@ -11,10 +11,16 @@ transmits.
 The quantity of interest is the detection error probability (false alarm
 plus missed detection) minimized over the threshold, averaged over the
 satellite-warden fading. This module provides that per-slot minimum in
-closed form, an exact incomplete-gamma series for its fading average, the
+closed form, an exact incomplete-gamma series for its fading average (the
+one series over the squared-SR law that the program sums), the
 closed-form lower bound obtained from the fitted gamma surrogate of the
 fading law, and the inverse of that bound's tightness function used by the
 planner.
+
+Both received-power supports start at the warden's noise floor, so the
+per-slot minimum, and everything built on it, does not depend on the
+warden's noise power: the scenario's ``sigma_w2`` is read and range-checked
+but enters no formula.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GammaApprox, SRParams, _gammainc_orders,
-                      _mixture_weights, _series_sum)
+from .channel import GammaApprox, SRParams
 
 __all__ = [
     "CovertBound",
+    "SeriesConvergenceError",
     "min_dep",
     "avg_min_dep_quadrature",
     "avg_min_dep_lower_bound",
@@ -55,6 +61,63 @@ def min_dep(sig, jam: float):
     return np.maximum(0.0, 1.0 - sig / jam)
 
 
+_SERIES_CAP = 500
+_SERIES_MIN_TERMS = 20
+
+
+class SeriesConvergenceError(RuntimeError):
+    """Raised when the DEP series does not settle within the term cap."""
+
+
+def _series_sum(terms):
+    """Sum the DEP series' float terms, in order: stop once a term is at
+    most machine epsilon times the running sum, with at least 20 terms
+    taken; past 500 terms, a last term above 1e-6 of the sum raises."""
+    total = 0.0
+    for n, term in zip(range(_SERIES_CAP), terms):
+        total = total + term
+        if n >= _SERIES_MIN_TERMS - 1 and term <= sys.float_info.epsilon * total:
+            return total
+    if term > 1e-6 * total:
+        raise SeriesConvergenceError(
+            f"SR series not settled after {_SERIES_CAP} terms "
+            f"(term/sum = {term / max(total, 1e-300):.3e})")
+    return total
+
+
+def _mixture_weights(p: SRParams):
+    """Yield pref * c_n for n = 0, 1, 2, ...: the squared SR law is the
+    mixture of Gamma(n+1, 2b) laws with these weights, where
+    pref = (2bm/(2bm+omega))^m, c_0 = 1, c_{n+1} = c_n * y * (m+n)/(n+1)
+    and y = omega/(2bm+omega)."""
+    y = p.omega / (2.0 * p.b * p.m + p.omega)
+    w = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
+    n = 0
+    while True:
+        yield w
+        w *= y * (p.m + n) / (n + 1.0)
+        n += 1
+
+
+def _gammainc_orders(z: float):
+    """Yield P(1, z), P(2, z), ...: the regularized lower incomplete gamma
+    function at integer orders, for a float z >= 0.
+
+    P(1, z) = 1 - e^(-z) and P(k+1, z) = P(k, z) - e^(-z) z^k / k!, so each
+    order costs three flops; the absolute error of order k stays within
+    about k ulps of P(1, z). The exponentials are numpy's, taken once, and
+    the rest is Python float arithmetic, which rounds as numpy's does.
+    """
+    pmf = float(np.exp(-z))
+    lower = float(-np.expm1(-z))
+    k = 1
+    while True:
+        yield lower
+        pmf = pmf * z / k
+        lower = lower - pmf
+        k += 1
+
+
 def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
                            params: SRParams) -> float:
     """Fading-averaged minimum detection error probability, exactly.
@@ -62,14 +125,15 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     The satellite-warden gain is ``ell_aw`` times a unit-mean-scale fading
     power X, so the per-slot optimum error is ``max(0, 1 - X/r)`` with
     ``r = pj_hat*g_uw / (pa*ell_aw)``. The squared SR law is a mixture of
-    Gamma(n+1, 2b) laws with weights pref*c_n (see :func:`sr_cdf`), and for
-    each of them E[(1 - X/r)^+] = P(n+1, z) - (n+1)/z * P(n+2, z) with
-    z = r/(2b), so the average is the series
+    Gamma(n+1, 2b) laws with weights pref*c_n (see ``_mixture_weights``),
+    and for each of them E[(1 - X/r)^+] = P(n+1, z) - (n+1)/z * P(n+2, z)
+    with z = r/(2b), so the average is the series
 
         pref * sum_n c_n * [P(n+1, z) - (n+1)/z * P(n+2, z)],
 
     summed to machine precision on Python floats. Its value fills the
-    ``quadrature`` column of ``dep_sweep.csv``.
+    ``quadrature`` column of ``dep_sweep.csv``. A series that has not
+    settled after 500 terms raises SeriesConvergenceError.
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
@@ -89,7 +153,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
             yield w * (lower - k / z * upper)
             lower = upper
 
-    val = float(_series_sum(terms(), sys.float_info.epsilon))
+    val = float(_series_sum(terms()))
     return min(1.0, max(0.0, val))
 
 
@@ -127,25 +191,20 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
     return CovertBound(value_lb=float(value))
 
 
-def phi(x, gamma: GammaApprox):
-    """Bound-gap function phi(x) = alpha * (exp(-mu/x) + x) for x > 0.
+def phi(x: float, gamma: GammaApprox) -> float:
+    """Bound-gap function phi(x) = alpha * (exp(-mu/x) + x) for a float
+    x > 0.
 
     This is the amount by which the closed-form bound falls short of one
     when expressed in the scaled variable x = theta/r; it is strictly
     increasing, so requiring a detection error of at least 1 - eps is the
-    scalar constraint phi(x) <= eps. Accepts scalar or array input.
+    scalar constraint phi(x) <= eps.
     """
-    if isinstance(x, float):
-        bad = x <= 0.0
-    else:
-        x = np.asarray(x, dtype=float)
-        bad = (x <= 0.0).any()
-    if bad:
+    if x <= 0.0:
         raise ValueError("phi is defined for positive arguments only")
-    # np.exp, not math.exp, for a float too: the two differ in the last
-    # bit on some inputs, and a float must get the bits a 0-d array gets
-    out = gamma.alpha * (np.exp(-gamma.mu / x) + x)
-    return float(out) if out.ndim == 0 else out
+    # np.exp, not math.exp: the two differ in the last bit on some
+    # inputs, and every cap and slack keeps numpy's bits
+    return float(gamma.alpha * (np.exp(-gamma.mu / x) + x))
 
 
 def phi_inverse(eps: float, gamma: GammaApprox) -> float:

@@ -279,6 +279,12 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
 _SCA_TOL = 1e-6  # m^2: the placement step stops below this gain
 _SCA_MAX = 30  # linearization rounds per placement step
 _CERT_MARGIN = 1e-9  # relative: nearer the boundary the start decides
+# m: the largest ball radius a placement row carries. A wider ball (a
+# budget near the top of the doubles, or a Pa_max near the least double)
+# would square past the doubles in the rows' values; where the band and
+# the cones keep the UAV within 2^300 m of the ground nodes, the capped
+# ball holds the same placements
+_RADIUS_CAP = 2.0 ** 300
 
 
 def _enclosing_circle(points) -> tuple[float, float, float]:
@@ -441,13 +447,15 @@ def _placement_set(s: Scenario, centers=(), radii=(), origin=(0.0, 0.0),
 def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstraint:
     """Feasible placements at fixed powers: cones, altitude band, UE-rate
     balls (radius sqrt(Pk/Xi) around each lifted UE), and the covertness
-    ball around the lifted warden. Without UEs the band's top is the
-    covertness ball's, the only ball, centred on the ground, if below H_max."""
+    ball around the lifted warden, each radius capped at ``_RADIUS_CAP``.
+    Without UEs the band's top is the covertness ball's, the only ball,
+    centred on the ground, if below H_max."""
     centers = [_lift(u) for u in s.ues]
     radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk]
     if powers.Pa > 0.0:
         centers.append(_lift(s.willie))
         radii.append(math.sqrt(s.kappa * powers.Pj_hat / powers.Pa))
+    radii = [min(r, _RADIUS_CAP) for r in radii]
     top = _band_top(s) if s.K else min([s.H_max, *radii])
     return _placement_set(s, centers, radii, top=top)
 

@@ -1,11 +1,11 @@
 """Shared fixtures and independent numerical helpers for the test suite.
 
-The integrator, the KS statistic, the squared-SR density and the
+The integrator, the KS statistic, the squared-SR density and CDF and the
 radiometer's error probabilities here are deliberately written from
 scratch (composite Simpson on a fixed grid, textbook two-sided KS, the
-confluent-hypergeometric density summed in log space, uniform CDFs) so
-the library's own DEP formulas, series and samplers are checked against
-an independent path.
+confluent-hypergeometric density and a Poisson-weighted survival series,
+both summed in log space, uniform CDFs) so the library's own DEP formulas,
+series and samplers are checked against an independent path.
 """
 
 import importlib.util
@@ -74,6 +74,38 @@ def sr_pdf(x, p):
                  + n * log_z)
     scale = m * math.log(2.0 * b * m / (2.0 * b * m + omega)) - math.log(2.0 * b)
     out = np.exp(log_terms + (scale - x / (2.0 * b))[..., None]).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def sr_cdf(x, p):
+    """CDF of the squared shadowed-Rician envelope at x >= 0.
+
+    The law is the mixture of Gamma(n+1, 2b) laws with weights
+    w_n = (1-y)^m (m)_n y^n / n!, y = omega/(2bm+omega), and a Gamma(n+1, 2b)
+    law exceeds x with the Poisson probability of at most n events at rate
+    z = x/(2b). So the survival function is
+
+        1 - F(x) = sum_{j>=0} e^(-z) z^j / j! * (w_j + w_{j+1} + ...),
+
+    a sum of positive terms, each formed from log-gamma values and taken
+    to j = z + 12 sqrt(z) + 60, past which the Poisson tail is below 1e-30;
+    the weight tails are summed over 400 more weights.
+    """
+    b, m, omega = p.b, p.m, p.omega
+    z = np.asarray(x, dtype=float) / (2.0 * b)
+    top = float(np.max(z))
+    jmax = int(top + 12.0 * math.sqrt(top)) + 60
+    n = np.arange(jmax + 400.0)
+    y = omega / (2.0 * b * m + omega)
+    lgam = np.vectorize(math.lgamma)
+    log_w = (m * math.log1p(-y) + lgam(m + n) - math.lgamma(m)
+             - lgam(n + 1.0) + n * math.log(y))
+    tails = np.cumsum(np.exp(log_w)[::-1])[::-1]
+    log_z = np.log(np.maximum(z, 1e-300))
+    survival = np.zeros_like(z)
+    for j in range(jmax + 1):
+        survival += np.exp(j * log_z - z - math.lgamma(j + 1.0)) * tails[j]
+    out = np.where(z > 0.0, 1.0 - survival, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_scenario_dict, ks_statistic, radiometer_errors
+from conftest import (default_scenario_dict, ks_statistic, radiometer_errors,
+                      sr_cdf)
 from skycloak.channel import (SHADOWING_ROWS, UavPlacement, gamma_from_sr,
-                              sample_sr_power, sr_cdf, uav_gain)
+                              sample_sr_power, uav_gain)
 from skycloak.detection import (avg_min_dep_lower_bound,
                                 avg_min_dep_quadrature, min_dep, phi_inverse)
 from skycloak.planner import (bob_rate, constraint_residuals,

@@ -193,6 +193,27 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+# a budget near the top of the doubles widens the UE-rate balls, and a
+# Pa_max near the least double the covertness ball, past any placement the
+# band and the cones reach: the capped radii plan as a large finite budget
+# does, with no warning
+@pytest.mark.parametrize("field, value, rb", [
+    ("P_tot", 1e50, 0.18273964702065956),
+    ("P_tot", 1e300, 0.18273964702065956),
+    ("Pa_max", 1e-300, 0.0),
+])
+def test_optimize_ball_radius_past_the_double_range(tmp_path, capsys, field,
+                                                    value, rb):
+    d = default_scenario_dict(0.1, 12)
+    d[field]["value"] = value
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert (rc, sol["status"], sol["Rb"]) == (0, "converged", rb)
+    assert "error:" not in capsys.readouterr().err
+
+
 # ground nodes whose squared distances leave the double range: a node at
 # [1e300, 0] m proves the cones' verdict, and UEs drawn in a 1e300 m square,
 # or two UEs near the largest double, whose centroid's sum overflows, the
@@ -602,6 +623,18 @@ def test_package_entry_point(tmp_path, default_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "solution.json").read_text())["status"] \
         == "converged"
+
+
+def test_readme_library_use(monkeypatch, capsys):
+    # the README's "Library use" block, run as written from the repo root
+    text = (REPO_ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text,
+                      re.S).group(1)
+    monkeypatch.chdir(REPO_ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    plan, check = capsys.readouterr().out.splitlines()
+    assert plan.startswith("converged 0.17726849774036732 ")
+    assert check.endswith(" True")
 
 
 def test_import_leaves_scipy_unloaded():

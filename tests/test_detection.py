@@ -10,8 +10,9 @@ from conftest import radiometer_errors, simpson, sr_pdf
 from skycloak import detection
 from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
                               LIGHT_SHADOWING, SHADOWING_ROWS, SRParams,
-                              gamma_from_sr, sr_cdf)
-from skycloak.detection import (avg_min_dep_lower_bound,
+                              gamma_from_sr)
+from skycloak.detection import (SeriesConvergenceError,
+                                avg_min_dep_lower_bound,
                                 avg_min_dep_quadrature,
                                 covert_constraint_satisfied, min_dep, phi,
                                 phi_inverse)
@@ -181,6 +182,14 @@ def test_quadrature_float_series_has_numpy_scalar_bits(params):
             assert got == quadrature_on_numpy_scalars(*args, params), (r, args)
 
 
+def test_series_convergence_error():
+    # slowly mixing series (tiny scatter, huge LOS spread) must refuse to
+    # return a silently wrong value
+    with pytest.raises(SeriesConvergenceError, match="term/sum = 7.412e-02"):
+        avg_min_dep_quadrature(1.0, 1.0, 1000.0, 1.0,
+                               SRParams(b=1e-4, m=40.0, omega=80.0))
+
+
 def test_bound_closed_form_and_dominance():
     for name, params in SHADOWING_ROWS.items():
         g = gamma_from_sr(params)
@@ -205,8 +214,7 @@ def test_bound_input_validation():
 def test_phi_shape_and_inverse_round_trip():
     for name, params in SHADOWING_ROWS.items():
         g = gamma_from_sr(params)
-        x = np.linspace(1e-4, 0.2, 50)
-        vals = phi(x, g)
+        vals = [phi(x, g) for x in np.linspace(1e-4, 0.2, 50).tolist()]
         assert np.all(np.diff(vals) > 0.0)  # strictly increasing
         for eps in (0.005, 0.01, 0.05, 0.1):
             x0 = phi_inverse(eps, g)
@@ -219,20 +227,20 @@ def test_phi_shape_and_inverse_round_trip():
 
 
 def test_phi_float_path_has_array_bits():
+    # a float gets the bits numpy's exp gives a 0-d array
     for params in SHADOWING_ROWS.values():
         g = gamma_from_sr(params)
-        for x in np.geomspace(1e-6, 50.0, 3000):
-            want = phi(np.array(x), g)
-            assert type(want) is float
-            assert phi(float(x), g) == want
-            assert phi(x, g) == want  # np.float64
+        for x in np.geomspace(1e-6, 50.0, 3000).tolist():
+            want = float(g.alpha * (np.exp(-g.mu / np.array(x)) + x))
+            got = phi(x, g)
+            assert type(got) is float
+            assert got == want
+            assert phi(np.float64(x), g) == want
         for bad in (0.0, -0.0, -1e-300, -2.0):
             with pytest.raises(ValueError):
                 phi(bad, g)
-            with pytest.raises(ValueError):
-                phi(np.array(bad), g)
-            with pytest.raises(ValueError):
-                phi(np.array([1.0, bad]), g)
+        with pytest.raises(ValueError):  # one float, not an array
+            phi(np.array([1.0, 2.0]), g)
 
 
 def bisect_phi_inverse(eps, g):
