@@ -3,7 +3,7 @@
 The package is organized around six modules:
 
 - :mod:`skycloak.channel`      fading/link math (shadowed-Rician, LoS, rates)
-- :mod:`skycloak.detection`    per-slot minimum DEP, the exact DEP series,
+- :mod:`skycloak.detection`    per-slot minimum DEP, the exact average DEP,
                                DEP bound, covertness map
 - :mod:`skycloak.solvers`      stacked SOC rows, log-barrier Newton, Dinkelbach
 - :mod:`skycloak.planner`      the two placement/power optimization algorithms

@@ -8,10 +8,13 @@ are distance-law LoS channels with a reference gain at 1 m.
 
 The SR squared envelope has an exact sampler and a Gamma(alpha, theta)
 surrogate that matches its first two moments exactly (alpha*theta =
-2b + omega, alpha*theta^2 = 4b^2 + 4b*omega + omega^2/m). The surrogate's
-shape/scale and the constant mu = Gamma(alpha+1)^(-1/alpha) feed the
-closed-form detection bound in :mod:`skycloak.detection`, which also holds
-the exact incomplete-gamma series of the fading-averaged detection error.
+2b + omega, alpha*theta^2 = 4b^2 + 4b*omega + omega^2/m). At m = 1 the
+law is exactly exponential with mean 2b + omega, and the sampler draws
+that row as one exponential fill. The surrogate's shape/scale and the
+constant mu = Gamma(alpha+1)^(-1/alpha) feed the closed-form detection
+bound in :mod:`skycloak.detection`, which also holds the exact
+fading-averaged detection error: an incomplete-gamma series, or a closed
+form at m = 1.
 
 All quantities are linear and SI internally: watts, meters, Hz. Unit
 conversion belongs to the configuration boundary (scenario_io), never here.
@@ -147,9 +150,19 @@ def sample_sr_power(p: SRParams, rng: np.random.Generator, size):
 
     and no phase is drawn. Each call draws zeta, then N1, then N2, one
     fill each, with no trigonometry, and works in place on the three
-    fills, so a call holds no more than them. Returns an array of ``size``
+    fills, so a call holds no more than them.
+
+    At m = 1 (heavy shadowing) zeta is exponential, so the line-of-sight
+    term sqrt(zeta) * e^(j*phi) is a CN(0, omega) Gaussian and h is
+    CN(0, 2b + omega): |h|^2 is exponential with mean 2b + omega (Abdi et
+    al., IEEE TWC 2003). That row is drawn as one standard-exponential
+    fill scaled in place by the mean power. Returns an array of ``size``
     draws.
     """
+    if p.m == 1.0:
+        x = rng.standard_exponential(size)
+        x *= p.mean_power
+        return x
     zeta = rng.gamma(shape=p.m, scale=p.omega / p.m, size=size)
     n1 = rng.standard_normal(size)
     n2 = rng.standard_normal(size)

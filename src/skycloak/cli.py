@@ -4,7 +4,7 @@ Four subcommands, all reading a JSON scenario file and writing results
 under ``--out`` (default: current directory):
 
 - ``dep-sweep``: tabulate the closed-form detection-error-probability
-  lower bound, the exact series value, and a Monte Carlo estimate over a
+  lower bound, the exact average, and a Monte Carlo estimate over a
   grid of covertness levels and shadowing rows (``dep_sweep.csv``).
 - ``optimize``: run the planner (the Dinkelbach placement solver when
   the cancellation coefficient is zero, block coordinate descent

@@ -11,9 +11,10 @@ transmits.
 The quantity of interest is the detection error probability (false alarm
 plus missed detection) minimized over the threshold, averaged over the
 satellite-warden fading. This module provides that per-slot minimum in
-closed form, an exact incomplete-gamma series for its fading average (the
-one series over the squared-SR law that the program sums), the
-closed-form lower bound obtained from the fitted gamma surrogate of the
+closed form, its exact fading average (an incomplete-gamma series, the
+one series over the squared-SR law that the program sums, or a closed
+form for the exponential law of the m = 1 row), the closed-form lower
+bound obtained from the fitted gamma surrogate of the
 fading law, and the inverse of that bound's tightness function used by the
 planner.
 
@@ -58,7 +59,11 @@ def min_dep(sig, jam: float):
     """
     if jam == 0.0:
         return np.where(sig > 0.0, 0.0, 1.0)
-    return np.maximum(0.0, 1.0 - sig / jam)
+    # one array, the quotient's, worked in place (a scalar has none)
+    xi = np.divide(sig, jam)
+    buf = xi if type(xi) is np.ndarray else None
+    xi = np.subtract(1.0, xi, out=buf)
+    return np.maximum(0.0, xi, out=buf)
 
 
 _SERIES_CAP = 500
@@ -131,9 +136,11 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
 
         pref * sum_n c_n * [P(n+1, z) - (n+1)/z * P(n+2, z)],
 
-    summed to machine precision on Python floats. Its value fills the
-    ``quadrature`` column of ``dep_sweep.csv``. A series that has not
-    settled after 500 terms raises SeriesConvergenceError.
+    summed to machine precision on Python floats. A series that has not
+    settled after 500 terms raises SeriesConvergenceError. At m = 1 the
+    fading is exponential with mean mu = 2b + omega, and the average is
+    the closed form 1 + (mu/r) * expm1(-r/mu), with no series. The
+    value fills the ``quadrature`` column of ``dep_sweep.csv``.
     """
     for name, v in (("pa", pa), ("ell_aw", ell_aw),
                     ("pj_hat", pj_hat), ("g_uw", g_uw)):
@@ -144,7 +151,12 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     jam = pj_hat * g_uw
     if jam == 0.0:
         return 0.0  # unjammed: detected with probability one
-    z = float(jam / (pa * ell_aw) / (2.0 * params.b))
+    r = float(jam / (pa * ell_aw))
+    if params.m == 1.0:
+        # E[(1 - X/r)^+] = 1 - (mu/r) * (1 - e^(-r/mu)) for X ~ Exp(mean mu)
+        mu = params.mean_power
+        return min(1.0, max(0.0, 1.0 + mu / r * math.expm1(-r / mu)))
+    z = r / (2.0 * params.b)
 
     def terms():
         orders = _gammainc_orders(z)

@@ -18,6 +18,7 @@ from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
                               SRParams, UavPlacement, covert_rate,
                               gamma_from_sr, sample_sr_power,
                               satellite_large_scale, uav_gain, ue_rate)
+from skycloak.detection import avg_min_dep_quadrature
 
 # (alpha, theta, mu) of the Gamma surrogate per shadowing row
 GAMMA_REF = {
@@ -141,15 +142,19 @@ def test_sampler_matches_series_cdf():
 
 @pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
 def test_sampler_construction_and_stream_use(name):
-    # one gamma fill, then two standard-normal fills, no phase: pinned bit
-    # for bit against a twin generator, which must then be in step
+    # one gamma fill, then two standard-normal fills, no phase; at m = 1
+    # one standard-exponential fill times the mean power: pinned bit for
+    # bit against a twin generator, which must then be in step
     p = SHADOWING_ROWS[name]
     n = 1_000
     rng, twin = np.random.default_rng([11, 3]), np.random.default_rng([11, 3])
-    zeta = twin.gamma(p.m, p.omega / p.m, n)
-    n1 = twin.standard_normal(n)
-    n2 = twin.standard_normal(n)
-    want = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
+    if p.m == 1.0:
+        want = twin.standard_exponential(n) * p.mean_power
+    else:
+        zeta = twin.gamma(p.m, p.omega / p.m, n)
+        n1 = twin.standard_normal(n)
+        n2 = twin.standard_normal(n)
+        want = (math.sqrt(p.b) * n1 + np.sqrt(zeta)) ** 2 + p.b * n2 ** 2
     assert np.array_equal(sample_sr_power(p, rng, n), want)
     assert rng.standard_normal() == twin.standard_normal()
     with pytest.raises(TypeError):  # size is required: no scalar draw
@@ -168,6 +173,22 @@ def test_heavy_row_is_exactly_exponential():
     draws = sample_sr_power(p, rng, 100_000)
     ks = ks_statistic(draws, lambda v: 1.0 - np.exp(-v / scale))
     assert ks < 0.006
+
+
+def test_m1_branch_edge_meets_the_general_law():
+    # the m = 1 branch (one exponential fill, the closed-form DEP) and the
+    # general path one ulp above it draw and average the same law
+    b, omega = 0.37, 2.9
+    exact, edge = SRParams(b, 1.0, omega), SRParams(b, np.nextafter(1.0, 2.0), omega)
+    scale = 2.0 * b + omega
+    for p in (exact, edge):
+        x = sample_sr_power(p, np.random.default_rng([13, 2]), 20_000)
+        ks = ks_statistic(x, lambda v: 1.0 - np.exp(-v / scale))
+        assert ks < 1.628 / math.sqrt(len(x)), (p, ks)
+    for r in np.geomspace(1e-4, 1e4, 81) * scale:
+        series = avg_min_dep_quadrature(1.0, 1.0, float(r), 1.0, edge)
+        closed = avg_min_dep_quadrature(1.0, 1.0, float(r), 1.0, exact)
+        assert abs(series - closed) <= 1e-12, r
 
 
 @pytest.mark.parametrize("fc,d,G", [(2.0e9, 1e203, 1000.0),   # underflows

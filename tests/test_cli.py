@@ -193,6 +193,30 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+# the elevation cones' slope cot(phi_min) enters the barrier solver to the
+# fourth power: below 2^-64 rad phi_min is a scenario error naming the
+# field, and at 2^-64 rad the cones bind nowhere and each planner plans
+# with no warning
+@pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
+                                       (0.0, 7.8492332732661625)])
+def test_optimize_least_elevation_angle(tmp_path, capsys, varpi, rb):
+    d = default_scenario_dict(varpi, 12)
+    p = tmp_path / "scenario.json"
+    for phi_min in (1e-300, 5.4e-20):
+        d["uav"]["phi_min"] = {"value": phi_min, "unit": "rad"}
+        p.write_text(json.dumps(d))
+        rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("scenario error: uav.phi_min")
+        assert not (tmp_path / "solution.json").exists()
+    d["uav"]["phi_min"] = {"value": 2.0 ** -64, "unit": "rad"}
+    p.write_text(json.dumps(d))
+    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert (rc, sol["status"], sol["Rb"]) == (0, "converged", rb)
+    assert "error:" not in capsys.readouterr().err
+
+
 # a budget near the top of the doubles widens the UE-rate balls, and a
 # Pa_max near the least double the covertness ball, past any placement the
 # band and the cones reach: the capped radii plan as a large finite budget

@@ -170,16 +170,28 @@ def quadrature_on_numpy_scalars(pa, ell_aw, pj_hat, g_uw, p):
     return min(1.0, max(0.0, float(total)))
 
 
+def quadrature_at_m1(pa, ell_aw, pj_hat, g_uw, p):
+    """The m = 1 average on Python floats: the exponential law's closed
+    form 1 + (mu/r) * expm1(-r/mu), mu = 2b + omega."""
+    r = float(pj_hat * g_uw / (pa * ell_aw))
+    mu = 2.0 * p.b + p.omega
+    return min(1.0, max(0.0, 1.0 + mu / r * math.expm1(-r / mu)))
+
+
 @pytest.mark.parametrize("params", list(SHADOWING_ROWS.values()) + [
-    SRParams(b=0.25, m=2.5, omega=1.0), SRParams(b=0.05, m=5.0, omega=3.0)],
-    ids=list(SHADOWING_ROWS) + ["b0.25-m2.5", "b0.05-m5"])
+    SRParams(b=0.25, m=2.5, omega=1.0), SRParams(b=0.05, m=5.0, omega=3.0),
+    SRParams(b=HEAVY_SHADOWING.b, m=float(np.nextafter(1.0, 2.0)),
+             omega=HEAVY_SHADOWING.omega)],
+    ids=list(SHADOWING_ROWS) + ["b0.25-m2.5", "b0.05-m5", "heavy-m1+ulp"])
 def test_quadrature_float_series_has_numpy_scalar_bits(params):
+    # the m = 1 row sums no series: its bits are the closed form's
+    want = quadrature_at_m1 if params.m == 1.0 else quadrature_on_numpy_scalars
     for r in np.geomspace(1e-3, 1e4, 240):
         for args in ((1.0, 1.0, float(r), 1.0),
                      (np.float64(0.7), np.float64(1.3), r, np.float64(2.0))):
             got = avg_min_dep_quadrature(*args, params)
             assert type(got) is float
-            assert got == quadrature_on_numpy_scalars(*args, params), (r, args)
+            assert got == want(*args, params), (r, args)
 
 
 def test_series_convergence_error():
