@@ -23,7 +23,6 @@ conversion belongs to the configuration boundary (scenario_io), never here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +114,9 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
 
     algebraically identical to the usual 4mb^2 + 4mb*omega + omega^2 form but
     exact at m = 1 in floating point (alpha == 1.0, no cancellation noise).
-    A shape of exactly 1 (heavy shadowing) is accepted with a warning: the
-    closed-form DEP bound is derived under alpha > 1 yet remains evaluable.
+    At m = 1 (heavy shadowing) the surrogate is the law itself (alpha =
+    mu = 1, theta = 2b + omega), and the DEP bound holds with a gap of
+    e^(-r/theta) * (1 + theta/r) > 0 to the exact average.
     """
     x = 2.0 * p.b + p.omega
     num = p.m * x * x
@@ -125,14 +125,6 @@ def gamma_from_sr(p: SRParams) -> GammaApprox:
     theta = denom / (p.m * x)
     # alpha! means Gamma(alpha+1); log form avoids overflow for large shapes.
     mu = math.exp(-math.lgamma(alpha + 1.0) / alpha)
-    if alpha == 1.0:
-        warnings.warn(
-            "Gamma surrogate shape is exactly 1; the DEP lower bound's "
-            "derivation assumes shape > 1 and the bound degrades to the "
-            "exponential-tail form.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return GammaApprox(alpha=alpha, theta=theta, mu=mu)
 
 

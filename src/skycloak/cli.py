@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -179,6 +180,11 @@ def _run_planner(scenario) -> tuple[Solution, int]:
 # subcommands
 
 
+def _operating_ratio(eps: float, gamma) -> float:
+    """The jamming-to-signal ratio where the closed-form bound is 1 - eps."""
+    return gamma.theta / phi_inverse(eps, gamma)
+
+
 def cmd_dep_sweep(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
@@ -187,9 +193,7 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
         for ir, name in enumerate(args.shadowing):
             params = SHADOWING_ROWS[name]
             gamma = gamma_from_sr(params)
-            # operating point on the covertness boundary: the jamming-to-
-            # signal ratio where the closed-form bound equals 1 - eps
-            ratio = gamma.theta / phi_inverse(eps, gamma)
+            ratio = _operating_ratio(eps, gamma)
             bound = avg_min_dep_lower_bound(1.0, 1.0, ratio, 1.0,
                                             gamma).value_lb
             quad = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_SHADOWING})")
     p.add_argument("--trials", type=_trials, default=10_000,
                    help="Monte Carlo trials per grid point (default 10000)")
-    p.set_defaults(func=cmd_dep_sweep)
+    p.set_defaults(func=cmd_dep_sweep, usage_error=p.error)
 
     p = sub.add_parser("optimize", help="run the planner on a scenario")
     common(p)
@@ -427,6 +431,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(_join_grid_values(argv))
+        if args.command == "dep-sweep":
+            for eps, name in itertools.product(args.eps_grid, args.shadowing):
+                gamma = gamma_from_sr(SHADOWING_ROWS[name])
+                if _operating_ratio(eps, gamma) == math.inf:
+                    args.usage_error(f"argument --eps-grid: eps {eps} puts the "
+                                     f"{name} row's operating ratio past the doubles")
     except SystemExit as e:
         # argparse exits 2 on usage errors, which would collide with the
         # infeasible exit code; fold usage problems into the generic failure

@@ -75,8 +75,7 @@ def test_gamma_surrogate_moment_matching():
 
 def test_gamma_surrogate_nakagami_one_is_exponential():
     # m = 1 must give shape exactly 1 (bit-exact), scale = mean
-    with pytest.warns(RuntimeWarning):
-        g = gamma_from_sr(SRParams(b=0.2, m=1.0, omega=0.7))
+    g = gamma_from_sr(SRParams(b=0.2, m=1.0, omega=0.7))
     assert g.alpha == 1.0
     assert g.theta == pytest.approx(0.4 + 0.7, rel=1e-15)
     assert g.mu == 1.0

@@ -513,6 +513,8 @@ def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
     ("dep-sweep", "--eps-grid", "0.1,inf", "not a finite number: 'inf'"),
     ("dep-sweep", "--eps-grid", " , ", "empty grid"),
     ("dep-sweep", "--eps-grid", "-0.1,0.2", r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("dep-sweep", "--eps-grid", "0.01,1e-310",
+     "eps 1e-310 puts the light row's operating ratio past the doubles"),
     ("sweep", "--grid", "0.01,abc", "not a number: 'abc'"),
     ("sweep", "--grid", "1,-inf", "not a finite number: '-inf'"),
     ("sweep", "--grid", "-inf", "not a finite number: '-inf'"),
@@ -521,9 +523,9 @@ def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
     ("dep-sweep", "--e", "-0.1", r"eps must be in \(0, 0\.5\), got -0\.1"),
     ("sweep", "--gr", "-inf,1", "not a finite number: '-inf'"),
 ], ids=["eps-0.7", "eps-0.5", "eps-0", "eps-abc", "eps-inf", "eps-empty",
-        "eps-negative", "sweep-abc", "sweep-inf", "sweep-minus-inf",
-        "sweep-empty", "eps-abbreviated-negative", "e-negative",
-        "gr-minus-inf"])
+        "eps-negative", "eps-subnormal", "sweep-abc", "sweep-inf",
+        "sweep-minus-inf", "sweep-empty", "eps-abbreviated-negative",
+        "e-negative", "gr-minus-inf"])
 def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
                                      flag, grid, why):
     out = tmp_path / "out"
@@ -535,6 +537,31 @@ def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
     name = "--eps-grid" if command == "dep-sweep" else "--grid"
     assert re.search(f"argument {name}: {why}", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_dep_sweep_checks_the_operating_ratio_on_chosen_rows(tmp_path,
+                                                             default_path):
+    # at eps = 1e-309 the light row's operating ratio leaves the doubles
+    # and the heavy row's does not
+    assert main(["dep-sweep", "--scenario", default_path, "--trials", "2",
+                 "--shadowing", "heavy", "--eps-grid", "1e-309",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv_rows(tmp_path / "dep_sweep.csv")
+    assert [r[1] for r in rows] == ["heavy"]
+    assert main(["dep-sweep", "--scenario", default_path, "--trials", "2",
+                 "--shadowing", "heavy,light", "--eps-grid", "1e-309",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_dep_sweep_tabulates_every_row_at_eps_1e_308(tmp_path, default_path):
+    # the usage error for an overflowing operating ratio starts below
+    # this eps (about 1e-310): every row here still tabulates finite values
+    assert main(["dep-sweep", "--scenario", default_path, "--trials", "2",
+                 "--eps-grid", "1e-308", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv_rows(tmp_path / "dep_sweep.csv")
+    assert [r[1] for r in rows] == ["light", "average", "heavy"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
 
 
 def test_a_grid_may_start_with_a_minus_sign(tmp_path, default_path):

@@ -149,22 +149,30 @@ def test_quadrature_heavy_row_exact_exponential():
 
 def quadrature_on_numpy_scalars(pa, ell_aw, pj_hat, g_uw, p):
     """The series of avg_min_dep_quadrature summed on numpy scalars: 0-d
-    exponentials, numpy-scalar arithmetic and an np.all stop test."""
+    exponentials, numpy-scalar arithmetic and an np.all test of the same
+    tail bound, t_n while the weight ratio rho_n >= 1 and
+    term_n * rho_n/(1 - rho_n) after. Its Poisson weights all run from
+    e^(-z); past z ~ 708 the library takes those below the normal
+    doubles from logs, which moves no bit unless orders near z carry
+    weight, as none do in the cases here."""
     z = np.asarray(pj_hat * g_uw / (pa * ell_aw) / (2.0 * p.b))
     pmf, lower = np.exp(-z), -np.expm1(-z)
     y = p.omega / (2.0 * p.b * p.m + p.omega)
     w = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
     total = 0.0
-    for n in range(500):
+    for n in range(100_000):
         k = n + 1
         pmf = pmf * z / k
         upper = lower - pmf
-        term = w * (lower - k / z * upper)
+        t = lower - k / z * upper
+        term = w * t
         total = total + term
-        if n >= 19 and np.all(term <= np.finfo(float).eps * total):
+        rho = y * (p.m + n) / (n + 1.0)
+        tail = t if rho >= 1.0 else term * rho / (1.0 - rho)
+        if np.all(tail <= np.finfo(float).eps * total):
             break
         lower = upper
-        w *= y * (p.m + n) / (n + 1.0)
+        w *= rho
     else:
         raise AssertionError("reference series did not settle")
     return min(1.0, max(0.0, float(total)))
@@ -195,11 +203,111 @@ def test_quadrature_float_series_has_numpy_scalar_bits(params):
 
 
 def test_series_convergence_error():
-    # slowly mixing series (tiny scatter, huge LOS spread) must refuse to
-    # return a silently wrong value
-    with pytest.raises(SeriesConvergenceError, match="term/sum = 7.412e-02"):
+    # slowly mixing series (tiny scatter, huge LOS spread: y = 0.9999, about
+    # 10^6 terms needed) must refuse to return a silently wrong value
+    with pytest.raises(SeriesConvergenceError,
+                       match=r"after 100000 terms \(tail bound 9\.800e-01, "
+                             r"sum 7\.231e-13\)"):
         avg_min_dep_quadrature(1.0, 1.0, 1000.0, 1.0,
                                SRParams(b=1e-4, m=40.0, omega=80.0))
+
+
+def test_series_stop_meets_the_m1_closed_form():
+    # m one ulp above 1 is the exponential law up to rounding, and its
+    # weights decay slowly (y = 3/3.1): a truncated tail would show here
+    m = float(np.nextafter(1.0, 2.0))
+    p = SRParams(b=0.05, m=m, omega=3.0)
+    mu = p.mean_power
+    for r in (1.0, 10.0, 100.0, 1000.0):
+        got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, p)
+        assert abs(got - (1.0 + mu / r * math.expm1(-r / mu))) <= 1e-14, r
+    # y = 0.999 puts the weight at orders near z = r/(2b), here from 740 to
+    # 1000, across the z ~ 745 where e^(-z) underflows: with e^(-z) lost,
+    # every P(n+1, z) read 1 and r = 80 summed to 0.31144 for 0.31166
+    p = SRParams(b=0.05, m=m, omega=99.9)
+    mu = p.mean_power
+    for r in (74.0, 75.0, 80.0, 100.0):
+        want = 1.0 + mu / r * math.expm1(-r / mu)
+        got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, p)
+        assert abs(got - want) <= 5e-14 * want, r
+
+
+def float_series_20000(p, z):
+    """The DEP series' first 20,000 terms, summed on Python floats by the
+    forward incomplete-gamma recurrence from numpy's exponentials, with no
+    stop."""
+    y = p.omega / (2.0 * p.b * p.m + p.omega)
+    w = (2.0 * p.b * p.m / (2.0 * p.b * p.m + p.omega)) ** p.m
+    pmf, lower = float(np.exp(-z)), float(-np.expm1(-z))
+    total = 0.0
+    for n in range(20_000):
+        pmf = pmf * z / (n + 1)
+        upper = lower - pmf
+        total += w * (lower - (n + 1) / z * upper)
+        w *= y * (p.m + n) / (n + 1.0)
+        lower = upper
+    return total
+
+
+@pytest.mark.parametrize("m", [float(np.nextafter(1.0, 2.0)), 2.0, 5.0],
+                         ids=["m1+ulp", "m2", "m5"])
+def test_series_stop_loses_no_tail(m):
+    # r from half the mean power to 100 times it, with z = r/(2b) at most
+    # 700 so the reference's e^(-z) is a normal double (past it, see the
+    # m = 1 closed-form test): there the terms past the stop round to less
+    # than an ulp of the sum, so only a lost tail can differ
+    eps = np.finfo(float).eps
+    for y in (0.01, 0.1, 0.5, 0.9, 0.97):
+        p = SRParams(b=0.05, m=m, omega=y * 2.0 * 0.05 * m / (1.0 - y))
+        for r in np.geomspace(0.5, 100.0, 5) * p.mean_power:
+            z = float(r) / (2.0 * p.b)
+            if z > 700.0:
+                continue
+            got = avg_min_dep_quadrature(1.0, 1.0, float(r), 1.0, p)
+            want = float_series_20000(p, z)
+            assert abs(got - want) <= 2.0 * eps * want, (y, r)
+
+
+# avg_min_dep_quadrature at dep-sweep's operating points before the series
+# stopped on a tail bound: 500-term cap, 20-term floor, last term at most
+# machine epsilon times the sum
+OPERATING_POINT_VALUES = {
+    "light": (0.9990000000000008, 0.9950000000000009, 0.990000000000001,
+              0.980000000000001, 0.9500000000000677, 0.9000004157046394,
+              0.8009975517871429, 0.637387730440169),
+    "average": (0.9990000000000002, 0.9949999999999999, 0.9899999999999998,
+                0.9800000000000003, 0.9500000000005084, 0.9000010417388491,
+                0.8014275677345711, 0.6419224020562649),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATING_POINT_VALUES))
+def test_series_stop_keeps_the_operating_point_values(name):
+    params = SHADOWING_ROWS[name]
+    g = gamma_from_sr(params)
+    for eps, was in zip((1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4),
+                        OPERATING_POINT_VALUES[name]):
+        ratio = g.theta / phi_inverse(eps, g)
+        got = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
+        assert abs(got - was) <= math.ulp(was), (eps, got, was)
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
+def test_quadrature_limits_at_degenerate_ratios(name):
+    params = SHADOWING_ROWS[name]
+    # r underflows to 0, or z = r/(2b) sits below what the series can
+    # divide by: the signal dwarfs the jamming
+    assert avg_min_dep_quadrature(1e200, 1e200, 1e-300, 1.0, params) == 0.0
+    assert avg_min_dep_quadrature(1.0, 1.0, 5e-324, 1.0, params) == 0.0
+    # r overflows: the warden can only guess
+    assert avg_min_dep_quadrature(1.0, 1.0, 1e300, 1e10, params) == 1.0
+    assert avg_min_dep_quadrature(1e-160, 1e-160, 1e300, 1.0, params) == 1.0
+    # both powers leave the doubles, the same way, and r = 1 decides
+    at_one = avg_min_dep_quadrature(1.0, 1.0, 1.0, 1.0, params)
+    assert 0.0 < at_one < 1.0
+    assert avg_min_dep_quadrature(1e300, 1e10, 1e300, 1e10, params) == at_one
+    assert avg_min_dep_quadrature(1e-200, 1e-200, 1e-200, 1e-200,
+                                  params) == at_one
 
 
 def test_bound_closed_form_and_dominance():

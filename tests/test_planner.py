@@ -395,7 +395,6 @@ RELAXING_STEPS = {
 
 # plan-cancel corpus scenarios below the satellite cap (3, 35, 40, 80, and
 # 85 with no UE) and capped (9)
-@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
 @pytest.mark.parametrize("base", [3, 9, 35, 40, 80, 85])
 def test_perfect_cancellation_rate_never_falls_when_a_constraint_relaxes(base):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
@@ -428,8 +427,7 @@ def near_singular_scenario():
         [52.911256580004306, -175.36300961228892],
         [201.9839294102668, -241.87763881008368],
         [-123.03285307011657, -296.8351493054498]]}}
-    with pytest.warns(RuntimeWarning, match="shape is exactly 1"):
-        return load_scenario(d).scenario
+    return load_scenario(d).scenario
 
 
 def assert_capped_near_singular_plan(s, sol):
@@ -696,7 +694,6 @@ CONE_REACH = (-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3)
 
 
 # bases of the 24-scenario corpora, each with K from 0 to 11 UEs
-@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
 @pytest.mark.parametrize("varpis, bases", [
     pytest.param((0.01, 0.1, 1.0), (1, 2, 3, 9, 15, 22), id="bcd"),
     pytest.param((0.0,), (0, 4, 7, 8, 11, 14), id="cancel"),
@@ -812,7 +809,6 @@ CANCEL_400_BASE_294 = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
 def test_cancel_verdict_matches_the_max_slack_oracle():
     # the varpi = 0 planner says "infeasible" exactly when the cones, the
     # altitude band and the UE-budget ball have no common interior point,
@@ -1095,7 +1091,6 @@ def smoke_corpus(n=12, seed=2024):
         yield d
 
 
-@pytest.mark.filterwarnings("ignore:Gamma surrogate shape")
 def test_smoke_corpus_plans_cleanly():
     statuses = []
     for d in smoke_corpus():
@@ -1356,8 +1351,7 @@ def test_monte_carlo_passes_hold_three_fills(request, name):
 
 def test_scenario_gamma_follows_sr(default_scenario):
     # the surrogate is derived from sr, never carried over from a copy
-    with pytest.warns(RuntimeWarning, match="shape is exactly 1"):
-        heavy = dataclasses.replace(default_scenario, sr=HEAVY_SHADOWING)
+    heavy = dataclasses.replace(default_scenario, sr=HEAVY_SHADOWING)
     assert heavy.gamma == gamma_from_sr(HEAVY_SHADOWING)
     assert heavy.gamma != default_scenario.gamma
     with pytest.raises(ValueError, match="init=False"):
