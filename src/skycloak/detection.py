@@ -66,6 +66,24 @@ def min_dep(sig, jam: float):
     return np.maximum(0.0, xi, out=buf)
 
 
+def _ratio(pa: float, ell_aw: float, pj_hat: float, g_uw: float) -> float:
+    """The warden's jamming-to-signal ratio r = pj_hat*g_uw / (pa*ell_aw)
+    of four finite, nonnegative powers (else ValueError): inf for pa or
+    ell_aw of 0 or past the doubles, 0 below them. The exponents are split
+    off first, so no product past the doubles decides r."""
+    for name, v in (("pa", pa), ("ell_aw", ell_aw),
+                    ("pj_hat", pj_hat), ("g_uw", g_uw)):
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    if pa == 0.0 or ell_aw == 0.0:
+        return math.inf
+    (a, i), (b, j), (c, k), (d, l) = map(math.frexp, (pj_hat, g_uw, pa, ell_aw))
+    try:
+        return math.ldexp(a * b / (c * d), i + j - k - l)
+    except OverflowError:
+        return math.inf
+
+
 _SERIES_BUDGET = 100_000
 
 
@@ -140,18 +158,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     gives 0.0. The value fills the ``quadrature`` column of
     ``dep_sweep.csv``.
     """
-    for name, v in (("pa", pa), ("ell_aw", ell_aw),
-                    ("pj_hat", pj_hat), ("g_uw", g_uw)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-    if pa == 0.0 or ell_aw == 0.0:
-        return 1.0  # no incident signal power: the warden can only guess
-    # exponents apart: no product past the doubles decides r (same bits)
-    (a, i), (b, j), (c, k), (d, l) = map(math.frexp, (pj_hat, g_uw, pa, ell_aw))
-    try:
-        r = math.ldexp(a * b / (c * d), i + j - k - l)
-    except OverflowError:
-        r = math.inf
+    r = _ratio(pa, ell_aw, pj_hat, g_uw)
     if r == 0.0:
         return 0.0  # unjammed, or a signal that dwarfs the jamming
     if params.m == 1.0:
@@ -181,36 +188,33 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
                             gamma: GammaApprox) -> CovertBound:
     """Closed-form lower bound on the fading-averaged minimum error.
 
-    Uses the gamma surrogate of the fading law: with ratio
-    ``r = pj_hat*g_uw / (pa*ell_aw)``,
+    Uses the gamma surrogate of the fading law: with the ratio
+    ``r = pj_hat*g_uw / (pa*ell_aw)`` of :func:`avg_min_dep_quadrature`,
 
-        bound = 1 - alpha * exp(-mu*r/theta) - alpha*theta/r.
+        bound = 1 - phi(theta/r) = 1 - alpha * exp(-mu*r/theta) - alpha*theta/r.
 
     The first correction dominates the CDF of the surrogate at r and the
-    second its partial mean, so the bound never exceeds the exact value
-    from :func:`avg_min_dep_quadrature`.
+    second its partial mean, so the bound never exceeds the exact value.
+    Its limits: 1.0 where r is inf (pa or ell_aw of 0, or r past the
+    doubles), -inf where r is 0 (no jamming, or r below the doubles).
     """
-    for name, v in (("pa", pa), ("ell_aw", ell_aw),
-                    ("pj_hat", pj_hat), ("g_uw", g_uw)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"{name} must be finite and positive, got {v}")
-    r = pj_hat * g_uw / (pa * ell_aw)
-    value = 1.0 - gamma.alpha * np.exp(-gamma.mu * r / gamma.theta) \
-        - gamma.alpha * gamma.theta / r
-    return CovertBound(value_lb=float(value))
+    r = _ratio(pa, ell_aw, pj_hat, g_uw)
+    return CovertBound(value_lb=1.0 - phi(gamma.theta / r if r else math.inf, gamma))
 
 
 def phi(x: float, gamma: GammaApprox) -> float:
     """Bound-gap function phi(x) = alpha * (exp(-mu/x) + x) for a float
-    x > 0.
+    x in [0, inf], with phi(0) = 0 its limit (else ValueError).
 
     This is the amount by which the closed-form bound falls short of one
     when expressed in the scaled variable x = theta/r; it is strictly
     increasing, so requiring a detection error of at least 1 - eps is the
     scalar constraint phi(x) <= eps.
     """
-    if x <= 0.0:
-        raise ValueError("phi is defined for positive arguments only")
+    if not x >= 0.0:
+        raise ValueError(f"phi is defined on [0, inf], got {x}")
+    if x == 0.0:
+        return 0.0
     # np.exp, not math.exp: the two differ in the last bit on some
     # inputs, and every cap and slack keeps numpy's bits
     return float(gamma.alpha * (np.exp(-gamma.mu / x) + x))
@@ -277,19 +281,14 @@ def covert_constraint_satisfied(pa: float, pj_hat: float, g_uw: float,
     """Check the covertness requirement via the closed-form bound.
 
     The requirement is that the fading-averaged minimum detection error be
-    at least ``1 - eps``; through the bound this is ``phi(x0) <= eps`` with
-    ``x0 = theta*pa*ell_aw / (pj_hat*g_uw)``. Returns ``(ok, slack)`` where
-    ``slack = eps - phi(x0)`` (nonnegative iff satisfied). A silent
-    satellite (``pa == 0``) satisfies the constraint with full slack; an
-    unjammed warden (``pj_hat*g_uw == 0``) violates it with infinite
-    deficit.
+    at least ``1 - eps``; through the bound this is ``phi(theta/r) <= eps``
+    over the ratio r of :func:`avg_min_dep_lower_bound`. Returns
+    ``(ok, slack)`` where ``slack = eps - phi(theta/r)`` (nonnegative iff
+    satisfied): eps where r is inf (a silent satellite), -inf where r is 0
+    (an unjammed warden).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if pa == 0.0:
-        return True, eps
-    if pj_hat * g_uw == 0.0:
-        return False, -np.inf
-    x0 = gamma.theta * pa * ell_aw / (pj_hat * g_uw)
-    slack = eps - phi(x0, gamma)
-    return bool(slack >= 0.0), float(slack)
+    r = _ratio(pa, ell_aw, pj_hat, g_uw)
+    slack = float(eps - phi(gamma.theta / r if r else math.inf, gamma))
+    return slack >= 0.0, slack

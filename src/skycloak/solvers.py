@@ -46,8 +46,6 @@ import numpy as np
 
 __all__ = [
     "SolverError",
-    "InfeasibleStartError",
-    "LineSearchError",
     "ConeConstraint",
     "QuadraticObjective",
     "max_slack_point",
@@ -57,14 +55,6 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class InfeasibleStartError(SolverError):
-    pass
-
-
-class LineSearchError(SolverError):
     pass
 
 
@@ -394,7 +384,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
         x = np.asarray(x0, dtype=float).copy()
         r, u, vals, inside = cons.rows(x)
         if not inside:
-            raise InfeasibleStartError(
+            raise SolverError(
                 f"x0 not strictly feasible (worst margin {cons.margin(x).min():.3e})")
 
     n = x.size
@@ -444,7 +434,7 @@ def _barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
                 alpha *= 0.5
             if not accepted:
                 if decrement > 1e-2 * (1.0 + abs(phi0)):
-                    raise LineSearchError(
+                    raise SolverError(
                         f"no acceptable step with decrement {decrement:.3e}")
                 break  # progress is below floating-point resolution at this t
             x, r, u, vals, fx, logs = xn, rn, un, valsn, fn, logsn
@@ -498,8 +488,12 @@ class DinkelbachResult:
     x: np.ndarray
     lam: float
     converged: bool
-    iterations: int
     lam_trace: list
+
+    @property
+    def iterations(self) -> int:
+        """Rounds run: one per ratio after the start's."""
+        return len(self.lam_trace) - 1
 
 
 def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
@@ -539,8 +533,7 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
     lam = max(0.0, f.value(x) / gv)
     trace = [lam]
     if lam >= lam_max:
-        return DinkelbachResult(x=x, lam=lam, converged=True, iterations=0,
-                                lam_trace=trace)
+        return DinkelbachResult(x=x, lam=lam, converged=True, lam_trace=trace)
     warm = None
     for it in range(1, i_max + 1):
         obj = QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
@@ -555,6 +548,5 @@ def dinkelbach(f: QuadraticObjective, g: QuadraticObjective,
         trace.append(lam)
         if lam <= 0.0 or abs(F) < delta or lam >= lam_max:
             return DinkelbachResult(x=x, lam=lam, converged=lam > 0.0,
-                                    iterations=it, lam_trace=trace)
-    return DinkelbachResult(x=x, lam=lam, converged=False,
-                            iterations=i_max, lam_trace=trace)
+                                    lam_trace=trace)
+    return DinkelbachResult(x=x, lam=lam, converged=False, lam_trace=trace)

@@ -324,11 +324,44 @@ def test_bound_closed_form_and_dominance():
 
 
 def test_bound_input_validation():
+    # the covertness check forms the bound's ratio, with the same checks;
+    # a zero power is a limit, not an error (see the test below)
     g = gamma_from_sr(LIGHT_SHADOWING)
-    with pytest.raises(ValueError):
-        avg_min_dep_lower_bound(0.0, 1.0, 1.0, 1.0, g)
-    with pytest.raises(ValueError):
-        avg_min_dep_lower_bound(1.0, 1.0, 0.0, 1.0, g)
+    for i, name in enumerate(("pa", "pj_hat", "g_uw", "ell_aw")):
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[i] = -1.0
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+            covert_constraint_satisfied(*args, 0.01, g)
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
+def test_zero_powers_and_extreme_ratios_give_the_limits(name):
+    params = SHADOWING_ROWS[name]
+    g = gamma_from_sr(params)
+
+    def values(pa, ell_aw, pj_hat, g_uw):
+        return (avg_min_dep_lower_bound(pa, ell_aw, pj_hat, g_uw, g).value_lb,
+                avg_min_dep_quadrature(pa, ell_aw, pj_hat, g_uw, params),
+                covert_constraint_satisfied(pa, pj_hat, g_uw, ell_aw, 0.01, g))
+
+    # (pa, ell_aw, pj_hat, g_uw): no signal, or r past the doubles, is a
+    # guess; no jamming, or r below the doubles, a sure detection; both
+    # products past the doubles the same way leave r = 1
+    silent = [(0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0),
+              (1e-200, 1e-200, 1.0, 1.0), (1e-300, 1e-10, 1e300, 1e10)]
+    unjammed = [(1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0),
+                (1.0, 1.0, 1e-300, 1e-300)]
+    at_one = [(1e300, 1e10, 1e300, 1e10), (1e-200, 1e-200, 1e-200, 1e-200)]
+    for a in silent:
+        assert values(*a) == (1.0, 1.0, (True, 0.01)), a
+    for a in unjammed:
+        assert values(*a) == (-math.inf, 0.0, (False, -math.inf)), a
+    for a in at_one:
+        assert values(*a) == values(1.0, 1.0, 1.0, 1.0), a
+    for a in silent + unjammed + at_one:
+        bound, exact, _ = values(*a)
+        if math.isfinite(bound):
+            assert bound <= exact, a
 
 
 def test_phi_shape_and_inverse_round_trip():
@@ -356,7 +389,10 @@ def test_phi_float_path_has_array_bits():
             assert type(got) is float
             assert got == want
             assert phi(np.float64(x), g) == want
-        for bad in (0.0, -0.0, -1e-300, -2.0):
+        # phi(0) = 0 is the limit from above; inf is a ratio of 0
+        assert phi(0.0, g) == phi(-0.0, g) == 0.0
+        assert phi(math.inf, g) == math.inf
+        for bad in (-1e-300, -2.0, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 phi(bad, g)
         with pytest.raises(ValueError):  # one float, not an array
@@ -417,14 +453,13 @@ def test_phi_inverse_near_the_least_double(name):
 
 
 FINITE_CHECKED = [
-    (avg_min_dep_quadrature, LIGHT_SHADOWING, "finite and nonnegative"),
-    (avg_min_dep_lower_bound, gamma_from_sr(LIGHT_SHADOWING),
-     "finite and positive"),
+    (avg_min_dep_quadrature, LIGHT_SHADOWING),
+    (avg_min_dep_lower_bound, gamma_from_sr(LIGHT_SHADOWING)),
 ]
 
 
-@pytest.mark.parametrize("fn,law,what", FINITE_CHECKED)
-def test_dep_scalar_checks(fn, law, what):
+@pytest.mark.parametrize("fn,law", FINITE_CHECKED)
+def test_dep_scalar_checks(fn, law):
     # numpy scalars and ints pass the checks and give the float answer
     want = fn(1.0, 2.0, 3.0, 4.0, law)
     assert fn(np.float64(1.0), 2, np.float64(3.0), 4, law) == want
@@ -435,7 +470,7 @@ def test_dep_scalar_checks(fn, law, what):
             args[i] = bad
             with pytest.raises(ValueError) as e:
                 fn(*args, law)
-            assert str(e.value) == f"{name} must be {what}, got {bad}"
+            assert str(e.value) == f"{name} must be finite and nonnegative, got {bad}"
 
 
 def test_covert_constraint_boundary():

@@ -938,8 +938,8 @@ def cold_dinkelbach(f, g, cons, x0, delta=1e-6, i_max=50, lam_max=math.inf):
     lam = f.value(x) / g.value(x)
     trace = [lam]
     if lam >= lam_max:
-        return solvers.DinkelbachResult(x, lam, True, 0, trace)
-    for it in range(1, i_max + 1):
+        return solvers.DinkelbachResult(x, lam, True, trace)
+    for _ in range(i_max):
         obj = solvers.QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
                                          f.a - lam * g.a)
         x, _ = _barrier_maximize(obj, cons, x, tol=solvers._GAP_TOL)
@@ -947,8 +947,8 @@ def cold_dinkelbach(f, g, cons, x0, delta=1e-6, i_max=50, lam_max=math.inf):
         F, lam = fv - lam * gv, fv / gv
         trace.append(lam)
         if abs(F) < delta or lam >= lam_max:
-            return solvers.DinkelbachResult(x, lam, True, it, trace)
-    return solvers.DinkelbachResult(x, lam, False, i_max, trace)
+            return solvers.DinkelbachResult(x, lam, True, trace)
+    return solvers.DinkelbachResult(x, lam, False, trace)
 
 
 def cold_plan(monkeypatch, s):

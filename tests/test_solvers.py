@@ -11,7 +11,6 @@ from skycloak import planner, solvers
 from skycloak.cli import _run_planner
 from skycloak.scenario_io import load_scenario
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
-                              InfeasibleStartError, LineSearchError,
                               QuadraticObjective, SolverError,
                               _barrier_maximize, _newton_solve, dinkelbach,
                               max_slack_point)
@@ -402,7 +401,7 @@ def test_dinkelbach_parametric_objective_matches_the_sum_of_squares(monkeypatch)
     cons = stack(ball(np.zeros(2), 1.5))
     monkeypatch.setattr(solvers, "_barrier_maximize", recording)
     res = dinkelbach(f, g, cons, np.array([0.2, -0.1]), delta=1e-10)
-    assert res.converged and len(seen) == res.iterations >= 2
+    assert res.converged and len(seen) == len(res.lam_trace) - 1 >= 2
     for (obj, _), lam in zip(seen, res.lam_trace):
         at = direct(np.zeros(2), 10.0 - lam * 1.0, np.concatenate([fw, -lam * gw]),
                     np.vstack([fu, gu]))
@@ -454,7 +453,7 @@ def test_no_warm_point_from_a_centring_cut_at_the_step_cap(monkeypatch):
 
 
 def test_barrier_rejects_infeasible_start():
-    with pytest.raises(InfeasibleStartError):
+    with pytest.raises(SolverError, match="x0 not strictly feasible"):
         maximize_linear(np.array([1.0, 0.0]),
                         stack(ball(np.zeros(2), 1.0)),
                         np.array([5.0, 0.0]))
@@ -520,7 +519,7 @@ def test_dinkelbach_starts_from_the_start_ratio():
     # a cap at or below the start ratio: x0 is the answer, after 0 rounds
     for lam_max in (ratio, 0.5 * ratio, -1.0):
         res = dinkelbach(*fp, x0, delta=1e-10, lam_max=lam_max)
-        assert res.converged and res.iterations == 0
+        assert res.converged and len(res.lam_trace) - 1 == 0
         assert res.lam_trace == [ratio] and res.lam == ratio
         assert np.array_equal(res.x, x0) and res.x is not x0
     g0 = squares(2, -1.0, [1.0], [[0.0, 0.0]])
@@ -537,11 +536,12 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     fp = (f, g, stack(ball(np.zeros(2), 0.9)))
     x0 = np.array([0.3, -0.2])
     full = dinkelbach(*fp, x0, delta=1e-10)
+    # iterations, the rounds count a trace reads, is one less than the ratios
     assert full.iterations == 2 and len(full.lam_trace) == 3
     assert full.lam_trace[0] == pytest.approx(0.7699, abs=1e-4)
     for lam_max, rounds in ((0.5, 0), (0.8, 1), (1.0, 1)):
         res = dinkelbach(*fp, x0, delta=1e-10, lam_max=lam_max)
-        assert res.converged and res.iterations == rounds
+        assert res.converged and len(res.lam_trace) - 1 == rounds
         assert res.lam_trace == full.lam_trace[:rounds + 1]
         assert res.lam >= lam_max
     uncapped = dinkelbach(*fp, x0, delta=1e-10, lam_max=math.inf)
@@ -553,12 +553,12 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
           squares(2, 0.5, [1.0], [[0.0, 0.0]]), cons)
     x0 = np.array([0.2, 0.1])
     full = dinkelbach(*fp, x0, delta=1e-9)
-    assert full.converged and full.iterations == 3
+    assert full.converged and len(full.lam_trace) - 1 == 3
     lams = full.lam_trace
     for k in range(1, 4):
         lam_max = 0.5 * (lams[k - 1] + lams[k])
         res = dinkelbach(*fp, x0, delta=1e-9, lam_max=lam_max)
-        assert res.converged and res.iterations == k
+        assert res.converged and len(res.lam_trace) - 1 == k
         assert res.lam_trace == lams[:k + 1] and res.lam >= lam_max
 
 
@@ -586,7 +586,7 @@ def test_dinkelbach_reports_no_positive_ratio():
     res = dinkelbach(f, g, stack(ball([3.0, 0.0], 0.5)), np.array([3.0, 0.0]))
     assert res.lam_trace[0] == 0.0
     assert res.lam <= 0.0 and not res.converged
-    assert res.iterations == 1 and len(res.lam_trace) == 2
+    assert len(res.lam_trace) == 2
 
 
 def test_dinkelbach_boundary_optimum():
@@ -688,7 +688,7 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
         x = np.asarray(x0, dtype=float).copy()
         r, u, vals, inside = ref.rows(x)
         if not inside:
-            raise InfeasibleStartError(
+            raise SolverError(
                 f"x0 not strictly feasible (worst margin {ref.margin(x).min():.3e})")
     n = x.size
     obj_hess = objective.hess(x)
@@ -725,7 +725,7 @@ def reference_barrier_maximize(objective, cons, x0, tol=1e-8, _warm=None):
                 alpha *= 0.5
             if not accepted:
                 if decrement > 1e-2 * (1.0 + abs(phi0)):
-                    raise LineSearchError(
+                    raise SolverError(
                         f"no acceptable step with decrement {decrement:.3e}")
                 break
             x, r, u, vals, fx = xn, rn, un, valsn, fn
