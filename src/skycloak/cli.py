@@ -46,7 +46,7 @@ from .detection import (avg_min_dep_lower_bound, avg_min_dep_quadrature,
 from .planner import (PowerAllocation, Solution, UavPlacement, bcd_optimize,
                       _check_eps, _mc_estimate, perfect_cancellation_optimize,
                       validate_solution)
-from .scenario_io import ScenarioError, load_scenario
+from .scenario_io import ScenarioError, _number, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -135,26 +135,53 @@ def _solution_dict(sol: Solution, iterations: int) -> dict:
     }
 
 
-def _solution_from_dict(data: dict) -> Solution:
-    try:
-        pl = data["placement"]
-        pw = data["powers"]
-        if pl is None or pw is None:
-            raise KeyError("placement/powers")
-        placement = UavPlacement(q=np.array([float(pl["q"][0]),
-                                             float(pl["q"][1])]),
-                                 H=float(pl["H"]))
-        powers = PowerAllocation(Pk=np.array([float(p) for p in pw["Pk"]]),
-                                 Pj_hat=float(pw["Pj_hat"]),
-                                 Pa=float(pw["Pa"]))
-        rb = data["Rb"]
-        rb = math.nan if rb is None else float(rb)
-        return Solution(placement=placement, powers=powers, Rb=rb,
-                        trace=list(data.get("trace", [])),
-                        status=str(data.get("status", "converged")),
-                        message=str(data.get("message", "")))
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise ScenarioError(f"malformed solution file: {e}") from e
+def _numbers(v, n: int, path: str) -> list:
+    """The n numbers of the JSON list v, each read with ``_number``."""
+    if not isinstance(v, list) or len(v) != n:
+        raise ValueError(f"{path}: must be a list of {n} numbers")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+def _rate(v, path: str) -> float:
+    """A rate as ``solution.json`` holds it: a number, or null for NaN."""
+    return math.nan if v is None else _number(v, path)
+
+
+def _read_solution(path, K: int) -> Solution | None:
+    """The plan in a ``solution.json`` for a scenario with K UEs, or None
+    when the file records an infeasible run.
+
+    Every number is read as a scenario number is: finite, not a bool or a
+    string; only Rb and the trace's rates may be null, as NaN is written.
+    ``q`` holds two numbers, ``Pk`` one per UE, and ``trace`` is a list.
+    Anything else raises a ScenarioError, "malformed solution file".
+    """
+    with open(path) as f:
+        try:
+            data = json.load(f)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            if data.get("status") == "infeasible":
+                return None
+            pl, pw = data["placement"], data["powers"]
+            if not (isinstance(pl, dict) and isinstance(pw, dict)):
+                raise ValueError("placement and powers must be JSON objects")
+            trace = data.get("trace", [])
+            if not isinstance(trace, list):
+                raise ValueError("trace: must be a list")
+            placement = UavPlacement(q=np.array(_numbers(pl["q"], 2, "placement.q")),
+                                     H=_number(pl["H"], "placement.H"))
+            powers = PowerAllocation(Pk=np.array(_numbers(pw["Pk"], K, "powers.Pk")),
+                                     Pj_hat=_number(pw["Pj_hat"], "powers.Pj_hat"),
+                                     Pa=_number(pw["Pa"], "powers.Pa"))
+            return Solution(placement=placement, powers=powers,
+                            Rb=_rate(data["Rb"], "Rb"),
+                            trace=[_rate(r, f"trace[{i}]")
+                                   for i, r in enumerate(trace)],
+                            status=str(data.get("status", "converged")),
+                            message=str(data.get("message", "")))
+        except (KeyError, ValueError) as e:
+            raise ScenarioError(f"malformed solution file: {e}") from e
 
 
 def _run_planner(scenario) -> tuple[Solution, int]:
@@ -230,18 +257,11 @@ def cmd_optimize(args, outdir: Path) -> int:
 def cmd_validate(args, outdir: Path) -> int:
     t0 = time.perf_counter()
     loaded = load_scenario(args.scenario, args.seed)
-    try:
-        with open(args.solution) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"malformed solution file: {e}") from e
-    if not isinstance(data, dict):
-        raise ScenarioError("malformed solution file: not a JSON object")
-    if data.get("status") == "infeasible":
+    sol = _read_solution(args.solution, loaded.scenario.K)
+    if sol is None:
         print("validate: solution file records an infeasible run",
               file=sys.stderr)
         return EXIT_ERROR
-    sol = _solution_from_dict(data)
     rng = np.random.default_rng([2, loaded.seed])
     report = validate_solution(loaded.scenario, sol, trials=args.trials,
                                rng=rng)

@@ -715,7 +715,17 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Monte Carlo check of a solution's covertness and rate claims."""
+    """Monte Carlo check of a solution's covertness claim, beside two rates.
+
+    ``xi_mc`` and ``xi_stderr`` estimate the warden's fading-averaged
+    minimum detection error probability, and ``covert_pass`` says whether
+    it clears 1 - eps less two standard errors; only ``covert_pass`` sets
+    ``validate``'s exit code. ``rate_mc`` and ``rate_stderr`` estimate
+    Bob's ergodic rate with the jamming power drawn uniform on
+    [0, Pj_hat]. ``rb_deterministic`` is the solution's ``Rb``, Bob's rate
+    at mean satellite fading under peak jamming Pj_hat; the two rates
+    answer different questions, and neither is checked against the other.
+    """
 
     trials: int
     xi_mc: float

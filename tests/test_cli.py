@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -399,19 +400,36 @@ def test_validate_rejects_infeasible_solution_file(tmp_path, default_path):
     assert rc == 1
 
 
+# each edit spoils default.json's own plan; a string replaces the file
+@pytest.mark.parametrize("edit", [
+    pytest.param("{]", id="not-json"),
+    pytest.param("[]", id="not-an-object"),
+    pytest.param('{"status": "converged"}', id="missing-sections"),
+    pytest.param(lambda d: d.update(placement=None), id="null-placement"),
+    pytest.param(lambda d: d["placement"].update(q="12"), id="q-string"),
+    pytest.param(lambda d: d["placement"]["q"].append(0.0), id="q-three-entries"),
+    pytest.param(lambda d: d["placement"].update(H="100"), id="H-string"),
+    pytest.param(lambda d: d["powers"].update(Pa=True), id="Pa-bool"),
+    pytest.param(lambda d: d["powers"].update(Pk=[]), id="Pk-empty"),
+    pytest.param(lambda d: d["powers"]["Pk"].pop(), id="Pk-one-short"),
+    pytest.param(lambda d: d.update(trace="abc"), id="trace-string"),
+    pytest.param(lambda d: d.update(Rb=True), id="Rb-bool"),
+])
 def test_validate_rejects_malformed_solution_file(tmp_path, default_path,
-                                                  capsys):
-    p = tmp_path / "garbage.json"
-    p.write_text("{]")
+                                                  opt_dir, capsys, edit):
+    p = tmp_path / "plan.json"
+    if isinstance(edit, str):
+        p.write_text(edit)
+    else:
+        d = json.loads((opt_dir / "solution.json").read_text())
+        edit(d)
+        p.write_text(json.dumps(d))
     rc = main(["validate", "--scenario", default_path, "--solution", str(p),
                "--out", str(tmp_path)])
     assert rc == 1
-    assert "malformed" in capsys.readouterr().err
-
-    p.write_text(json.dumps({"status": "converged"}))  # missing sections
-    rc = main(["validate", "--scenario", default_path, "--solution", str(p),
-               "--out", str(tmp_path)])
-    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "scenario error: malformed solution file: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +579,21 @@ def test_dep_sweep_tabulates_every_row_at_eps_1e_308(tmp_path, default_path):
                  "--eps-grid", "1e-308", "--out", str(tmp_path)]) == 0
     _, rows = read_csv_rows(tmp_path / "dep_sweep.csv")
     assert [r[1] for r in rows] == ["light", "average", "heavy"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
+
+
+def test_default_dep_sweep_is_finite_and_quiet(tmp_path, default_path):
+    # the default grid, every eps on all three rows, the heavy one
+    # included, at the default trial count
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dep-sweep", "--scenario", default_path,
+                     "--out", str(tmp_path)]) == 0
+    assert caught == []
+    _, rows = read_csv_rows(tmp_path / "dep_sweep.csv")
+    assert [(float(r[0]), r[1]) for r in rows] == [
+        (eps, name) for eps in (0.005, 0.01, 0.02, 0.05, 0.1)
+        for name in ("light", "average", "heavy")]
     assert all(math.isfinite(float(v)) for r in rows for v in r[2:])
 
 

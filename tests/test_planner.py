@@ -1035,6 +1035,35 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
         assert sol.trace[0] == 0.0
 
 
+# the stock scene's cones need H_max above 316 m, and BCD's centroid start
+# 416 m: at 300 m the closed-form verdict is the cones', and at 400 m both
+# planners start at the closed-form max-slack point, which at varpi = 0 is
+# strictly inside the cones and the band, and plan
+@pytest.mark.parametrize("varpi", [0.1, 0.0])
+def test_stock_scene_below_its_cones_and_its_centroid_start(varpi):
+    d = default_scenario_dict(varpi, 12)
+    d["H_max"]["value"] = 300.0
+    s = load_scenario(d).scenario
+    with pytest.raises(planner.PlannerInfeasible) as verdict:
+        planner._placement_region(s)
+    assert verdict.value.constraint == "elevation cones"
+    sol, _ = _run_planner(s)
+    assert (sol.status, sol.message) == ("infeasible", str(verdict.value))
+
+    d["H_max"]["value"] = 400.0
+    s = load_scenario(d).scenario
+    x, slack = planner._placement_region(s)
+    assert slack > 0.0
+    if varpi:
+        assert np.array_equal(planner._initial_placement(s).lifted, x)
+    else:
+        assert planner._placement_set(s).rows(x)[3]
+    sol, _ = _run_planner(s)
+    assert sol.status == "converged"
+    assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
+        <= 1e-8
+
+
 def test_bcd_warm_rounds_on_a_slow_corpus_scenario(monkeypatch):
     # base 15 of the 24-scenario BCD corpus: one UE, three outer rounds;
     # with every SCA round started cold it takes 2,047 Newton steps
