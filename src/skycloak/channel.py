@@ -217,6 +217,12 @@ class UavPlacement:
         return np.array([self.q[0], self.q[1], self.H])
 
 
+# the least elevation angle, rad: the placement step's cone rows square
+# H * cot(phi_min) and its step bound squares their products, so
+# cot(phi_min)^4 enters the barrier solver; 2^-64 rad keeps it below 2^256
+_PHI_MIN_LEAST = 2.0 ** -64
+
+
 @dataclass(frozen=True)
 class UavLinkBudget:
     """UAV reference gains at 1 m and the minimum service elevation angle."""
@@ -230,6 +236,9 @@ class UavLinkBudget:
             raise ValueError("reference gains must be positive and finite")
         if not (0.0 < self.phi_min < math.pi / 2.0):
             raise ValueError("phi_min must lie in (0, pi/2)")
+        if self.phi_min < _PHI_MIN_LEAST:
+            raise ValueError(
+                f"phi_min must be at least 2^-64 rad, got {self.phi_min}")
 
 
 def uav_gain(pl: UavPlacement, target, beta0: float) -> float:

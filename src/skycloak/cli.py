@@ -6,20 +6,23 @@ under ``--out`` (default: current directory):
 - ``dep-sweep``: tabulate the closed-form detection-error-probability
   lower bound, the exact average, and a Monte Carlo estimate over a
   grid of covertness levels and shadowing rows (``dep_sweep.csv``).
-- ``optimize``: run the planner (the Dinkelbach placement solver when
-  the cancellation coefficient is zero, block coordinate descent
-  otherwise) and persist the solution with its rate trace
-  (``solution.json``).
+- ``optimize``: plan with ``skycloak.planner.optimize`` (the Dinkelbach
+  placement solver when the cancellation coefficient is zero, block
+  coordinate descent otherwise) and persist the solution with its rate
+  trace (``solution.json``).
 - ``validate``: Monte Carlo check of a persisted solution against the
   covertness target (``report.json``); exits 3 when the check fails.
-- ``sweep``: re-optimize over a grid of one scalar scenario field and
-  tabulate rate, powers, and altitude per point (``sweep.csv``).
+- ``sweep``: re-plan with ``skycloak.planner.optimize`` over a grid of
+  one scalar scenario field and tabulate rate, powers, and altitude per
+  point (``sweep.csv``).
 
-Every invocation appends one record to ``records.jsonl`` (run id,
-scenario hash, command, seed, wall time, outputs). With a fixed scenario
-and seed all outputs are bit-identical across runs except the run id and
-wall time. CSV floats use 17 significant digits; JSON floats use Python
-repr (shortest exact round trip) with non-finite values as null.
+``main`` loads the scenario, runs the subcommand, and appends the run's
+one record to ``records.jsonl`` (run id, scenario hash, command, seed,
+wall time, outputs); a run that writes no output file records nothing.
+With a fixed scenario and seed all outputs are bit-identical across runs
+except the run id and wall time. CSV floats use 17 significant digits;
+JSON floats use Python repr (shortest exact round trip) with non-finite
+values as null.
 
 Exit codes: 0 success, 1 usage/input/other error, 2 infeasible scenario,
 3 failed validation.
@@ -43,9 +46,8 @@ import numpy as np
 from .channel import SHADOWING_ROWS, gamma_from_sr, sample_sr_power
 from .detection import (avg_min_dep_lower_bound, avg_min_dep_quadrature,
                         min_dep, phi_inverse)
-from .planner import (PowerAllocation, Solution, UavPlacement, bcd_optimize,
-                      _check_eps, _mc_estimate, perfect_cancellation_optimize,
-                      validate_solution)
+from .planner import (PowerAllocation, Solution, UavPlacement, _check_eps,
+                      _mc_estimate, optimize, validate_solution)
 from .scenario_io import ScenarioError, _number, load_scenario
 
 EXIT_OK = 0
@@ -86,10 +88,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, np.floating):
-        obj = float(obj)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     return obj
@@ -116,12 +114,12 @@ def _append_record(outdir: Path, command: str, loaded, outputs: dict,
         f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _solution_dict(sol: Solution, iterations: int) -> dict:
+def _solution_dict(sol: Solution) -> dict:
     return {
         "status": sol.status,
         "message": sol.message,
         "Rb": sol.Rb,
-        "iterations": iterations,
+        "iterations": sol.iterations,
         "trace": list(sol.trace),
         "placement": None if sol.placement is None else {
             "q": [float(sol.placement.q[0]), float(sol.placement.q[1])],
@@ -184,23 +182,10 @@ def _read_solution(path, K: int) -> Solution | None:
             raise ScenarioError(f"malformed solution file: {e}") from e
 
 
-def _run_planner(scenario) -> tuple[Solution, int]:
-    """Dispatch to the right optimizer; return (solution, iteration count).
-
-    The iteration count is outer rounds: Dinkelbach rounds when the
-    cancellation coefficient is zero, otherwise coordinate-descent
-    rounds. Either trace holds the starting rate and then one rate per
-    round, so the count is its length less one (0 for an empty trace).
-    """
-    if scenario.varpi == 0.0:
-        sol = perfect_cancellation_optimize(scenario)
-    else:
-        sol = bcd_optimize(scenario)
-    return sol, max(0, len(sol.trace) - 1)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments, the loaded scenario and the
+# output directory, writes its file, prints, and returns (exit code, the
+# record's outputs, or None for a run that records nothing)
 
 
 def _operating_ratio(eps: float, gamma) -> float:
@@ -208,9 +193,7 @@ def _operating_ratio(eps: float, gamma) -> float:
     return gamma.theta / phi_inverse(eps, gamma)
 
 
-def cmd_dep_sweep(args, outdir: Path) -> int:
-    t0 = time.perf_counter()
-    loaded = load_scenario(args.scenario, args.seed)
+def cmd_dep_sweep(args, loaded, outdir: Path):
     rows = []
     for ie, eps in enumerate(args.eps_grid):
         for ir, name in enumerate(args.shadowing):
@@ -228,72 +211,59 @@ def cmd_dep_sweep(args, outdir: Path) -> int:
     path = outdir / "dep_sweep.csv"
     _write_csv(path, ("eps", "shadowing", "bound", "quadrature",
                       "mc_mean", "mc_stderr"), rows)
-    _append_record(outdir, "dep-sweep", loaded,
-                   {"files": [path.name], "trials": args.trials,
-                    "rows": _jsonable(rows)},
-                   time.perf_counter() - t0)
     print(f"dep-sweep: wrote {len(rows)} rows -> {path}")
-    return EXIT_OK
+    return EXIT_OK, {"files": [path.name], "trials": args.trials,
+                     "rows": _jsonable(rows)}
 
 
-def cmd_optimize(args, outdir: Path) -> int:
-    t0 = time.perf_counter()
-    loaded = load_scenario(args.scenario, args.seed)
-    sol, iterations = _run_planner(loaded.scenario)
-    payload = _jsonable(_solution_dict(sol, iterations))
+def cmd_optimize(args, loaded, outdir: Path):
+    sol = optimize(loaded.scenario)
+    payload = _jsonable(_solution_dict(sol))
     path = outdir / "solution.json"
     _write_json(path, payload)
-    _append_record(outdir, "optimize", loaded,
-                   {"files": [path.name], "solution": payload},
-                   time.perf_counter() - t0)
+    outputs = {"files": [path.name], "solution": payload}
     if sol.status == "infeasible":
         print(f"optimize: {sol.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    print(f"optimize: {sol.status} after {iterations} iterations, "
+        return EXIT_INFEASIBLE, outputs
+    print(f"optimize: {sol.status} after {sol.iterations} iterations, "
           f"Rb={sol.Rb:.6g} bps/Hz -> {path}")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_validate(args, outdir: Path) -> int:
-    t0 = time.perf_counter()
-    loaded = load_scenario(args.scenario, args.seed)
+def cmd_validate(args, loaded, outdir: Path):
     sol = _read_solution(args.solution, loaded.scenario.K)
     if sol is None:
         print("validate: solution file records an infeasible run",
               file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_ERROR, None
     rng = np.random.default_rng([2, loaded.seed])
     report = validate_solution(loaded.scenario, sol, trials=args.trials,
                                rng=rng)
     payload = _jsonable(dataclasses.asdict(report))
     path = outdir / "report.json"
     _write_json(path, payload)
-    _append_record(outdir, "validate", loaded,
-                   {"files": [path.name], "report": payload},
-                   time.perf_counter() - t0)
     verdict = "pass" if report.covert_pass else "FAIL"
     print(f"validate: covertness {verdict} "
           f"(xi_mc={report.xi_mc:.6f} +- {report.xi_stderr:.6f}, "
           f"target {1.0 - loaded.scenario.eps:.6f}) -> {path}")
-    return EXIT_OK if report.covert_pass else EXIT_VALIDATION_FAIL
+    code = EXIT_OK if report.covert_pass else EXIT_VALIDATION_FAIL
+    return code, {"files": [path.name], "report": payload}
 
 
-def cmd_sweep(args, outdir: Path) -> int:
-    t0 = time.perf_counter()
-    loaded = load_scenario(args.scenario, args.seed)
+def cmd_sweep(args, loaded, outdir: Path):
     if args.param not in SWEEPABLE:
         print(f"sweep: unknown parameter {args.param!r} "
               f"(recognized: {', '.join(SWEEPABLE)})", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_ERROR, None
     rows = []
     for value in args.grid:
         try:
-            s_v = dataclasses.replace(loaded.scenario, **{args.param: value})
-            sol, iterations = _run_planner(s_v)
+            sol = optimize(dataclasses.replace(loaded.scenario,
+                                               **{args.param: value}))
             if sol.status == "infeasible":
                 raise RuntimeError(sol.message)
             rows.append((args.param, value, sol.Rb, sol.powers.Pa,
-                         sol.powers.Pj_hat, sol.placement.H, iterations))
+                         sol.powers.Pj_hat, sol.placement.H, sol.iterations))
         except Exception as e:  # record the failure, keep sweeping
             print(f"sweep: {args.param}={value:g} failed: {e}",
                   file=sys.stderr)
@@ -303,12 +273,9 @@ def cmd_sweep(args, outdir: Path) -> int:
     path = outdir / "sweep.csv"
     _write_csv(path, ("param", "value", "rb", "pa", "pj", "hu", "iters"),
                rows)
-    _append_record(outdir, "sweep", loaded,
-                   {"files": [path.name], "param": args.param,
-                    "rows": _jsonable(rows)},
-                   time.perf_counter() - t0)
     print(f"sweep: wrote {len(rows)} rows -> {path}")
-    return EXIT_OK
+    return EXIT_OK, {"files": [path.name], "param": args.param,
+                     "rows": _jsonable(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +428,13 @@ def main(argv=None) -> int:
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, outdir)
+        t0 = time.perf_counter()
+        loaded = load_scenario(args.scenario, args.seed)
+        code, outputs = args.func(args, loaded, outdir)
+        if outputs is not None:
+            _append_record(outdir, args.command, loaded, outputs,
+                           time.perf_counter() - t0)
+        return code
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_ERROR

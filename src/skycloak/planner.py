@@ -22,6 +22,7 @@ the case where Bob strips the jamming entirely (varpi = 0): the rate then
 depends on the placement only through the covertness ceiling on Pa, a
 ratio of a concave to a convex quadratic maximized exactly by Dinkelbach
 iteration, after which the power split follows in closed form.
+``optimize`` picks the path for a scenario.
 
 Both paths hand the solvers one stacked constraint over the lifted
 placement (q, H): a row per elevation cone, one slab row for the
@@ -74,6 +75,7 @@ __all__ = [
     "power_subproblem",
     "bcd_optimize",
     "perfect_cancellation_optimize",
+    "optimize",
     "validate_solution",
 ]
 
@@ -230,6 +232,12 @@ class Solution:
     status: str  # converged | iteration-capped | infeasible
     message: str = ""
 
+    @property
+    def iterations(self) -> int:
+        """Outer rounds run: the trace's length less its start (0 when
+        empty)."""
+        return max(0, len(self.trace) - 1)
+
 
 def _lift(point2d) -> np.ndarray:
     p = np.asarray(point2d, dtype=float).reshape(2)
@@ -257,7 +265,7 @@ def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation)
     if s.K:
         rates = np.array([
             ue_rate(pk, uav_gain(pl, u, s.budget.beta0_kappa), s.sigma_kappa2)
-            for pk, u in zip(powers.Pk, s.ues)
+            for pk, u in zip(powers.Pk.tolist(), s.ues)
         ])
         res["ue_rate"] = float(np.max(s.R_tg - rates))
     else:
@@ -451,7 +459,7 @@ def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstrai
     Without UEs the band's top is the covertness ball's, the only ball,
     centred on the ground, if below H_max."""
     centers = [_lift(u) for u in s.ues]
-    radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk]
+    radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk.tolist()]
     if powers.Pa > 0.0:
         centers.append(_lift(s.willie))
         radii.append(math.sqrt(s.kappa * powers.Pj_hat / powers.Pa))
@@ -561,7 +569,10 @@ def _split_power(s: Scenario, pl: UavPlacement, cap_jamming: bool) -> PowerAlloc
     to UE 0), and Pa = ups*Pj_hat kept <= Pa_max, ups = kappa/D_w."""
     floors = s.xi_coeff * (np.sum((s.ues - pl.q) ** 2, axis=1) + pl.H ** 2)
     ups = uav_gain(pl, s.willie, s.kappa)
-    prem = s.P_tot - floors.sum()
+    # a Python float, not numpy's, so that a product of the powers past
+    # the doubles (ups * pj here, the covertness ball's radius) is inf
+    # without a warning, and the caps absorb it
+    prem = s.P_tot - float(floors.sum())
     if prem < 0.0:
         raise PlannerInfeasible(
             "ue-rate power floors",
@@ -707,6 +718,14 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     rb = bob_rate(s, pl, powers)
     return Solution(pl, powers, rb, trace,
                     "converged" if res.converged else "iteration-capped")
+
+
+def optimize(s: Scenario) -> Solution:
+    """The plan for ``s``: ``perfect_cancellation_optimize`` when Bob
+    cancels all the jamming (varpi = 0), ``bcd_optimize`` otherwise."""
+    if s.varpi == 0.0:
+        return perfect_cancellation_optimize(s)
+    return bcd_optimize(s)
 
 
 # ---------------------------------------------------------------------------

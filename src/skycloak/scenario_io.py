@@ -208,11 +208,6 @@ def _ue_placement(node, path: str):
 
 _SEED = _Field("rng_seed", _count, 0, "seed")
 
-# the least elevation angle, rad: the placement step's cone rows square
-# H * cot(phi_min) and its step bound squares their products, so
-# cot(phi_min)^4 enters the barrier solver; 2^-64 rad keeps it below 2^256
-_PHI_MIN_LEAST = 2.0 ** -64
-
 # the file format, read in this order; load_scenario settles the seed
 _SCENARIO = _Object(
     dict, _Field("shadowing", _shadowing, arg="sr"),
@@ -222,7 +217,7 @@ _SCENARIO = _Object(
     _Field("uav", _Object(
         UavLinkBudget, _Field("beta0_chi", _scalar(_GAIN)),
         _Field("beta0_kappa", _scalar(_GAIN)),
-        _Field("phi_min", _scalar(_ANGLE, _PHI_MIN_LEAST))),
+        _Field("phi_min", _scalar(_ANGLE))),
         arg="budget"),
     _Field("noise", _Object(
         dict, _Field("sigma_kappa2", _scalar(_POWER)),

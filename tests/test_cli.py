@@ -195,8 +195,8 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
 
 
 # the elevation cones' slope cot(phi_min) enters the barrier solver to the
-# fourth power: below 2^-64 rad phi_min is a scenario error naming the
-# field, and at 2^-64 rad the cones bind nowhere and each planner plans
+# fourth power: below 2^-64 rad phi_min is a scenario error, the model's
+# floor, and at 2^-64 rad the cones bind nowhere and each planner plans
 # with no warning
 @pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
                                        (0.0, 7.8492332732661625)])
@@ -208,7 +208,8 @@ def test_optimize_least_elevation_angle(tmp_path, capsys, varpi, rb):
         p.write_text(json.dumps(d))
         rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("scenario error: uav.phi_min")
+        assert capsys.readouterr().err.startswith(
+            "scenario error: phi_min must be at least 2^-64 rad")
         assert not (tmp_path / "solution.json").exists()
     d["uav"]["phi_min"] = {"value": 2.0 ** -64, "unit": "rad"}
     p.write_text(json.dumps(d))
@@ -221,15 +222,19 @@ def test_optimize_least_elevation_angle(tmp_path, capsys, varpi, rb):
 # a budget near the top of the doubles widens the UE-rate balls, and a
 # Pa_max near the least double the covertness ball, past any placement the
 # band and the cones reach: the capped radii plan as a large finite budget
-# does, with no warning
+# does, with no warning, up to the largest double and down to the least
 @pytest.mark.parametrize("field, value, rb", [
     ("P_tot", 1e50, 0.18273964702065956),
     ("P_tot", 1e300, 0.18273964702065956),
+    ("P_tot", 1e307, 0.18273964702065956),
+    ("P_tot", 1.7976931348623157e308, 0.18273964702065956),
     ("Pa_max", 1e-300, 0.0),
+    ("Pa_max", 1e-305, 0.0),
+    ("Pa_max", 5e-324, 0.0),
 ])
 def test_optimize_ball_radius_past_the_double_range(tmp_path, capsys, field,
-                                                    value, rb):
-    d = default_scenario_dict(0.1, 12)
+                                                    value, rb, varpi=0.1):
+    d = default_scenario_dict(varpi, 12)
     d[field]["value"] = value
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(d))
@@ -237,6 +242,17 @@ def test_optimize_ball_radius_past_the_double_range(tmp_path, capsys, field,
     sol = json.loads((tmp_path / "solution.json").read_text())
     assert (rc, sol["status"], sol["Rb"]) == (0, "converged", rb)
     assert "error:" not in capsys.readouterr().err
+
+
+# the same on the varpi = 0 scene, planned by Dinkelbach
+@pytest.mark.parametrize("field, value, rb", [
+    ("P_tot", 1.7976931348623157e308, 7.8492332732661625),
+    ("Pa_max", 5e-324, 0.0),
+])
+def test_optimize_perfect_cancellation_past_the_double_range(tmp_path, capsys,
+                                                             field, value, rb):
+    test_optimize_ball_radius_past_the_double_range(tmp_path, capsys, field,
+                                                    value, rb, varpi=0.0)
 
 
 # ground nodes whose squared distances leave the double range: a node at

@@ -1,5 +1,6 @@
 """Per-slot minimum DEP, error-probability bounds, covertness map."""
 
+import decimal
 import math
 
 import numpy as np
@@ -290,6 +291,82 @@ def test_series_stop_keeps_the_operating_point_values(name):
         ratio = g.theta / phi_inverse(eps, g)
         got = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
         assert abs(got - was) <= math.ulp(was), (eps, got, was)
+
+
+def dep_reference(p, r, digits=60):
+    """E[(1 - X/r)^+] for X of the squared-SR law p, in ``decimal`` at
+    ``digits`` digits, from the exact binary values of p and r.
+
+    With z = r/(2b), pi_i the Poisson(z) pmf and N the mixture index
+    (P(N = n) = w_n, the Gamma(n+1, 2b) weights), the average is the
+    positive-term sum T = sum_i pi_i * S_i / (i + 1), S_i = E[(i - N)^+]:
+    S_0 = 0 and S_(i+1) = S_i + P(N <= i), so no term cancels. As
+    S_i <= i, the terms from i on are at most pi_i each, and past the
+    Poisson mode their sum is at most pi_i / (1 - z/(i+1)); the sum stops
+    once that bound is 10^-40 of it.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        b, m, om = D(p.b), D(p.m), D(p.omega)
+        z = D(r) / (2 * b)
+        y = om / (2 * b * m + om)
+        w = (2 * b * m / (2 * b * m + om)) ** m
+        pmf = (-z).exp()
+        cdf = s = total = D(0)
+        i = 0
+        while True:
+            total += pmf * s / (i + 1)
+            cdf += w
+            s += cdf
+            w *= y * (m + i) / (i + 1)
+            i += 1
+            pmf *= z / i
+            if total and i + 1 > z and \
+                    pmf / (1 - z / (i + 1)) <= total.scaleb(-40):
+                return total
+
+
+def test_dep_reference_meets_the_m1_closed_form():
+    # at m = 1 the law is exponential with mean mu = 2b + omega, and the
+    # average is 1 + (mu/r) * (e^(-r/mu) - 1), here at 60 digits too; it
+    # cancels about 12 of them at r = 1e-5
+    p = SRParams(b=0.05, m=1.0, omega=3.0)
+    D = decimal.Decimal
+    for r in (1e-5, 0.1, 10.0, 300.0):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            mu = 2 * D(p.b) + D(p.omega)
+            want = 1 + mu / D(r) * ((-D(r) / mu).exp() - 1)
+            assert abs(dep_reference(p, r) - want) <= want.scaleb(-40), r
+
+
+def relative_error(got: float, want) -> float:
+    return float(abs(decimal.Decimal(got) - want) / want)
+
+
+@pytest.mark.parametrize("name", ["light", "average"])
+def test_quadrature_accuracy_at_the_operating_ratios(name):
+    # dep-sweep's operating ratios, eps from 1e-3 to 0.4: within a few
+    # ulps of the 60-digit sum (1.05e-15 at worst on the light row)
+    params = SHADOWING_ROWS[name]
+    g = gamma_from_sr(params)
+    for eps in (1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4):
+        ratio = g.theta / phi_inverse(eps, g)
+        got = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
+        assert relative_error(got, dep_reference(params, ratio)) <= 1e-14, eps
+
+
+@pytest.mark.parametrize("params, ratio, tol", [
+    (LIGHT_SHADOWING, 1.87e-4, 1e-11),
+    (LIGHT_SHADOWING, 1e-5, 1e-9),
+    (SRParams(b=0.05, m=5.0, omega=3.0), 4.6e-5, 1e-10),
+], ids=["light-1.87e-4", "light-1e-5", "m5-4.6e-5"])
+def test_quadrature_accuracy_at_small_ratios(params, ratio, tol):
+    # the forward incomplete-gamma recurrence cancels where z = r/(2b) is
+    # small against the weighted orders: 6.0e-12, 4.5e-10 and 7.7e-11 off
+    got = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
+    assert relative_error(got, dep_reference(params, ratio)) <= tol
 
 
 @pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))

@@ -13,10 +13,9 @@ from conftest import benchmark_corpus, default_scenario_dict
 from skycloak import planner, solvers
 from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
                               sample_sr_power, uav_gain)
-from skycloak.cli import _run_planner
 from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
-                              bob_rate, constraint_residuals,
+                              bob_rate, constraint_residuals, optimize,
                               perfect_cancellation_optimize,
                               placement_subproblem, power_subproblem,
                               validate_solution)
@@ -558,8 +557,8 @@ def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario
     # the steep cones' "infeasible" verdict is decided in closed form
     for varpi in (0.1, 0.0):
         s = steep_cone_scenario(varpi)
-        assert _run_planner(s)[0].status == "infeasible"
-        assert newton_steps_of(monkeypatch, _run_planner, s) <= 11
+        assert optimize(s).status == "infeasible"
+        assert newton_steps_of(monkeypatch, optimize, s) <= 11
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +661,11 @@ def barrier_solves_of(monkeypatch, plan, s):
 
 
 def plan_without_certificate(monkeypatch, s):
-    """``_run_planner(s)`` with an infinite certificate margin, so that
-    no cone verdict comes from the closed form."""
+    """``optimize(s)`` with an infinite certificate margin, so that no
+    cone verdict comes from the closed form."""
     with monkeypatch.context() as m:
         m.setattr(planner, "_CERT_MARGIN", math.inf)
-        return _run_planner(s)
+        return optimize(s)
 
 
 def budget_ball(s):
@@ -681,12 +680,12 @@ def budget_ball(s):
     return [np.append(centroid, 0.0)], [math.sqrt(max(r2, 0.0))]
 
 
-def plan_bits(sol, iterations):
+def plan_bits(sol):
     pl = None if sol.placement is None else sol.placement.lifted.tolist()
     pw = None if sol.powers is None else (
         sol.powers.Pk.tolist(), sol.powers.Pj_hat, sol.powers.Pa)
     # repr tells every float bit pattern apart, and nan equals nan
-    return repr((sol.status, sol.message, sol.Rb, sol.trace, iterations,
+    return repr((sol.status, sol.message, sol.Rb, sol.trace, sol.iterations,
                  pl, pw))
 
 
@@ -709,8 +708,7 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
             # cones that reach R * (1 + delta) at H_max
             s = dataclasses.replace(s0, H_max=reach * (1.0 + delta)
                                     * math.tan(s0.budget.phi_min))
-            (sol, iterations), solves = barrier_solves_of(
-                monkeypatch, _run_planner, s)
+            sol, solves = barrier_solves_of(monkeypatch, optimize, s)
             if delta <= -1e-6:
                 assert sol.status == "infeasible" and solves == 0, (base, delta)
             if sol.placement is not None:
@@ -720,7 +718,7 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
                 # the rows guard and Dinkelbach decide wherever the
                 # certificate does not, with the same messages
                 ref = plan_without_certificate(monkeypatch, s)
-                assert plan_bits(sol, iterations) == plan_bits(*ref), (base, delta)
+                assert plan_bits(sol) == plan_bits(ref), (base, delta)
                 continue
             # BCD's start makes no barrier solve; its cone verdict agrees
             # with the barrier's away from the boundary
@@ -768,10 +766,9 @@ def test_certificate_covers_the_budget_ball(monkeypatch, base):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
     reach = brute_enclosing_radius(s.ground_nodes) * math.tan(s.budget.phi_min)
     assert max(s.H_min, reach) < s.H_max
-    (sol, iterations), solves = barrier_solves_of(monkeypatch, _run_planner, s)
+    sol, solves = barrier_solves_of(monkeypatch, optimize, s)
     assert solves == 0
-    assert plan_bits(sol, iterations) == plan_bits(
-        *plan_without_certificate(monkeypatch, s))
+    assert plan_bits(sol) == plan_bits(plan_without_certificate(monkeypatch, s))
     assert sol.message == str(planner.PlannerInfeasible(*planner._FLOORS_IN_CONES))
 
 
@@ -836,7 +833,7 @@ def test_cancel_verdict_matches_the_max_slack_oracle():
     for base in (0, 2, 6, 8, 15, 20, 21, 22, 23)])
 def test_cone_verdicts_make_no_barrier_solve(monkeypatch, varpis, base):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    (sol, _), solves = barrier_solves_of(monkeypatch, _run_planner, s)
+    sol, solves = barrier_solves_of(monkeypatch, optimize, s)
     assert sol.status == "infeasible"
     assert solves == 0
 
@@ -952,11 +949,11 @@ def cold_dinkelbach(f, g, cons, x0, delta=1e-6, i_max=50, lam_max=math.inf):
 
 
 def cold_plan(monkeypatch, s):
-    """``_run_planner(s)`` with the reference cold-start loops."""
+    """``optimize(s)`` with the reference cold-start loops."""
     with monkeypatch.context() as m:
         m.setattr(planner, "placement_subproblem", cold_placement_subproblem)
         m.setattr(planner, "dinkelbach", cold_dinkelbach)
-        return _run_planner(s)[0]
+        return optimize(s)
 
 
 # BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
@@ -970,7 +967,7 @@ WARM_CASES = [pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}")
 @pytest.mark.parametrize("varpis, base", WARM_CASES)
 def test_warm_started_rounds_match_cold_start_loops(monkeypatch, varpis, base):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    sol = _run_planner(s)[0]
+    sol = optimize(s)
     ref = cold_plan(monkeypatch, s)
     assert ref.status == "converged" and len(ref.trace) > 2
     assert sol.status == ref.status
@@ -993,7 +990,7 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
 
     monkeypatch.setattr(solvers, "_barrier_maximize", spoiled)
     monkeypatch.setattr(planner, "_barrier_maximize", spoiled)
-    sol = _run_planner(s)[0]
+    sol = optimize(s)
     assert (sol.status, sol.Rb, sol.trace) == (ref.status, ref.Rb, ref.trace)
     assert np.array_equal(sol.placement.lifted, ref.placement.lifted)
 
@@ -1017,11 +1014,11 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
     # the UE floors at x0 exceed P_tot exactly when f(x0) < 0
     floors = s.xi_coeff * (np.sum((s.ues - x[:2]) ** 2) + s.K * x[2] ** 2)
     assert (floors > s.P_tot) == (base in OUTSIDE_THE_BALL)
-    sol, iterations = _run_planner(s)
+    sol = optimize(s)
     with monkeypatch.context() as m:
         max_slack_start(m)
-        ref, ref_iterations = _run_planner(s)
-    assert (sol.status, iterations) == (ref.status, ref_iterations)
+        ref = optimize(s)
+    assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
     assert sol.status == "converged"
     assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
         <= 1e-8
@@ -1033,6 +1030,21 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
     if base in OUTSIDE_THE_BALL:
         # Dinkelbach starts at ratio 0, so the trace starts at rate 0
         assert sol.trace[0] == 0.0
+
+
+# the 2^-64 rad floor on phi_min is the model's: a library-built budget
+# below it fails at construction, not in the barrier solver, and a scene
+# at it plans as the same scene read from a file does
+@pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
+                                       (0.0, 7.8492332732661625)])
+def test_least_elevation_angle_is_the_models(varpi, rb):
+    s = scenario_with(varpi, seed=12)
+    with pytest.raises(ValueError,
+                       match=r"phi_min must be at least 2\^-64 rad, got 1e-300"):
+        dataclasses.replace(s.budget, phi_min=1e-300)
+    budget = dataclasses.replace(s.budget, phi_min=2.0 ** -64)
+    sol = optimize(dataclasses.replace(s, budget=budget))
+    assert (sol.status, sol.Rb) == ("converged", rb)
 
 
 # the stock scene's cones need H_max above 316 m, and BCD's centroid start
@@ -1047,7 +1059,7 @@ def test_stock_scene_below_its_cones_and_its_centroid_start(varpi):
     with pytest.raises(planner.PlannerInfeasible) as verdict:
         planner._placement_region(s)
     assert verdict.value.constraint == "elevation cones"
-    sol, _ = _run_planner(s)
+    sol = optimize(s)
     assert (sol.status, sol.message) == ("infeasible", str(verdict.value))
 
     d["H_max"]["value"] = 400.0
@@ -1058,7 +1070,7 @@ def test_stock_scene_below_its_cones_and_its_centroid_start(varpi):
         assert np.array_equal(planner._initial_placement(s).lifted, x)
     else:
         assert planner._placement_set(s).rows(x)[3]
-    sol, _ = _run_planner(s)
+    sol = optimize(s)
     assert sol.status == "converged"
     assert max(constraint_residuals(s, sol.placement, sol.powers).values()) \
         <= 1e-8
@@ -1124,7 +1136,7 @@ def test_smoke_corpus_plans_cleanly():
     statuses = []
     for d in smoke_corpus():
         s = load_scenario(d).scenario
-        sol, _ = _run_planner(s)
+        sol = optimize(s)
         statuses.append(sol.status)
         if sol.placement is None:
             assert sol.status == "infeasible"
@@ -1419,6 +1431,19 @@ def test_residuals_flag_violations(default_scenario, bcd_solution):
     res_low = constraint_residuals(s, low, sol.powers)
     assert res_low["altitude"] > 0.0
     assert res_low["elevation"] > 0.0
+
+
+@pytest.mark.parametrize("varpi", [0.1, 0.0])
+@pytest.mark.parametrize("p_tot", [1e307, 1.7976931348623157e308])
+def test_residual_audit_of_a_budget_near_the_top_of_the_doubles(varpi, p_tot):
+    # at varpi = 0.1 the budget the jamming cap leaves unspent goes to
+    # UE 0, whose rate then passes the doubles: inf, with no warning; at
+    # varpi = 0 all of it jams
+    s = dataclasses.replace(scenario_with(varpi, seed=12), P_tot=p_tot)
+    sol = optimize(s)
+    assert sol.status == "converged"
+    res = constraint_residuals(s, sol.placement, sol.powers)
+    assert max(res.values()) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from conftest import benchmark_corpus
 from skycloak import planner, solvers
-from skycloak.cli import _run_planner
 from skycloak.scenario_io import load_scenario
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
                               QuadraticObjective, SolverError,
@@ -873,7 +872,7 @@ def test_barrier_matches_the_reference_bit_for_bit():
 
 
 def plan_and_steps(monkeypatch, s, barrier):
-    """``_run_planner(s)`` with every barrier solve made by ``barrier``,
+    """``planner.optimize(s)`` with every barrier solve made by ``barrier``,
     and the solves' total Newton steps."""
     steps = []
 
@@ -885,8 +884,8 @@ def plan_and_steps(monkeypatch, s, barrier):
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "_barrier_maximize", counted)
         mp.setattr(planner, "_barrier_maximize", counted)
-        sol, iterations = _run_planner(s)
-    return sol, iterations, sum(steps)
+        sol = planner.optimize(s)
+    return sol, sum(steps)
 
 
 # BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
@@ -898,9 +897,9 @@ def test_corpus_plans_match_the_reference_barrier(monkeypatch, varpis, base):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
     got = plan_and_steps(monkeypatch, s, _barrier_maximize)
     want = plan_and_steps(monkeypatch, s, reference_barrier_maximize)
-    (sol, iterations, steps), (ref, ref_iterations, ref_steps) = got, want
-    assert (sol.status, sol.message, iterations, steps) == \
-        (ref.status, ref.message, ref_iterations, ref_steps)
+    (sol, steps), (ref, ref_steps) = got, want
+    assert (sol.status, sol.message, sol.iterations, steps) == \
+        (ref.status, ref.message, ref.iterations, ref_steps)
     assert same_bits(sol.trace, ref.trace) and same_bits(sol.Rb, ref.Rb)
     assert same_bits(sol.placement.lifted, ref.placement.lifted)
     for field in ("Pk", "Pj_hat", "Pa"):
