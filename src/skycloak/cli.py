@@ -257,15 +257,20 @@ def cmd_sweep(args, loaded, outdir: Path):
         return EXIT_ERROR, None
     rows = []
     for value in args.grid:
+        # a rejected value or an infeasible verdict is a NaN row; any other
+        # error ends the sweep
         try:
-            sol = optimize(dataclasses.replace(loaded.scenario,
-                                               **{args.param: value}))
-            if sol.status == "infeasible":
-                raise RuntimeError(sol.message)
+            s = dataclasses.replace(loaded.scenario, **{args.param: value})
+        except ValueError as e:
+            failure = e
+        else:
+            sol = optimize(s)
+            failure = sol.message if sol.status == "infeasible" else None
+        if failure is None:
             rows.append((args.param, value, sol.Rb, sol.powers.Pa,
                          sol.powers.Pj_hat, sol.placement.H, sol.iterations))
-        except Exception as e:  # record the failure, keep sweeping
-            print(f"sweep: {args.param}={value:g} failed: {e}",
+        else:
+            print(f"sweep: {args.param}={value:g} failed: {failure}",
                   file=sys.stderr)
             rows.append((args.param, value, math.nan, math.nan, math.nan,
                          math.nan, 0))

@@ -42,7 +42,6 @@ __all__ = [
     "avg_min_dep_lower_bound",
     "phi",
     "phi_inverse",
-    "covert_constraint_satisfied",
 ]
 
 
@@ -273,22 +272,3 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def covert_constraint_satisfied(pa: float, pj_hat: float, g_uw: float,
-                                ell_aw: float, eps: float,
-                                gamma: GammaApprox):
-    """Check the covertness requirement via the closed-form bound.
-
-    The requirement is that the fading-averaged minimum detection error be
-    at least ``1 - eps``; through the bound this is ``phi(theta/r) <= eps``
-    over the ratio r of :func:`avg_min_dep_lower_bound`. Returns
-    ``(ok, slack)`` where ``slack = eps - phi(theta/r)`` (nonnegative iff
-    satisfied): eps where r is inf (a silent satellite), -inf where r is 0
-    (an unjammed warden).
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    r = _ratio(pa, ell_aw, pj_hat, g_uw)
-    slack = float(eps - phi(gamma.theta / r if r else math.inf, gamma))
-    return slack >= 0.0, slack

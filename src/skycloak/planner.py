@@ -55,7 +55,7 @@ from .channel import (
     uav_gain,
     ue_rate,
 )
-from .detection import covert_constraint_satisfied, min_dep, phi_inverse
+from .detection import avg_min_dep_lower_bound, min_dep, phi_inverse
 from .solvers import (
     ConeConstraint,
     QuadraticObjective,
@@ -132,8 +132,8 @@ class Scenario:
     H_min: float
     H_max: float
     R_tg: float
-    delta: float = 1e-6
-    i_max: int = 50
+    delta: float
+    i_max: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", gamma_from_sr(self.sr))
@@ -190,28 +190,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """UE service powers, peak jamming power, and satellite power (W)."""
+    """UE service powers, peak jamming power, and satellite power (W),
+    each kept exactly as given: any negative or non-finite one raises
+    ValueError, with no tolerance and no clamp."""
 
     Pk: np.ndarray
     Pj_hat: float
     Pa: float
 
     def __post_init__(self) -> None:
-        # rounding on an active bound (e.g. UE floors that use the whole
-        # budget) can leave harmless -1e-18 dust, set to 0
         pk = np.array(self.Pk, dtype=float).ravel()
-        if pk.size:
-            lo, hi = pk.min(), pk.max()
-            if not (lo > -1e-12 and hi < math.inf):  # NaN fails
-                raise ValueError("UE powers must be finite and nonnegative")
-            if lo < 0.0:
-                pk[pk < 0.0] = 0.0
+        if pk.size and not (pk.min() >= 0.0 and pk.max() < math.inf):  # NaN fails
+            raise ValueError("UE powers must be finite and nonnegative")
         object.__setattr__(self, "Pk", pk)
         for name in ("Pj_hat", "Pa"):
             v = getattr(self, name)
-            if -1e-12 < v < 0.0:
-                object.__setattr__(self, name, 0.0)
-            elif v < 0.0 or not math.isfinite(v):
+            if not 0.0 <= v < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
     @property
@@ -254,30 +248,25 @@ def bob_rate(s: Scenario, pl: UavPlacement, powers: PowerAllocation) -> float:
 def constraint_residuals(s: Scenario, pl: UavPlacement, powers: PowerAllocation) -> dict:
     """Signed constraint residuals; every value <= 0 means satisfied.
 
-    Keys: ``covert`` (detection-bound slack deficit, in eps units),
-    ``ue_rate`` (worst rate shortfall, bps/Hz), ``total_power`` (W),
-    ``pa_range`` (W), ``altitude`` (m), ``elevation`` (m), ``nonneg`` (W).
+    Keys: ``covert`` (1 - eps less ``avg_min_dep_lower_bound``: +inf for
+    an unjammed warden, -eps to rounding for a silent satellite),
+    ``ue_rate`` (worst rate shortfall, bps/Hz; -inf without UEs),
+    ``total_power`` (W), ``pa_max`` (Pa - Pa_max, W), ``altitude`` (m),
+    ``elevation`` (m). Nonnegative powers are ``PowerAllocation``'s own
+    invariant, so no residual repeats them.
     """
     g_uw = uav_gain(pl, s.willie, s.budget.beta0_chi)
-    _, slack = covert_constraint_satisfied(
-        powers.Pa, powers.Pj_hat, g_uw, s.sat.ell, s.eps, s.gamma)
-    res = {"covert": -slack}
-    if s.K:
-        rates = np.array([
-            ue_rate(pk, uav_gain(pl, u, s.budget.beta0_kappa), s.sigma_kappa2)
-            for pk, u in zip(powers.Pk.tolist(), s.ues)
-        ])
-        res["ue_rate"] = float(np.max(s.R_tg - rates))
-    else:
-        res["ue_rate"] = -np.inf
+    dep = avg_min_dep_lower_bound(powers.Pa, s.sat.ell, powers.Pj_hat, g_uw, s.gamma)
+    res = {"covert": (1.0 - s.eps) - dep.value_lb}
+    res["ue_rate"] = max(
+        (s.R_tg - ue_rate(pk, uav_gain(pl, u, s.budget.beta0_kappa), s.sigma_kappa2)
+         for pk, u in zip(powers.Pk.tolist(), s.ues)), default=-math.inf)
     res["total_power"] = powers.total - s.P_tot
-    res["pa_range"] = max(-powers.Pa, powers.Pa - s.Pa_max)
+    res["pa_max"] = powers.Pa - s.Pa_max
     res["altitude"] = max(s.H_min - pl.H, pl.H - s.H_max)
     reach = pl.H / math.tan(s.budget.phi_min)
     dists = np.linalg.norm(s.ground_nodes - pl.q[None, :], axis=1)
     res["elevation"] = float(np.max(dists) - reach)
-    res["nonneg"] = float(max(-powers.Pj_hat,
-                              -np.min(powers.Pk) if s.K else -np.inf))
     return res
 
 
@@ -459,7 +448,7 @@ def _placement_constraints(s: Scenario, powers: PowerAllocation) -> ConeConstrai
     Without UEs the band's top is the covertness ball's, the only ball,
     centred on the ground, if below H_max."""
     centers = [_lift(u) for u in s.ues]
-    radii = [math.sqrt(max(pk, 0.0) / s.xi_coeff) for pk in powers.Pk.tolist()]
+    radii = [math.sqrt(pk / s.xi_coeff) for pk in powers.Pk.tolist()]
     if powers.Pa > 0.0:
         centers.append(_lift(s.willie))
         radii.append(math.sqrt(s.kappa * powers.Pj_hat / powers.Pa))

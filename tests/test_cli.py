@@ -12,7 +12,9 @@ import warnings
 import pytest
 
 from conftest import OUT_OF_RANGE, REPO_ROOT, default_scenario_dict
+from skycloak import cli
 from skycloak.cli import main
+from skycloak.solvers import SolverError
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -426,6 +428,7 @@ def test_validate_rejects_infeasible_solution_file(tmp_path, default_path):
     pytest.param(lambda d: d["placement"]["q"].append(0.0), id="q-three-entries"),
     pytest.param(lambda d: d["placement"].update(H="100"), id="H-string"),
     pytest.param(lambda d: d["powers"].update(Pa=True), id="Pa-bool"),
+    pytest.param(lambda d: d["powers"].update(Pa=-1e-13), id="Pa-negative"),
     pytest.param(lambda d: d["powers"].update(Pk=[]), id="Pk-empty"),
     pytest.param(lambda d: d["powers"]["Pk"].pop(), id="Pk-one-short"),
     pytest.param(lambda d: d.update(trace="abc"), id="trace-string"),
@@ -527,6 +530,25 @@ def test_sweep_records_failures_as_nan_rows(tmp_path, default_path, capsys):
     _, rows = read_csv_rows(tmp_path / "sweep.csv")
     assert math.isnan(float(rows[0][2]))
     assert math.isfinite(float(rows[1][2]))
+
+
+def test_sweep_stops_on_a_planner_error(tmp_path, default_path, capsys,
+                                        monkeypatch):
+    # only a value the scenario rejects, or an infeasible verdict, is a
+    # failed point; a planner error ends the run as optimize's does
+    plan = cli.optimize
+
+    def failing(s):
+        if s.eps == 0.02:
+            raise SolverError("barrier failed")
+        return plan(s)
+
+    monkeypatch.setattr(cli, "optimize", failing)
+    rc = main(["sweep", "--scenario", default_path, "--param", "eps",
+               "--grid", "0.01,0.02", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: SolverError: barrier failed\n"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,

@@ -14,8 +14,7 @@ from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
                               gamma_from_sr)
 from skycloak.detection import (SeriesConvergenceError,
                                 avg_min_dep_lower_bound,
-                                avg_min_dep_quadrature,
-                                covert_constraint_satisfied, min_dep, phi,
+                                avg_min_dep_quadrature, min_dep, phi,
                                 phi_inverse)
 
 # phi_inverse reference roots of alpha*(exp(-mu/x) + x) = eps, computed
@@ -401,14 +400,14 @@ def test_bound_closed_form_and_dominance():
 
 
 def test_bound_input_validation():
-    # the covertness check forms the bound's ratio, with the same checks;
-    # a zero power is a limit, not an error (see the test below)
+    # the bound checks each power of its ratio by name; a zero power is
+    # a limit, not an error (see the test below)
     g = gamma_from_sr(LIGHT_SHADOWING)
-    for i, name in enumerate(("pa", "pj_hat", "g_uw", "ell_aw")):
+    for i, name in enumerate(("pa", "ell_aw", "pj_hat", "g_uw")):
         args = [1.0, 1.0, 1.0, 1.0]
         args[i] = -1.0
         with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
-            covert_constraint_satisfied(*args, 0.01, g)
+            avg_min_dep_lower_bound(*args, g)
 
 
 @pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
@@ -418,8 +417,7 @@ def test_zero_powers_and_extreme_ratios_give_the_limits(name):
 
     def values(pa, ell_aw, pj_hat, g_uw):
         return (avg_min_dep_lower_bound(pa, ell_aw, pj_hat, g_uw, g).value_lb,
-                avg_min_dep_quadrature(pa, ell_aw, pj_hat, g_uw, params),
-                covert_constraint_satisfied(pa, pj_hat, g_uw, ell_aw, 0.01, g))
+                avg_min_dep_quadrature(pa, ell_aw, pj_hat, g_uw, params))
 
     # (pa, ell_aw, pj_hat, g_uw): no signal, or r past the doubles, is a
     # guess; no jamming, or r below the doubles, a sure detection; both
@@ -430,13 +428,13 @@ def test_zero_powers_and_extreme_ratios_give_the_limits(name):
                 (1.0, 1.0, 1e-300, 1e-300)]
     at_one = [(1e300, 1e10, 1e300, 1e10), (1e-200, 1e-200, 1e-200, 1e-200)]
     for a in silent:
-        assert values(*a) == (1.0, 1.0, (True, 0.01)), a
+        assert values(*a) == (1.0, 1.0), a
     for a in unjammed:
-        assert values(*a) == (-math.inf, 0.0, (False, -math.inf)), a
+        assert values(*a) == (-math.inf, 0.0), a
     for a in at_one:
         assert values(*a) == values(1.0, 1.0, 1.0, 1.0), a
     for a in silent + unjammed + at_one:
-        bound, exact, _ = values(*a)
+        bound, exact = values(*a)
         if math.isfinite(bound):
             assert bound <= exact, a
 
@@ -551,29 +549,16 @@ def test_dep_scalar_checks(fn, law):
 
 
 def test_covert_constraint_boundary():
+    # at the ratio phi_inverse sets, the bound is 1 - eps to solver
+    # precision (which side it falls on is a coin flip at this knife
+    # edge); 2% more jamming clears it, 2% less falls short
     g = gamma_from_sr(LIGHT_SHADOWING)
     eps = 0.01
     r = g.theta / phi_inverse(eps, g)
-    # at the exact boundary the slack is zero to solver precision (its
-    # sign, and hence ok, is a coin flip at this knife edge)
-    _, slack = covert_constraint_satisfied(1.0, r, 1.0, 1.0, eps, g)
-    assert slack == pytest.approx(0.0, abs=1e-9)
-    ok, slack = covert_constraint_satisfied(1.0, 1.02 * r, 1.0, 1.0, eps, g)
-    assert ok and slack > 0.0
-    ok, slack = covert_constraint_satisfied(1.0, 0.98 * r, 1.0, 1.0, eps, g)
-    assert not ok and slack < 0.0
-    # boundary consistency with the bound itself: at the boundary the
-    # closed-form bound equals 1 - eps
     b = avg_min_dep_lower_bound(1.0, 1.0, r, 1.0, g)
     assert b.value_lb == pytest.approx(1.0 - eps, abs=1e-9)
-
-
-def test_covert_constraint_degenerate():
-    g = gamma_from_sr(LIGHT_SHADOWING)
-    ok, slack = covert_constraint_satisfied(0.0, 1.0, 1.0, 1.0, 0.01, g)
-    assert ok and slack == pytest.approx(0.01)
-    ok, slack = covert_constraint_satisfied(1.0, 0.0, 1.0, 1.0, 0.01, g)
-    assert not ok and slack == -math.inf
+    assert avg_min_dep_lower_bound(1.0, 1.0, 1.02 * r, 1.0, g).value_lb > 1.0 - eps
+    assert avg_min_dep_lower_bound(1.0, 1.0, 0.98 * r, 1.0, g).value_lb < 1.0 - eps
 
 
 def test_quadrature_equals_mc_estimate():

@@ -13,7 +13,7 @@ from conftest import benchmark_corpus, default_scenario_dict
 from skycloak import planner, solvers
 from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
                               sample_sr_power, uav_gain)
-from skycloak.detection import covert_constraint_satisfied, phi, phi_inverse
+from skycloak.detection import phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
                               bob_rate, constraint_residuals, optimize,
                               perfect_cancellation_optimize,
@@ -1147,23 +1147,27 @@ def test_smoke_corpus_plans_cleanly():
     assert statuses.count("infeasible") < len(statuses)
 
 
-def test_covert_residual_sign_agrees_with_constraint_map(default_scenario):
-    s = default_scenario
+def test_covert_residual_sign_agrees_with_constraint_map(default_scenario,
+                                                         bcd_solution):
+    # the residual comes from phi (through the DEP bound), the planners'
+    # cap Pa <= kappa * Pj_hat / D_w from phi_inverse: phi is strictly
+    # increasing, so the two must agree on either side of the cap, drawn
+    # within 1% of it
+    s, pl = default_scenario, bcd_solution.placement
+    d_w = float(np.sum((pl.lifted - np.append(s.willie, 0.0)) ** 2))
+    pk = bcd_solution.powers.Pk
     rng = np.random.default_rng(53)
-    x_boundary = phi_inverse(s.eps, s.gamma)
+    sides = set()
     for _ in range(1000):
-        pa = rng.uniform(0.01, 10.0)
         pj = rng.uniform(0.001, 2.0)
-        g_uw = 10.0 ** rng.uniform(-11.0, -8.0)
-        ok, slack = covert_constraint_satisfied(pa, pj, g_uw, s.sat.ell,
-                                                s.eps, s.gamma)
-        x0 = s.gamma.theta * pa * s.sat.ell / (pj * g_uw)
-        if abs(x0 - x_boundary) < 1e-12:
+        cap = s.kappa * pj / d_w
+        pa = cap * (1.0 + rng.uniform(-0.01, 0.01))
+        if abs(pa - cap) <= 1e-12 * cap:
             continue
-        # phi is strictly increasing, so the bound test must agree with
-        # the threshold test on the ratio
-        assert ok == (x0 < x_boundary)
-        assert (slack > 0.0) == ok
+        res = constraint_residuals(s, pl, PowerAllocation(Pk=pk, Pj_hat=pj, Pa=pa))
+        assert (res["covert"] <= 0.0) == (pa <= cap), (pa, pj)
+        sides.add(pa <= cap)
+    assert sides == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -1420,8 +1424,8 @@ def test_scenario_kappa_follows_eps(default_scenario, bcd_solution):
 def test_residuals_flag_violations(default_scenario, bcd_solution):
     s, sol = default_scenario, bcd_solution
     res = constraint_residuals(s, sol.placement, sol.powers)
-    assert set(res) == {"covert", "ue_rate", "total_power", "pa_range",
-                        "altitude", "elevation", "nonneg"}
+    assert set(res) == {"covert", "ue_rate", "total_power", "pa_max",
+                        "altitude", "elevation"}
     # pushing Pa up by 10x must blow the covertness residual positive
     loud = PowerAllocation(Pk=sol.powers.Pk, Pj_hat=sol.powers.Pj_hat,
                            Pa=10.0 * sol.powers.Pa)
@@ -1511,20 +1515,18 @@ def power_split(field, value):
     return PowerAllocation(**kw)
 
 
-@pytest.mark.parametrize("field", ["Pk", "Pj_hat", "Pa"])
-def test_power_allocation_clamps_rounding_dust(field):
-    pw = power_split(field, -1e-18)
-    got = pw.Pk[-1] if field == "Pk" else getattr(pw, field)
-    assert got == 0.0 and math.copysign(1.0, got) == 1.0
-    assert pw.Pk[0] == 0.5
-
-
-@pytest.mark.parametrize("bad", [-1e-6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [-1e-6, -1e-13, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["Pk", "Pj_hat", "Pa"])
 def test_power_allocation_rejects_negative_and_non_finite(field, bad):
     name = "UE powers" if field == "Pk" else field
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
         power_split(field, bad)
+
+
+@pytest.mark.parametrize("field", ["Pk", "Pj_hat", "Pa"])
+def test_power_allocation_accepts_negative_zero(field):
+    pw = power_split(field, -0.0)
+    assert (pw.Pk[-1] if field == "Pk" else getattr(pw, field)) == 0.0
 
 
 def test_power_allocation_copies_the_ue_powers():
