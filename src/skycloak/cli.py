@@ -251,10 +251,6 @@ def cmd_validate(args, loaded, outdir: Path):
 
 
 def cmd_sweep(args, loaded, outdir: Path):
-    if args.param not in SWEEPABLE:
-        print(f"sweep: unknown parameter {args.param!r} "
-              f"(recognized: {', '.join(SWEEPABLE)})", file=sys.stderr)
-        return EXIT_ERROR, None
     rows = []
     for value in args.grid:
         # a rejected value or an infeasible verdict is a NaN row; any other
@@ -382,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="re-optimize over a grid of one scalar field")
     common(p)
-    p.add_argument("--param", required=True,
-                   help=f"field to vary; one of: {', '.join(SWEEPABLE)}")
+    p.add_argument("--param", required=True, choices=SWEEPABLE,
+                   help="field to vary")
     p.add_argument("--grid", type=_grid, required=True,
                    help="comma-separated finite values")
     p.set_defaults(func=cmd_sweep)

@@ -229,9 +229,11 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
     phi(x) > alpha * x.
 
     Since phi(x) > alpha*x the root lies below eps/alpha; Newton steps
-    from there land within a few doubles of it, a bracket of doubling
-    width around that estimate and a bisection down to adjacent doubles
-    then settle it, every verdict coming from ``phi`` itself.
+    from there land within a few doubles of it, and steps of one double,
+    down while phi(x) > eps and then up while the next double's phi is
+    still at most eps, settle it, every verdict coming from ``phi``
+    itself. The steps end because phi does not fall on doubles, phi(0) = 0
+    <= eps and phi(eps/alpha) > eps.
     """
     if not 0.0 < eps < gamma.alpha:
         raise ValueError(f"eps must lie in (0, alpha)=(0, {gamma.alpha}), got {eps}")
@@ -251,24 +253,8 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
         if xn == x:
             break
         x = xn
-    # grow a bracket lo < hi with phi(lo) <= eps < phi(hi) from x
-    d = math.ulp(x)
-    if phi(x, gamma) <= eps:
-        lo, hi = x, x + d
-        while phi(hi, gamma) <= eps:
-            lo, d = hi, 2.0 * d
-            hi = lo + d
-    else:
-        lo, hi = max(x - d, 0.5 * x), x
-        while phi(lo, gamma) > eps:
-            hi, d = lo, 2.0 * d
-            lo = max(hi - d, 0.5 * hi)
-    # invariant phi(lo) <= eps < phi(hi); stop when no double lies between
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if phi(mid, gamma) <= eps:
-            lo = mid
-        else:
-            hi = mid
+    while phi(x, gamma) > eps:
+        x = math.nextafter(x, 0.0)
+    while phi(up := math.nextafter(x, math.inf), gamma) <= eps:
+        x = up
+    return x

@@ -85,7 +85,6 @@ class PlannerInfeasible(RuntimeError):
 
     def __init__(self, constraint: str, detail: str = ""):
         super().__init__(f"infeasible: {constraint}" + (f" ({detail})" if detail else ""))
-        self.constraint = constraint
 
 
 def _check_eps(eps: float) -> None:

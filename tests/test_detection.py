@@ -399,17 +399,6 @@ def test_bound_closed_form_and_dominance():
             assert b.value_lb <= quad + 1e-12, (name, rho)
 
 
-def test_bound_input_validation():
-    # the bound checks each power of its ratio by name; a zero power is
-    # a limit, not an error (see the test below)
-    g = gamma_from_sr(LIGHT_SHADOWING)
-    for i, name in enumerate(("pa", "ell_aw", "pj_hat", "g_uw")):
-        args = [1.0, 1.0, 1.0, 1.0]
-        args[i] = -1.0
-        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
-            avg_min_dep_lower_bound(*args, g)
-
-
 @pytest.mark.parametrize("name", sorted(SHADOWING_ROWS))
 def test_zero_powers_and_extreme_ratios_give_the_limits(name):
     params = SHADOWING_ROWS[name]
