@@ -239,7 +239,7 @@ def cmd_validate(args, loaded, outdir: Path):
     rng = np.random.default_rng([2, loaded.seed])
     report = validate_solution(loaded.scenario, sol, trials=args.trials,
                                rng=rng)
-    payload = _jsonable(dataclasses.asdict(report))
+    payload = _jsonable(report._asdict())
     path = outdir / "report.json"
     _write_json(path, payload)
     verdict = "pass" if report.covert_pass else "FAIL"
@@ -427,10 +427,11 @@ def main(argv=None) -> int:
         # code and let --help keep its clean exit
         return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:
+        t0 = time.perf_counter()
+        # a scenario error leaves no output directory behind
+        loaded = load_scenario(args.scenario, args.seed)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        loaded = load_scenario(args.scenario, args.seed)
         code, outputs = args.func(args, loaded, outdir)
         if outputs is not None:
             _append_record(outdir, args.command, loaded, outputs,

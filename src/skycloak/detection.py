@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,8 +172,7 @@ def avg_min_dep_quadrature(pa: float, ell_aw: float, pj_hat: float, g_uw: float,
     return min(1.0, max(0.0, _series_sum(params, z)))
 
 
-@dataclass(frozen=True)
-class CovertBound:
+class CovertBound(NamedTuple):
     """Closed-form lower bound on the fading-averaged minimum error.
 
     ``value_lb`` is the bound itself (can be negative, in which case it is

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,8 +214,7 @@ class PowerAllocation:
         return float(self.Pj_hat + self.Pk.sum())
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Planner output; ``trace`` holds Bob's rate at the start and after
     each outer iteration."""
 
@@ -720,8 +720,7 @@ def optimize(s: Scenario) -> Solution:
 # Monte Carlo validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Monte Carlo check of a solution's covertness claim, beside two rates.
 
     ``xi_mc`` and ``xi_stderr`` estimate the warden's fading-averaged

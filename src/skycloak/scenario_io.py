@@ -15,7 +15,6 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -234,8 +233,7 @@ _SCENARIO = _Object(
 )
 
 
-@dataclass(frozen=True)
-class LoadedScenario:
+class LoadedScenario(NamedTuple):
     """A parsed scenario plus its replay context."""
 
     scenario: Scenario

@@ -15,16 +15,16 @@ and transparent. The power step needs no solver; its optimum is explicit
   the Newton decrement vanishes or a step is accepted only through the
   line search's rounding allowance (the centring has stalled at
   floating-point resolution); each Newton system is solved by a Cholesky
-  factorization on Python floats, written out for 3 and 4 variables, with
-  a growing ridge when rounding leaves the Hessian singular or
-  indefinite; a solve reports its central point at the second barrier
-  weight, where a later solve over the same rows with a nearby objective
-  can start;
+  factorization on Python floats, written out for 3 and 4 variables (the
+  only sizes it takes), with a growing ridge when rounding leaves the
+  Hessian singular or indefinite; a solve reports its central point at
+  the second barrier weight, where a later solve over the same rows with
+  a nearby objective can start;
 - a max-slack interior point finder, and a Dinkelbach driver for
   concave/convex fractional objectives, whose rounds after the first
   start from the previous round's central point at the second weight.
 
-The programs are small (a few dozen rows of k = 3, and n <= 4
+The programs are small (a few dozen rows of k = 3, and n = 3 or 4
 variables), so a Newton step costs numpy's per-call overhead more than
 arithmetic. The kernel makes few calls, and on a stack of two or more
 rows gives the same bits as forming each quantity by a call of its own
@@ -40,7 +40,7 @@ the slope as minus the decrement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ def _rowdot(p, q):
     return np.matmul(p[:, None, :], q[:, :, None]).ravel()
 
 
-@dataclass
 class ConeConstraint:
     """Rows ||A_i x - b_i|| <= c_i.x + d_i with A of shape (m, k, n), m >= 1,
     and every A_i nonzero.
@@ -88,19 +87,14 @@ class ConeConstraint:
     here from A, b and c, so those three are not to be changed afterwards.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
+    def __init__(self, A, b, c, d):
+        self.A = np.asarray(A, dtype=float)
         m, k, n = self.A.shape
         if m == 0:
             raise ValueError("a constraint stack needs at least one row")
-        self.b = np.asarray(self.b, dtype=float).reshape(m, k)
-        self.c = np.asarray(self.c, dtype=float).reshape(m, n)
-        self.d = np.asarray(self.d, dtype=float).reshape(m)
+        self.b = np.asarray(b, dtype=float).reshape(m, k)
+        self.c = np.asarray(c, dtype=float).reshape(m, n)
+        self.d = np.asarray(d, dtype=float).reshape(m)
         zero = np.flatnonzero(~np.any(self.A != 0.0, axis=(1, 2)))
         if zero.size:
             raise ValueError(f"row {zero[0]}: A_i = 0; every row is a "
@@ -179,16 +173,14 @@ class ConeConstraint:
                     if di > 0.0), default=math.inf)
 
 
-@dataclass
 class QuadraticObjective:
     """const + c.x + a*(x.x), concave iff a <= 0; ``c`` an array.
 
     The value is summed as const + (c + a*x).x, so a linear objective
     (a = 0) forms no x.x, which can overflow where c.x does not."""
 
-    c: np.ndarray
-    const: float = 0.0
-    a: float = 0.0
+    def __init__(self, c, const=0.0, a=0.0):
+        self.c, self.const, self.a = c, const, a
 
     def value(self, x):
         return self.const + float((self.c + self.a * x) @ x)
@@ -200,44 +192,10 @@ class QuadraticObjective:
         return 2.0 * self.a * np.eye(x.size)
 
 
-def _cholesky_solve(a, g, ridge):
-    """y with (a + ridge*I) y = g for a Python list-of-lists a, by a
+def _cholesky_solve3(a, g, ridge):
+    """y with (a + ridge*I) y = g for a 3x3 Python list-of-lists a, by a
     Cholesky factorization L L^T and the solves L z = g, L^T y = z; None
     when a pivot is not > 0 (a NaN pivot fails)."""
-    n = len(g)
-    L = []
-    for i in range(n):
-        ai, li = a[i], []
-        for j in range(i):
-            lj, v = L[j], ai[j]
-            for k in range(j):
-                v -= li[k] * lj[k]
-            li.append(v / lj[j])
-        v = ai[i] + ridge
-        for k in range(i):
-            v -= li[k] * li[k]
-        if not v > 0.0:
-            return None
-        li.append(math.sqrt(v))
-        L.append(li)
-    z = list(g)
-    for i in range(n):
-        li = L[i]
-        v = z[i]
-        for k in range(i):
-            v -= li[k] * z[k]
-        z[i] = v / li[i]
-    for i in reversed(range(n)):
-        v = z[i]
-        for k in range(i + 1, n):
-            v -= L[k][i] * z[k]
-        z[i] = v / L[i][i]
-    return z
-
-
-def _cholesky_solve3(a, g, ridge):
-    """``_cholesky_solve`` for n = 3, written out: the same operations in
-    the same order, so the same bits."""
     (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
     v = a00 + ridge
     if not v > 0.0:
@@ -267,8 +225,7 @@ def _cholesky_solve3(a, g, ridge):
 
 
 def _cholesky_solve4(a, g, ridge):
-    """``_cholesky_solve`` for n = 4, written out: the same operations in
-    the same order, so the same bits."""
+    """``_cholesky_solve3`` for a 4x4 a."""
     (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = a
     v = a00 + ridge
     if not v > 0.0:
@@ -309,15 +266,12 @@ def _cholesky_solve4(a, g, ridge):
     return [(z0 - l10 * y1 - l20 * y2 - l30 * y3) / l00, y1, y2, y3]
 
 
-# the placement programs have 3 variables, their max-slack lifts 4
-_CHOLESKY_SOLVES = {3: _cholesky_solve3, 4: _cholesky_solve4}
-
-
 def _newton_solve(H, g):
-    """y with (H + ridge*I) y = g, from a Cholesky factorization on Python
-    floats (the systems are 3x3 or 4x4, where numpy's per-call overhead
-    dominates LAPACK's arithmetic; those two sizes run written-out
-    factorizations).
+    """y with (H + ridge*I) y = g, from a written-out Cholesky
+    factorization on Python floats: the placement programs have 3
+    variables and their max-slack lifts 4, sizes where numpy's per-call
+    overhead dominates LAPACK's arithmetic. Any other size raises
+    SolverError.
 
     ridge is the first of 0, then 1e-12 * max(trace(H)/n, 1) * 10^j for
     j = 0, 1, ..., at which every pivot comes out > 0 (a NaN pivot fails);
@@ -326,7 +280,12 @@ def _newton_solve(H, g):
     """
     a, g = H.tolist(), g.tolist()
     n = len(g)
-    solve = _CHOLESKY_SOLVES.get(n, _cholesky_solve)
+    if n == 3:
+        solve = _cholesky_solve3
+    elif n == 4:
+        solve = _cholesky_solve4
+    else:
+        raise SolverError(f"Newton systems have 3 or 4 variables, got {n}")
     ridge = 0.0
     while (y := solve(a, g, ridge)) is None:
         if ridge:
@@ -483,8 +442,7 @@ def max_slack_point(cons, anchor):
 # fractional programming
 
 
-@dataclass
-class DinkelbachResult:
+class DinkelbachResult(NamedTuple):
     x: np.ndarray
     lam: float
     converged: bool

@@ -110,15 +110,22 @@ def test_seed_override_changes_solution(tmp_path, default_path):
     assert read_records(tmp_path)[0]["seed"] == 3
 
 
-# main's one path for a ScenarioError, once per source: a reader (a NaN
-# written to the file), a model's range check, a derived constant and the
-# --seed override; the loader's tests pin every other fault's message
+# main's one path for a ScenarioError, once per source: the file read (a
+# missing file), a reader (a NaN written to the file), a model's range
+# check, a nested model's floor, a derived constant and the --seed
+# override; the loader's tests pin every other fault's message. Each
+# leaves no output behind, not even the new --out directory
 @pytest.mark.parametrize("mutate,argv,message", [
+    pytest.param(None, [], "cannot read scenario file {p}: [Errno 2] No such "
+                 "file or directory: '{p}'", id="missing"),
     pytest.param(lambda d: d["Pa_max"].update(value=math.nan), [],
                  "Pa_max: must be a number (a finite plain number, not a "
                  "bool or a string)", id="reader"),
     pytest.param(lambda d: d.update(eps=0.7), [],
                  "eps must be in (0, 0.5), got 0.7", id="model"),
+    pytest.param(lambda d: d["uav"].update(
+                     phi_min={"value": 5.4e-20, "unit": "rad"}), [],
+                 "phi_min must be at least 2^-64 rad, got 5.4e-20", id="phi_min"),
     pytest.param(lambda d: d.update(R_tg=2000), [],
                  "xi_coeff = (2^R_tg - 1) * sigma_kappa2 / beta0_kappa must "
                  "be a positive double, got inf", id="derived"),
@@ -127,16 +134,16 @@ def test_seed_override_changes_solution(tmp_path, default_path):
 ])
 def test_optimize_scenario_error_exits_1(tmp_path, capsys, mutate, argv,
                                          message):
-    d = default_scenario_dict(0.1, 12)
-    mutate(d)
     p = tmp_path / "scenario.json"
-    p.write_text(json.dumps(d))  # NaN written as such
-    out = tmp_path / "out"
+    if mutate is not None:
+        d = default_scenario_dict(0.1, 12)
+        mutate(d)
+        p.write_text(json.dumps(d))  # NaN written as such
+    out = tmp_path / "new" / "out"
     rc = main(["optimize", "--scenario", str(p), *argv, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"scenario error: {message}\n"
-    assert not (out / "solution.json").exists()
-    assert not (out / "records.jsonl").exists()
+    assert capsys.readouterr().err == f"scenario error: {message.format(p=p)}\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
@@ -615,13 +622,6 @@ def test_records_append_across_runs(tmp_path, default_path):
     assert len(records) == 2
     assert records[0]["run_id"] != records[1]["run_id"]
     assert all(r["command"] == "dep-sweep" for r in records)
-
-
-def test_missing_scenario_file_exits_1(tmp_path, capsys):
-    rc = main(["optimize", "--scenario", str(tmp_path / "nope.json"),
-               "--out", str(tmp_path)])
-    assert rc == 1
-    assert "scenario error" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(tmp_path, default_path, capsys):

@@ -13,14 +13,14 @@ from conftest import benchmark_corpus, default_scenario_dict
 from skycloak import planner, solvers
 from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
                               sample_sr_power, uav_gain)
-from skycloak.detection import phi_inverse
-from skycloak.planner import (PowerAllocation, Solution, bcd_optimize,
-                              bob_rate, constraint_residuals, optimize,
-                              perfect_cancellation_optimize,
+from skycloak.detection import CovertBound, phi_inverse
+from skycloak.planner import (PowerAllocation, Solution, ValidationReport,
+                              bcd_optimize, bob_rate, constraint_residuals,
+                              optimize, perfect_cancellation_optimize,
                               placement_subproblem, power_subproblem,
                               validate_solution)
-from skycloak.scenario_io import load_scenario
-from skycloak.solvers import _barrier_maximize, dinkelbach
+from skycloak.scenario_io import LoadedScenario, load_scenario
+from skycloak.solvers import DinkelbachResult, _barrier_maximize, dinkelbach
 
 
 def scenario_with(varpi=0.1, seed=0, *, bob=None, willie=None, ues=None):
@@ -1012,16 +1012,19 @@ def test_closed_form_start_matches_the_max_slack_start(monkeypatch, base,
         assert sol.trace[0] == 0.0
 
 
-# the 2^-64 rad floor on phi_min is the model's: a library-built budget
-# below it fails at construction, not in the barrier solver, and a scene
-# at it plans as the same scene read from a file does
+# the elevation cones' slope cot(phi_min) enters the barrier solver to the
+# fourth power, so the model puts a floor of 2^-64 rad on phi_min: a
+# budget below it (1e-300 rad, or 5.4e-20 rad just below the floor) fails
+# at construction, not in the barrier solver, and at the floor the cones
+# bind nowhere and each planner plans with no warning
 @pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
                                        (0.0, 7.8492332732661625)])
 def test_least_elevation_angle_is_the_models(varpi, rb):
     s = scenario_with(varpi, seed=12)
-    with pytest.raises(ValueError,
-                       match=r"phi_min must be at least 2\^-64 rad, got 1e-300"):
-        dataclasses.replace(s.budget, phi_min=1e-300)
+    for phi_min in (1e-300, 5.4e-20):
+        with pytest.raises(ValueError) as e:
+            dataclasses.replace(s.budget, phi_min=phi_min)
+        assert str(e.value) == f"phi_min must be at least 2^-64 rad, got {phi_min}"
     budget = dataclasses.replace(s.budget, phi_min=2.0 ** -64)
     sol = optimize(dataclasses.replace(s, budget=budget))
     assert (sol.status, sol.Rb) == ("converged", rb)
@@ -1515,3 +1518,19 @@ def test_power_allocation_copies_the_ue_powers():
     pk[0] = 7.0
     assert pw.Pk.tolist() == [0.5, 0.25]
     assert PowerAllocation(Pk=[], Pj_hat=0.0, Pa=0.0).Pk.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the result records: NamedTuples, as immutable as the frozen dataclasses
+# they replaced
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param(cls, id=cls.__name__) for cls in (
+        CovertBound, Solution, ValidationReport, LoadedScenario,
+        DinkelbachResult)])
+def test_result_records_are_immutable(record):
+    r = record._make([0.0] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1.0)

@@ -219,7 +219,7 @@ def reference_ridge(H):
 
 def test_newton_solve_matches_numpy_on_spd_systems():
     rng = np.random.default_rng(14)
-    for n in (1, 2, 3, 4):
+    for n in (3, 4):
         for _ in range(50):
             M = rng.normal(size=(n, n))
             H = M @ M.T + rng.uniform(1e-3, 1.0) * np.eye(n)
@@ -229,6 +229,9 @@ def test_newton_solve_matches_numpy_on_spd_systems():
             want = np.linalg.solve(L.T, np.linalg.solve(L, g))
             assert_allclose(_newton_solve(H, g), want, rtol=1e-12,
                             atol=1e-12 * np.abs(want).max())
+    # the solve takes the placement programs' 3 and 4 variables only
+    with pytest.raises(SolverError, match="3 or 4 variables, got 2$"):
+        _newton_solve(np.eye(2), np.ones(2))
 
 
 def test_newton_solve_ridges_singular_and_indefinite_systems():
@@ -249,9 +252,9 @@ def test_newton_solve_ridges_singular_and_indefinite_systems():
 
 
 def test_newton_solve_raises_where_no_ridge_factors():
-    H = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    H = np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SolverError, match="does not factor"):
-        _newton_solve(H, np.ones(2))
+        _newton_solve(H, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def maximize_linear(c, constraints, x0):
 def test_barrier_ball_supporting_hyperplane():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
+        n = int(rng.integers(3, 5))
         center = rng.normal(size=n)
         radius = rng.uniform(0.5, 2.0)
         c = rng.normal(size=n)
@@ -321,11 +324,12 @@ def test_barrier_gap_is_within_two_per_row(tol):
 
 
 def test_barrier_two_ball_intersection_vs_grid():
-    lens = stack(ball([-0.5, 0.0], 1.0), ball([0.5, 0.0], 1.0))
-    c = np.array([0.3, 1.0])
-    x, val = maximize_linear(c, lens, np.zeros(2))
+    lens = stack(ball([-0.5, 0.0, 0.0], 1.0), ball([0.5, 0.0, 0.0], 1.0))
+    c = np.array([0.3, 1.0, 0.0])
+    x, val = maximize_linear(c, lens, np.zeros(3))
     assert lens.margin(x).min() > -1e-9
-    # dense-grid oracle over the lens
+    # dense-grid oracle over the lens's section x3 = 0, which holds the
+    # optimum: the lens is symmetric in x3 and c.x does not depend on it
     xs = np.linspace(-0.6, 0.6, 1201)
     ys = np.linspace(0.0, 1.0, 1001)
     X, Y = np.meshgrid(xs, ys)
@@ -394,17 +398,17 @@ def test_dinkelbach_parametric_objective_matches_the_sum_of_squares(monkeypatch)
         seen.append((objective, x0))
         return _barrier_maximize(objective, cons, x0, **kwargs)
 
-    fw, fu = -rng.uniform(0.5, 1.0, size=3), rng.normal(size=(3, 2))
-    gw, gu = np.array([1.0]), np.array([[4.0, 0.0]])
-    f, g = squares(2, 10.0, fw, fu), squares(2, 1.0, gw, gu)
-    cons = stack(ball(np.zeros(2), 1.5))
+    fw, fu = -rng.uniform(0.5, 1.0, size=3), rng.normal(size=(3, 3))
+    gw, gu = np.array([1.0]), np.array([[4.0, 0.0, 0.0]])
+    f, g = squares(3, 10.0, fw, fu), squares(3, 1.0, gw, gu)
+    cons = stack(ball(np.zeros(3), 1.5))
     monkeypatch.setattr(solvers, "_barrier_maximize", recording)
-    res = dinkelbach(f, g, cons, np.array([0.2, -0.1]), delta=1e-10)
+    res = dinkelbach(f, g, cons, np.array([0.2, -0.1, 0.0]), delta=1e-10)
     assert res.converged and len(seen) == len(res.lam_trace) - 1 >= 2
     for (obj, _), lam in zip(seen, res.lam_trace):
-        at = direct(np.zeros(2), 10.0 - lam * 1.0, np.concatenate([fw, -lam * gw]),
+        at = direct(np.zeros(3), 10.0 - lam * 1.0, np.concatenate([fw, -lam * gw]),
                     np.vstack([fu, gu]))
-        for x in rng.normal(size=(5, 2)):
+        for x in rng.normal(size=(5, 3)):
             assert_objective(obj, at, x)
 
 
@@ -495,24 +499,24 @@ def test_max_slack_two_balls():
 def test_dinkelbach_symmetric_ratio():
     # max (1 - ||x||^2) / (1 + ||x||^2) on the unit ball: optimum x = 0,
     # ratio exactly 1
-    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
-    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
-    res = dinkelbach(f, g, stack(ball(np.zeros(2), 0.9)), np.array([0.3, -0.2]),
-                     delta=1e-10)
+    f = squares(3, 1.0, [-1.0], [[0.0, 0.0, 0.0]])
+    g = squares(3, 1.0, [1.0], [[0.0, 0.0, 0.0]])
+    res = dinkelbach(f, g, stack(ball(np.zeros(3), 0.9)),
+                     np.array([0.3, -0.2, 0.0]), delta=1e-10)
     assert isinstance(res, DinkelbachResult)
     assert res.converged
     assert res.lam == pytest.approx(1.0, abs=1e-8)
-    assert_allclose(res.x, [0.0, 0.0], atol=1e-4)
+    assert_allclose(res.x, [0.0, 0.0, 0.0], atol=1e-4)
     # the parametric values are nondecreasing along the iteration
     assert all(b >= a - 1e-12 for a, b in zip(res.lam_trace,
                                               res.lam_trace[1:]))
 
 
 def test_dinkelbach_starts_from_the_start_ratio():
-    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
-    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
-    fp = (f, g, stack(ball(np.zeros(2), 0.9)))
-    x0 = np.array([0.3, -0.2])
+    f = squares(3, 1.0, [-1.0], [[0.0, 0.0, 0.0]])
+    g = squares(3, 1.0, [1.0], [[0.0, 0.0, 0.0]])
+    fp = (f, g, stack(ball(np.zeros(3), 0.9)))
+    x0 = np.array([0.3, -0.2, 0.0])
     ratio = f.value(x0) / g.value(x0)
     assert dinkelbach(*fp, x0, delta=1e-10).lam_trace[0] == ratio
     # a cap at or below the start ratio: x0 is the answer, after 0 rounds
@@ -521,7 +525,7 @@ def test_dinkelbach_starts_from_the_start_ratio():
         assert res.converged and len(res.lam_trace) - 1 == 0
         assert res.lam_trace == [ratio] and res.lam == ratio
         assert np.array_equal(res.x, x0) and res.x is not x0
-    g0 = squares(2, -1.0, [1.0], [[0.0, 0.0]])
+    g0 = squares(3, -1.0, [1.0], [[0.0, 0.0, 0.0]])
     with pytest.raises(SolverError, match="start point"):
         dinkelbach(f, g0, fp[2], x0)
 
@@ -530,10 +534,10 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     # the symmetric program starts at ratio 0.7699, reaches its optimum
     # ratio 1 in round 1 and confirms it in round 2; a cap of 0.5 ends
     # the run after 0 rounds, any cap in (0.7699, 1] after round 1
-    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
-    g = squares(2, 1.0, [1.0], [[0.0, 0.0]])
-    fp = (f, g, stack(ball(np.zeros(2), 0.9)))
-    x0 = np.array([0.3, -0.2])
+    f = squares(3, 1.0, [-1.0], [[0.0, 0.0, 0.0]])
+    g = squares(3, 1.0, [1.0], [[0.0, 0.0, 0.0]])
+    fp = (f, g, stack(ball(np.zeros(3), 0.9)))
+    x0 = np.array([0.3, -0.2, 0.0])
     full = dinkelbach(*fp, x0, delta=1e-10)
     # iterations, the rounds count a trace reads, is one less than the ratios
     assert full.iterations == 2 and len(full.lam_trace) == 3
@@ -547,10 +551,10 @@ def test_dinkelbach_stops_once_the_ratio_reaches_lam_max():
     assert uncapped.lam_trace == full.lam_trace
     assert np.array_equal(uncapped.x, full.x)
     # a three-round run stops at the first round whose ratio reaches the cap
-    cons = stack(ball(np.zeros(2), 1.0))
-    fp = (squares(2, 6.0, [-1.0], [[1.0, 1.0]]),
-          squares(2, 0.5, [1.0], [[0.0, 0.0]]), cons)
-    x0 = np.array([0.2, 0.1])
+    cons = stack(ball(np.zeros(3), 1.0))
+    fp = (squares(3, 6.0, [-1.0], [[1.0, 1.0, 0.0]]),
+          squares(3, 0.5, [1.0], [[0.0, 0.0, 0.0]]), cons)
+    x0 = np.array([0.2, 0.1, 0.0])
     full = dinkelbach(*fp, x0, delta=1e-9)
     assert full.converged and len(full.lam_trace) - 1 == 3
     lams = full.lam_trace
@@ -566,34 +570,36 @@ def test_dinkelbach_starts_at_ratio_zero_below_zero():
     # off the x axis f falls and g grows, and on it the ratio
     # (1 - x^2)/(x - 2)^2 peaks where x = 1/2, at 1/3. The start has
     # f = -1.5, so lam starts at 0 and round 1 maximizes f itself
-    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
-    g = squares(2, 0.0, [1.0], [[2.0, 0.0]])
-    x0 = np.array([-1.5, 0.5])
+    f = squares(3, 1.0, [-1.0], [[0.0, 0.0, 0.0]])
+    g = squares(3, 0.0, [1.0], [[2.0, 0.0, 0.0]])
+    x0 = np.array([-1.5, 0.5, 0.0])
     assert f.value(x0) < 0.0
-    res = dinkelbach(f, g, stack(ball(np.zeros(2), 1.8)), x0, delta=1e-10)
+    res = dinkelbach(f, g, stack(ball(np.zeros(3), 1.8)), x0, delta=1e-10)
     assert res.lam_trace[0] == 0.0
     assert res.converged
     assert res.lam == pytest.approx(1.0 / 3.0, abs=1e-8)
-    assert_allclose(res.x, [0.5, 0.0], atol=1e-4)
+    assert_allclose(res.x, [0.5, 0.0, 0.0], atol=1e-4)
 
 
 def test_dinkelbach_reports_no_positive_ratio():
     # f = 1 - ||x||^2 is negative on the whole ball of radius 0.5 around
     # (3, 0): round 1 ends at ratio <= 0, which is not a convergence
-    f = squares(2, 1.0, [-1.0], [[0.0, 0.0]])
-    g = squares(2, 0.0, [1.0], [[-5.0, 0.0]])
-    res = dinkelbach(f, g, stack(ball([3.0, 0.0], 0.5)), np.array([3.0, 0.0]))
+    f = squares(3, 1.0, [-1.0], [[0.0, 0.0, 0.0]])
+    g = squares(3, 0.0, [1.0], [[-5.0, 0.0, 0.0]])
+    res = dinkelbach(f, g, stack(ball([3.0, 0.0, 0.0], 0.5)),
+                     np.array([3.0, 0.0, 0.0]))
     assert res.lam_trace[0] == 0.0
     assert res.lam <= 0.0 and not res.converged
     assert len(res.lam_trace) == 2
 
 
 def test_dinkelbach_boundary_optimum():
-    # max (2 - x) / (1 + x) on [0, 1]: decreasing ratio, optimum x = 0
-    f = QuadraticObjective(np.array([-1.0]), const=2.0)
-    g = QuadraticObjective(np.array([1.0]), const=1.0)
-    box = stack(slab([1.0], 0.0, 1.0))
-    res = dinkelbach(f, g, box, np.array([0.5]), delta=1e-10)
+    # max (2 - x1) / (1 + x1) on the cube [0, 1]^3: decreasing ratio,
+    # optimum x1 = 0
+    f = QuadraticObjective(np.array([-1.0, 0.0, 0.0]), const=2.0)
+    g = QuadraticObjective(np.array([1.0, 0.0, 0.0]), const=1.0)
+    box = stack(*(slab(e, 0.0, 1.0) for e in np.eye(3)))
+    res = dinkelbach(f, g, box, np.full(3, 0.5), delta=1e-10)
     assert res.converged
     assert res.lam == pytest.approx(2.0, abs=1e-6)
     assert res.x[0] == pytest.approx(0.0, abs=1e-5)
@@ -601,13 +607,13 @@ def test_dinkelbach_boundary_optimum():
 
 def test_dinkelbach_scale_invariance():
     # scaling numerator and denominator together leaves the ratio alone
-    center = np.array([[1.0, 1.0]])
-    cons = stack(ball(np.zeros(2), 1.0))
+    center = np.array([[1.0, 1.0, 0.0]])
+    cons = stack(ball(np.zeros(3), 1.0))
     lam = []
     for kappa in (1.0, 250.0):
-        f = squares(2, 6.0 * kappa, [-kappa], center)
-        g = squares(2, 0.5 * kappa, [kappa], [[0.0, 0.0]])
-        res = dinkelbach(f, g, cons, np.array([0.2, 0.1]),
+        f = squares(3, 6.0 * kappa, [-kappa], center)
+        g = squares(3, 0.5 * kappa, [kappa], [[0.0, 0.0, 0.0]])
+        res = dinkelbach(f, g, cons, np.array([0.2, 0.1, 0.0]),
                          delta=1e-9 * kappa)
         assert res.converged
         lam.append(res.lam)
@@ -660,13 +666,49 @@ class ReferenceRows:
                          where=den > 0.0)
 
 
+def cholesky_solve(a, g, ridge):
+    """y with (a + ridge*I) y = g for a Python list-of-lists a of any
+    size, by a Cholesky factorization L L^T and the solves L z = g,
+    L^T y = z, in loops; None when a pivot is not > 0 (a NaN pivot
+    fails). The solver's written-out solves must give its bits."""
+    n = len(g)
+    L = []
+    for i in range(n):
+        ai, li = a[i], []
+        for j in range(i):
+            lj, v = L[j], ai[j]
+            for k in range(j):
+                v -= li[k] * lj[k]
+            li.append(v / lj[j])
+        v = ai[i] + ridge
+        for k in range(i):
+            v -= li[k] * li[k]
+        if not v > 0.0:
+            return None
+        li.append(math.sqrt(v))
+        L.append(li)
+    z = list(g)
+    for i in range(n):
+        li = L[i]
+        v = z[i]
+        for k in range(i):
+            v -= li[k] * z[k]
+        z[i] = v / li[i]
+    for i in reversed(range(n)):
+        v = z[i]
+        for k in range(i + 1, n):
+            v -= L[k][i] * z[k]
+        z[i] = v / L[i][i]
+    return z
+
+
 def reference_newton_solve(H, g):
-    """The Newton solve through the loop-form Cholesky for every n."""
+    """The Newton solve through the loop-form Cholesky."""
     n = len(g)
     a = H.tolist()
     floor = 1e-12 * max(sum(a[i][i] for i in range(n)) / n, 1.0)
     ridge = 0.0
-    while (y := solvers._cholesky_solve(a, g.tolist(), ridge)) is None:
+    while (y := cholesky_solve(a, g.tolist(), ridge)) is None:
         ridge = ridge * 10.0 if ridge else floor
         if not ridge < math.inf:
             raise SolverError("Newton system does not factor at any finite ridge")
@@ -817,7 +859,7 @@ def test_step_bound_is_the_minimum_of_the_reference_exit_steps():
 
 def test_written_out_cholesky_solves_match_the_loop():
     rng = np.random.default_rng(33)
-    for n, solve in solvers._CHOLESKY_SOLVES.items():
+    for n, solve in ((3, solvers._cholesky_solve3), (4, solvers._cholesky_solve4)):
         for trial in range(300):
             M = rng.normal(size=(n, n))
             H = M @ M.T + rng.uniform(0.0, 1e-3) * np.eye(n)
@@ -829,7 +871,7 @@ def test_written_out_cholesky_solves_match_the_loop():
                 H = 0.5 * (H + H.T)
             a, g = H.tolist(), rng.normal(size=n).tolist()
             for ridge in (0.0, 1e-12, 1e-3, 10.0):
-                assert solve(a, g, ridge) == solvers._cholesky_solve(a, g, ridge)
+                assert solve(a, g, ridge) == cholesky_solve(a, g, ridge)
             assert same_bits(_newton_solve(H, np.array(g)),
                              reference_newton_solve(H, np.array(g)))
         nan = np.full((n, n), math.nan)
@@ -838,9 +880,12 @@ def test_written_out_cholesky_solves_match_the_loop():
 
 def barrier_programs(rng):
     """(objective, stack, x0) for linear and concave quadratic objectives
-    over random bounded stacks, lifted ones included."""
-    for cons, x in random_stacks(rng, 20):
+    over random bounded stacks in the 3 or 4 variables the solver takes,
+    lifted ones included."""
+    for cons, x in random_stacks(rng, 30):
         n = x.size
+        if n not in (3, 4):
+            continue
         yield QuadraticObjective(rng.normal(size=n)), cons, x
         yield (QuadraticObjective(rng.normal(size=n), rng.normal(),
                                   -rng.uniform(0.1, 2.0)), cons, x)
