@@ -16,9 +16,12 @@ under ``--out`` (default: current directory):
   one scalar scenario field and tabulate rate, powers, and altitude per
   point (``sweep.csv``).
 
-``main`` loads the scenario, runs the subcommand, and appends the run's
-one record to ``records.jsonl`` (run id, scenario hash, command, seed,
-wall time, outputs); a run that writes no output file records nothing.
+``main`` takes four steps: argparse reads argv, the scenario is loaded,
+the subcommand runs, and the run's one record is appended to
+``records.jsonl`` (run id, scenario hash, command, seed, wall time,
+outputs). The one file writer makes ``--out``, so nothing is created until
+the subcommand writes its output file; a run that writes none records
+nothing.
 With a fixed scenario and seed all outputs are bit-identical across runs
 except the run id and wall time. CSV floats use 17 significant digits;
 JSON floats use Python repr (shortest exact round trip) with non-finite
@@ -33,7 +36,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -61,9 +63,6 @@ DEFAULT_SHADOWING = "light,average,heavy"
 # scalar Scenario fields the sweep command may vary
 SWEEPABLE = ("eps", "varpi", "P_tot", "Pa_max", "R_tg", "H_min", "H_max")
 
-# options whose one value may start with "-" (a negative grid entry)
-GRID_OPTIONS = ("--grid", "--eps-grid")
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -75,11 +74,16 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file, making its directory first; a line ends in
+    a bare newline on every platform."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="")
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+    _write(path, "".join(",".join(map(_csv_cell, row)) + "\n"
+                         for row in (header, *rows)))
 
 
 def _jsonable(obj):
@@ -95,7 +99,7 @@ def _jsonable(obj):
 
 def _write_json(path: Path, data: dict) -> None:
     """Write plain data, as ``_jsonable`` returns it, in one call."""
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _append_record(outdir: Path, command: str, loaded, outputs: dict,
@@ -188,18 +192,18 @@ def _read_solution(path, K: int) -> Solution | None:
 # record's outputs, or None for a run that records nothing)
 
 
-def _operating_ratio(eps: float, gamma) -> float:
-    """The jamming-to-signal ratio where the closed-form bound is 1 - eps."""
-    return gamma.theta / phi_inverse(eps, gamma)
-
-
 def cmd_dep_sweep(args, loaded, outdir: Path):
     rows = []
     for ie, eps in enumerate(args.eps_grid):
         for ir, name in enumerate(args.shadowing):
             params = SHADOWING_ROWS[name]
             gamma = gamma_from_sr(params)
-            ratio = _operating_ratio(eps, gamma)
+            # the jamming-to-signal ratio where the bound is 1 - eps
+            ratio = gamma.theta / phi_inverse(eps, gamma)
+            if ratio == math.inf:
+                print(f"dep-sweep: eps {eps} puts the {name} row's operating "
+                      "ratio past the doubles", file=sys.stderr)
+                return EXIT_ERROR, None
             bound = avg_min_dep_lower_bound(1.0, 1.0, ratio, 1.0,
                                             gamma).value_lb
             quad = avg_min_dep_quadrature(1.0, 1.0, ratio, 1.0, params)
@@ -285,7 +289,10 @@ def cmd_sweep(args, loaded, outdir: Path):
 
 def _trials(text: str) -> int:
     """A Monte Carlo trial count; a standard error needs at least 2."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 trials, got {n}")
     return n
@@ -360,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_SHADOWING})")
     p.add_argument("--trials", type=_trials, default=10_000,
                    help="Monte Carlo trials per grid point (default 10000)")
-    p.set_defaults(func=cmd_dep_sweep, usage_error=p.error)
+    p.set_defaults(func=cmd_dep_sweep)
 
     p = sub.add_parser("optimize", help="run the planner on a scenario")
     common(p)
@@ -386,41 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_grid_values(argv) -> list:
-    """argv with each grid option and the token after it joined into
-    ``--grid=VALUE``, the form in which argparse reads a value that
-    starts with "-" as a value rather than as an option; nothing after a
-    bare "--" is touched.
-
-    A grid option is its full name or any abbreviation of it, as argparse
-    reads one: "--" and at least one more character. Joining leaves the
-    verdict on the option to argparse, which reads "--gr=V" as it reads
-    "--gr V" when V does not start with "-"."""
-    out, tokens = [], iter(argv)
-    for tok in tokens:
-        if tok == "--":
-            out.append(tok)
-            out.extend(tokens)
-            break
-        if len(tok) > 2 and any(opt.startswith(tok) for opt in GRID_OPTIONS):
-            value = next(tokens, None)
-            if value is not None:
-                tok = f"{tok}={value}"
-        out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_join_grid_values(argv))
-        if args.command == "dep-sweep":
-            for eps, name in itertools.product(args.eps_grid, args.shadowing):
-                gamma = gamma_from_sr(SHADOWING_ROWS[name])
-                if _operating_ratio(eps, gamma) == math.inf:
-                    args.usage_error(f"argument --eps-grid: eps {eps} puts the "
-                                     f"{name} row's operating ratio past the doubles")
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors, which would collide with the
         # infeasible exit code; fold usage problems into the generic failure
@@ -428,10 +403,8 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:
         t0 = time.perf_counter()
-        # a scenario error leaves no output directory behind
         loaded = load_scenario(args.scenario, args.seed)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         code, outputs = args.func(args, loaded, outdir)
         if outputs is not None:
             _append_record(outdir, args.command, loaded, outputs,

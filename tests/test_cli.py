@@ -157,31 +157,6 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
-# the elevation cones' slope cot(phi_min) enters the barrier solver to the
-# fourth power: below 2^-64 rad phi_min is a scenario error, the model's
-# floor, and at 2^-64 rad the cones bind nowhere and each planner plans
-# with no warning
-@pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
-                                       (0.0, 7.8492332732661625)])
-def test_optimize_least_elevation_angle(tmp_path, capsys, varpi, rb):
-    d = default_scenario_dict(varpi, 12)
-    p = tmp_path / "scenario.json"
-    for phi_min in (1e-300, 5.4e-20):
-        d["uav"]["phi_min"] = {"value": phi_min, "unit": "rad"}
-        p.write_text(json.dumps(d))
-        rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "scenario error: phi_min must be at least 2^-64 rad")
-        assert not (tmp_path / "solution.json").exists()
-    d["uav"]["phi_min"] = {"value": 2.0 ** -64, "unit": "rad"}
-    p.write_text(json.dumps(d))
-    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
-    sol = json.loads((tmp_path / "solution.json").read_text())
-    assert (rc, sol["status"], sol["Rb"]) == (0, "converged", rb)
-    assert "error:" not in capsys.readouterr().err
-
-
 # a budget near the top of the doubles widens the UE-rate balls, and a
 # Pa_max near the least double the covertness ball, past any placement the
 # band and the cones reach: the capped radii plan as a large finite budget
@@ -346,14 +321,6 @@ def test_validate_covert_failure_exits_3(opt_dir, tmp_path, default_path,
         is False
 
 
-def test_validate_rejects_infeasible_solution_file(tmp_path, default_path):
-    p = tmp_path / "infeasible.json"
-    p.write_text(json.dumps({"status": "infeasible", "message": "x"}))
-    rc = main(["validate", "--scenario", default_path, "--solution", str(p),
-               "--out", str(tmp_path)])
-    assert rc == 1
-
-
 # each edit spoils default.json's own plan; a string replaces the file
 @pytest.mark.parametrize("edit", [
     pytest.param("{]", id="not-json"),
@@ -468,25 +435,6 @@ def test_sweep_records_failures_as_nan_rows(tmp_path, default_path, capsys):
     assert math.isfinite(float(rows[1][2]))
 
 
-def test_sweep_stops_on_a_planner_error(tmp_path, default_path, capsys,
-                                        monkeypatch):
-    # only a value the scenario rejects, or an infeasible verdict, is a
-    # failed point; a planner error ends the run as optimize's does
-    plan = cli.optimize
-
-    def failing(s):
-        if s.eps == 0.02:
-            raise SolverError("barrier failed")
-        return plan(s)
-
-    monkeypatch.setattr(cli, "optimize", failing)
-    rc = main(["sweep", "--scenario", default_path, "--param", "eps",
-               "--grid", "0.01,0.02", "--out", str(tmp_path)])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: SolverError: barrier failed\n"
-    assert not (tmp_path / "sweep.csv").exists()
-
-
 def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
                                               capsys):
     rc = main(["sweep", "--scenario", default_path, "--param", "Pa_max",
@@ -497,31 +445,30 @@ def test_sweep_rejects_a_non_finite_grid_value(tmp_path, default_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command, flag, grid, why", [
-    ("dep-sweep", "--eps-grid", "0.01,0.7", r"eps must be in \(0, 0\.5\), got 0\.7"),
-    ("dep-sweep", "--eps-grid", "0.5", r"eps must be in \(0, 0\.5\), got 0\.5"),
-    ("dep-sweep", "--eps-grid", "0", r"eps must be in \(0, 0\.5\), got 0\.0"),
-    ("dep-sweep", "--eps-grid", "abc", "not a number: 'abc'"),
-    ("dep-sweep", "--eps-grid", "0.1,inf", "not a finite number: 'inf'"),
-    ("dep-sweep", "--eps-grid", " , ", "empty grid"),
-    ("dep-sweep", "--eps-grid", "-0.1,0.2", r"eps must be in \(0, 0\.5\), got -0\.1"),
-    ("dep-sweep", "--eps-grid", "0.01,1e-310",
-     "eps 1e-310 puts the light row's operating ratio past the doubles"),
-    ("sweep", "--grid", "0.01,abc", "not a number: 'abc'"),
-    ("sweep", "--grid", "1,-inf", "not a finite number: '-inf'"),
-    ("sweep", "--grid", "-inf", "not a finite number: '-inf'"),
-    ("sweep", "--grid", ",", "empty grid"),
-    ("dep-sweep", "--eps", "-0.1,0.2", r"eps must be in \(0, 0\.5\), got -0\.1"),
-    ("dep-sweep", "--e", "-0.1", r"eps must be in \(0, 0\.5\), got -0\.1"),
-    ("sweep", "--gr", "-inf,1", "not a finite number: '-inf'"),
+# a grid entry that starts with "-" is written in the "=" form
+@pytest.mark.parametrize("command, grid, why", [
+    ("dep-sweep", ["--eps-grid", "0.01,0.7"], r"eps must be in \(0, 0\.5\), got 0\.7"),
+    ("dep-sweep", ["--eps-grid", "0.5"], r"eps must be in \(0, 0\.5\), got 0\.5"),
+    ("dep-sweep", ["--eps-grid", "0"], r"eps must be in \(0, 0\.5\), got 0\.0"),
+    ("dep-sweep", ["--eps-grid", "abc"], "not a number: 'abc'"),
+    ("dep-sweep", ["--eps-grid", "0.1,inf"], "not a finite number: 'inf'"),
+    ("dep-sweep", ["--eps-grid", " , "], "empty grid"),
+    ("dep-sweep", ["--eps-grid=-0.1,0.2"], r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("sweep", ["--grid", "0.01,abc"], "not a number: 'abc'"),
+    ("sweep", ["--grid", "1,-inf"], "not a finite number: '-inf'"),
+    ("sweep", ["--grid=-inf"], "not a finite number: '-inf'"),
+    ("sweep", ["--grid", ","], "empty grid"),
+    ("dep-sweep", ["--eps=-0.1,0.2"], r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("dep-sweep", ["--e", "-0.1"], r"eps must be in \(0, 0\.5\), got -0\.1"),
+    ("sweep", ["--gr=-inf,1"], "not a finite number: '-inf'"),
 ], ids=["eps-0.7", "eps-0.5", "eps-0", "eps-abc", "eps-inf", "eps-empty",
-        "eps-negative", "eps-subnormal", "sweep-abc", "sweep-inf",
-        "sweep-minus-inf", "sweep-empty", "eps-abbreviated-negative",
-        "e-negative", "gr-minus-inf"])
+        "eps-negative", "sweep-abc", "sweep-inf", "sweep-minus-inf",
+        "sweep-empty", "eps-abbreviated-negative", "e-negative",
+        "gr-minus-inf"])
 def test_a_bad_grid_is_a_usage_error(tmp_path, default_path, capsys, command,
-                                     flag, grid, why):
+                                     grid, why):
     out = tmp_path / "out"
-    argv = [command, "--scenario", default_path, flag, grid, "--out", str(out)]
+    argv = [command, "--scenario", default_path, *grid, "--out", str(out)]
     if command == "sweep":
         argv += ["--param", "eps"]
     assert main(argv) == 1
@@ -547,8 +494,8 @@ def test_dep_sweep_checks_the_operating_ratio_on_chosen_rows(tmp_path,
 
 
 def test_dep_sweep_tabulates_every_row_at_eps_1e_308(tmp_path, default_path):
-    # the usage error for an overflowing operating ratio starts below
-    # this eps (about 1e-310): every row here still tabulates finite values
+    # an operating ratio past the doubles, an exit 1, starts below this
+    # eps (about 1e-310): every row here still tabulates finite values
     assert main(["dep-sweep", "--scenario", default_path, "--trials", "2",
                  "--eps-grid", "1e-308", "--out", str(tmp_path)]) == 0
     _, rows = read_csv_rows(tmp_path / "dep_sweep.csv")
@@ -572,19 +519,14 @@ def test_default_dep_sweep_is_finite_and_quiet(tmp_path, default_path):
 
 
 def test_a_grid_may_start_with_a_minus_sign(tmp_path, default_path):
-    # the spaced form, also with the option abbreviated as argparse
-    # allows, reads the grid as the "=" form does: a failed row for
-    # Pa_max = -1 and a plan for 2
-    forms = {"spaced": ["--grid", "-1,2"], "joined": ["--grid=-1,2"],
-             "g": ["--g", "-1,2"], "gr": ["--gr", "-1,2"],
-             "gri": ["--gri", "-1,2"], "gr-joined": ["--gr=-1,2"]}
-    for name, grid in forms.items():
+    # the "=" form, also with the option abbreviated as argparse allows:
+    # a failed row for Pa_max = -1 and a plan for 2
+    for name in ("grid", "gr"):
         assert main(["sweep", "--scenario", default_path, "--param", "Pa_max",
-                     *grid, "--out", str(tmp_path / name)]) == 0
-    spaced = (tmp_path / "spaced" / "sweep.csv").read_bytes()
-    for name in forms:
-        assert (tmp_path / name / "sweep.csv").read_bytes() == spaced
-    _, rows = read_csv_rows(tmp_path / "spaced" / "sweep.csv")
+                     f"--{name}=-1,2", "--out", str(tmp_path / name)]) == 0
+    full = (tmp_path / "grid" / "sweep.csv").read_bytes()
+    assert (tmp_path / "gr" / "sweep.csv").read_bytes() == full
+    _, rows = read_csv_rows(tmp_path / "grid" / "sweep.csv")
     assert [float(r[1]) for r in rows] == [-1.0, 2.0]
     assert math.isnan(float(rows[0][2])) and math.isfinite(float(rows[1][2]))
 
@@ -612,6 +554,49 @@ def test_sweep_unknown_param_exits_1(tmp_path, default_path, capsys):
 # plumbing
 
 
+# a run that exits 1 before it writes its output file leaves nothing behind,
+# not even the new --out directory: validate with a solution file that is
+# malformed, missing or an infeasible run's; dep-sweep at an eps whose
+# operating ratio leaves the doubles; and sweep ending on a planner error,
+# which is no failed point (only a value the scenario rejects, or an
+# infeasible verdict, is one) but ends the run as optimize's does
+@pytest.mark.parametrize("argv, solution, err", [
+    pytest.param(["validate", "--solution", "{p}"], '{"status": "converged"}',
+                 "scenario error: malformed solution file: 'placement'\n",
+                 id="validate-malformed"),
+    pytest.param(["validate", "--solution", "{p}"], None,
+                 "io error: [Errno 2] No such file or directory: '{p}'\n",
+                 id="validate-missing"),
+    pytest.param(["validate", "--solution", "{p}"],
+                 '{"status": "infeasible", "message": "x"}',
+                 "validate: solution file records an infeasible run\n",
+                 id="validate-infeasible"),
+    pytest.param(["dep-sweep", "--eps-grid", "1e-310"], None,
+                 "dep-sweep: eps 1e-310 puts the light row's operating ratio "
+                 "past the doubles\n", id="eps-subnormal"),
+    pytest.param(["sweep", "--param", "eps", "--grid", "0.01,0.02"], None,
+                 "error: SolverError: barrier failed\n", id="planner-error"),
+])
+def test_a_failed_run_creates_nothing(tmp_path, default_path, capsys,
+                                      monkeypatch, argv, solution, err):
+    plan = cli.optimize
+
+    def failing(s):
+        if s.eps == 0.02:
+            raise SolverError("barrier failed")
+        return plan(s)
+
+    monkeypatch.setattr(cli, "optimize", failing)
+    p = tmp_path / "plan.json"
+    if solution is not None:
+        p.write_text(solution)
+    rc = main([*(a.format(p=p) for a in argv), "--scenario", default_path,
+               "--out", str(tmp_path / "new" / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == err.format(p=p)
+    assert not (tmp_path / "new").exists()
+
+
 def test_records_append_across_runs(tmp_path, default_path):
     for _ in range(2):
         rc = main(["dep-sweep", "--scenario", default_path,
@@ -636,16 +621,21 @@ def test_usage_errors_exit_1(tmp_path, default_path, capsys):
 
 @pytest.mark.parametrize("command,output", [("validate", "report.json"),
                                             ("dep-sweep", "dep_sweep.csv")])
-@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("trials, why", [
+    pytest.param("0", "need at least 2 trials, got 0", id="0"),
+    pytest.param("1", "need at least 2 trials, got 1", id="1"),
+    pytest.param("1e4", "not an integer: '1e4'", id="1e4"),
+])
 def test_trials_below_2_exit_1(opt_dir, tmp_path, default_path, capsys,
-                               command, output, trials):
+                               command, output, trials, why):
     # one trial gives no standard error: a usage error, not a NaN row
     argv = [command, "--scenario", default_path, "--trials", trials,
             "--out", str(tmp_path)]
     if command == "validate":
         argv += ["--solution", str(opt_dir / "solution.json")]
     assert main(argv) == 1
-    assert "at least 2" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --trials: {why}\n")
     assert not (tmp_path / output).exists()
     assert not (tmp_path / "records.jsonl").exists()
 
