@@ -143,6 +143,45 @@ def test_explicit_shadowing_numbers_checked(key, value):
                             "plain number, not a bool or a string)")
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["satellite"].update(fc={"value": 2.0, "unit": "MHz"}),
+     "unit 'MHz'"),
+    (lambda d: d.update(P_tot={"value": 1.0, "unit": "dB"}), "unit 'dB'"),
+    (lambda d: d["uav"].update(phi_min={"value": 50.0, "unit": "m"}),
+     "unit 'm'"),
+    (lambda d: d.update(P_tot={"value": "one", "unit": "W"}),
+     "must be a number"),
+    (lambda d: d.update(P_tot={"value": True, "unit": "W"}),
+     "must be a number"),
+    (lambda d: d.update(varpi="small"), "plain number"),
+    (lambda d: d.update(rng_seed=-1), "nonnegative integer"),
+    (lambda d: d.update(rng_seed=True), "nonnegative integer"),
+    (lambda d: d.update(i_max=2.5), "must be an integer"),
+    (lambda d: d.update(bob={"value": [1.0, 2.0, 3.0], "unit": "m"}),
+     "2-element"),
+    # one reader for every number: no bool, string or int past the float
+    # range gets through, and the error names the field
+    (lambda d: d.update(R_tg=10**400), "R_tg: must be a number"),
+    (lambda d: d["P_tot"].update(value=10**400), "P_tot: must be a number"),
+    (lambda d: d["bob"].update(value=[10**400, 0]), "bob: must be a number"),
+    (lambda d: d["bob"].update(value=[True, 0]), "bob: must be a number"),
+    (lambda d: d["bob"].update(value=["1", 0]), "bob: must be a number"),
+    (lambda d: d.update(ue_placement={"explicit": {
+        "value": [["5", 0]], "unit": "m"}}), "ue_placement.explicit: must be"),
+    (lambda d: d["satellite"].update(G={"value": 4000.0, "unit": "dB"}),
+     "satellite.G: value overflows"),
+    (lambda d: d["H_max"].update(value=1e306, unit="km"),
+     "H_max: value overflows"),
+    (lambda d: d["ue_placement"]["uniform_square"].update(
+        side={"value": 1e306, "unit": "km"}), "side: value overflows"),
+])
+def test_bad_values_rejected(mutate, message):
+    d = default_scenario_dict(0.1, 0)
+    mutate(d)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(d)
+
+
 # ---------------------------------------------------------------------------
 # UE resolution and seeds
 
@@ -189,6 +228,17 @@ def test_negative_seed_override_rejected():
         with pytest.raises(ScenarioError, match="rng_seed: must be a nonnegative"):
             load_scenario(d, seed=-1)
         assert load_scenario(d, seed=0).seed == 0
+
+
+@pytest.mark.parametrize("side", [math.nan, math.inf, -1.0])
+def test_uniform_square_side_must_be_finite_and_nonnegative(tmp_path, side):
+    d = default_scenario_dict(0.1, 0)
+    d["ue_placement"]["uniform_square"]["side"]["value"] = side
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(d))  # written as NaN / Infinity
+    with pytest.raises(ScenarioError, match=r"uniform_square\.side: must be "
+                                            r"(a number \(a finite|>= 0)"):
+        load_scenario(p)
 
 
 def test_zero_ue_count_allowed():
