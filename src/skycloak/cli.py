@@ -21,7 +21,9 @@ the subcommand runs, and the run's one record is appended to
 ``records.jsonl`` (run id, scenario hash, command, seed, wall time,
 outputs). The one file writer makes ``--out``, so nothing is created until
 the subcommand writes its output file; a run that writes none records
-nothing.
+nothing. An output file that already exists is overwritten in place and
+holds exactly the new bytes, with no stale tail; ``records.jsonl`` is
+appended to.
 With a fixed scenario and seed all outputs are bit-identical across runs
 except the run id and wall time. CSV floats use 17 significant digits;
 JSON floats use Python repr (shortest exact round trip) with non-finite
@@ -38,6 +40,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 import uuid
@@ -74,11 +77,25 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _open_in_place(path, flags: int) -> int:
+    # without O_TRUNC: on a file system that discards freed blocks,
+    # truncating a non-empty file at open costs more than the write
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path: Path, text: str) -> None:
-    """Write an output file, making its directory first; a line ends in
-    a bare newline on every platform."""
+    """Write an output file as UTF-8, making its directory first; a line
+    ends in a bare newline on every platform.
+
+    An existing file is overwritten in place: the new bytes go over the
+    old ones from the start, and the file is then cut at their end, so no
+    stale tail is left. The file keeps its inode; a new one gets the mode
+    ``open`` gives.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, newline="")
+    with open(path, "wb", opener=_open_in_place) as f:
+        f.write(text.encode())
+        f.truncate()
 
 
 def _write_csv(path: Path, header, rows) -> None:

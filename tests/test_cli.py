@@ -157,31 +157,6 @@ def test_optimize_tiny_eps_plans_or_proves_infeasible(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
-# the elevation cones' slope cot(phi_min) enters the barrier solver to the
-# fourth power: below 2^-64 rad phi_min is a scenario error, the model's
-# floor, and at 2^-64 rad the cones bind nowhere and each planner plans
-# with no warning
-@pytest.mark.parametrize("varpi, rb", [(0.1, 0.31425269563615843),
-                                       (0.0, 7.8492332732661625)])
-def test_optimize_least_elevation_angle(tmp_path, capsys, varpi, rb):
-    d = default_scenario_dict(varpi, 12)
-    p = tmp_path / "scenario.json"
-    for phi_min in (1e-300, 5.4e-20):
-        d["uav"]["phi_min"] = {"value": phi_min, "unit": "rad"}
-        p.write_text(json.dumps(d))
-        rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "scenario error: phi_min must be at least 2^-64 rad")
-        assert not (tmp_path / "solution.json").exists()
-    d["uav"]["phi_min"] = {"value": 2.0 ** -64, "unit": "rad"}
-    p.write_text(json.dumps(d))
-    rc = main(["optimize", "--scenario", str(p), "--out", str(tmp_path)])
-    sol = json.loads((tmp_path / "solution.json").read_text())
-    assert (rc, sol["status"], sol["Rb"]) == (0, "converged", rb)
-    assert "error:" not in capsys.readouterr().err
-
-
 # a budget near the top of the doubles widens the UE-rate balls, and a
 # Pa_max near the least double the covertness ball, past any placement the
 # band and the cones reach: the capped radii plan as a large finite budget
@@ -632,6 +607,65 @@ def test_records_append_across_runs(tmp_path, default_path):
     assert len(records) == 2
     assert records[0]["run_id"] != records[1]["run_id"]
     assert all(r["command"] == "dep-sweep" for r in records)
+
+
+# an output file that already exists is overwritten in place: whether it
+# was longer than the new bytes (9 KiB, past one 4 KiB block) or shorter,
+# it holds exactly what a fresh --out gets, in the same inode, and
+# records.jsonl gains the run's one line
+@pytest.mark.parametrize("longer", [True, False], ids=["longer", "shorter"])
+@pytest.mark.parametrize("argv, output", [
+    pytest.param(["optimize"], "solution.json", id="optimize"),
+    pytest.param(["validate", "--solution", "{sol}", "--trials", "2000"],
+                 "report.json", id="validate"),
+    pytest.param(["dep-sweep", "--eps-grid", "0.1", "--trials", "200"],
+                 "dep_sweep.csv", id="dep-sweep"),
+    pytest.param(["sweep", "--param", "eps", "--grid", "0.01,0.02"],
+                 "sweep.csv", id="sweep"),
+])
+def test_an_existing_output_file_is_overwritten_in_place(
+        opt_dir, tmp_path, default_path, argv, output, longer):
+    argv = [*(a.format(sol=opt_dir / "solution.json") for a in argv),
+            "--scenario", default_path]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    want = (fresh / output).read_bytes()
+    junk = b"\x00junk\n" * 1536 if longer else b"{}\n"
+    assert (len(junk) > len(want)) is longer
+    reused.mkdir()
+    (reused / output).write_bytes(junk)
+    before = (fresh / "records.jsonl").read_text()
+    (reused / "records.jsonl").write_text(before)
+    inode = (reused / output).stat().st_ino
+    assert main([*argv, "--out", str(reused)]) == 0
+    assert (reused / output).read_bytes() == want
+    assert (reused / output).stat().st_ino == inode
+    after = (reused / "records.jsonl").read_text()
+    assert after.startswith(before)
+    assert len(after.splitlines()) == len(before.splitlines()) + 1
+
+
+# an output that cannot be written is an io error, exit 1, and the entry
+# in its way is left as it was: an --out that is a regular file, or a
+# solution.json that is a directory
+@pytest.mark.parametrize("blocker", ["out", "solution.json"])
+def test_an_unwritable_output_is_an_io_error(tmp_path, default_path, capsys,
+                                             blocker):
+    out = tmp_path / "out"
+    if blocker == "out":
+        out.write_text("a file\n")
+    else:
+        (out / "solution.json").mkdir(parents=True)
+        (out / "solution.json" / "kept").write_text("a file\n")
+    rc = main(["optimize", "--scenario", default_path, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("io error: ")
+    if blocker == "out":
+        assert out.read_text() == "a file\n"
+    else:
+        assert [p.name for p in out.iterdir()] == ["solution.json"]
+        assert [p.name for p in (out / "solution.json").iterdir()] == ["kept"]
+        assert (out / "solution.json" / "kept").read_text() == "a file\n"
 
 
 def test_usage_errors_exit_1(tmp_path, default_path, capsys):
