@@ -28,10 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "LIGHT_SHADOWING",
-    "AVERAGE_SHADOWING",
-    "HEAVY_SHADOWING",
     "SHADOWING_ROWS",
     "SRParams",
     "GammaApprox",
@@ -40,13 +36,12 @@ __all__ = [
     "UavLinkBudget",
     "gamma_from_sr",
     "sample_sr_power",
-    "satellite_large_scale",
     "uav_gain",
     "covert_rate",
     "ue_rate",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
+_SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 @dataclass(frozen=True)
 class SRParams:
@@ -75,14 +70,10 @@ class SRParams:
 
 
 # Canonical land-mobile-satellite shadowing levels.
-LIGHT_SHADOWING = SRParams(b=0.158, m=19.4, omega=1.29)
-AVERAGE_SHADOWING = SRParams(b=0.126, m=10.1, omega=0.835)
-HEAVY_SHADOWING = SRParams(b=0.063, m=1.0, omega=8.97e-4)
-
 SHADOWING_ROWS = {
-    "light": LIGHT_SHADOWING,
-    "average": AVERAGE_SHADOWING,
-    "heavy": HEAVY_SHADOWING,
+    "light": SRParams(b=0.158, m=19.4, omega=1.29),
+    "average": SRParams(b=0.126, m=10.1, omega=0.835),
+    "heavy": SRParams(b=0.063, m=1.0, omega=8.97e-4),
 }
 
 
@@ -169,7 +160,9 @@ def sample_sr_power(p: SRParams, rng: np.random.Generator, size):
 
 @dataclass(frozen=True)
 class SatelliteLink:
-    """Satellite transmitter link budget; ell is the large-scale power gain."""
+    """Satellite transmitter link budget; ell is the free-space large-scale
+    power gain (c / (4 pi fc d))^2 * G, and a gain that leaves the positive
+    doubles raises ValueError."""
 
     fc: float  # carrier frequency, Hz
     d: float   # slant distance, m
@@ -177,23 +170,18 @@ class SatelliteLink:
     ell: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ell", satellite_large_scale(self.fc, self.d, self.G))
-
-
-def satellite_large_scale(fc: float, d: float, G: float) -> float:
-    """Free-space large-scale gain (c / (4 pi fc d))^2 * G; a gain that
-    leaves the positive doubles raises ValueError."""
-    if not all(0.0 < v < math.inf for v in (fc, d, G)):
-        raise ValueError("fc, d, G must all be positive and finite")
-    try:
-        lam_over = SPEED_OF_LIGHT / (4.0 * math.pi * fc * d)
-    except ZeroDivisionError:  # 4 pi fc d underflows to 0
-        lam_over = math.inf
-    ell = lam_over * lam_over * G
-    if not 0.0 < ell < math.inf:
-        raise ValueError(f"fc, d, G give a large-scale gain (c / (4 pi fc d))^2 * G "
-                         f"outside the positive doubles, got {ell}")
-    return ell
+        fc, d, G = self.fc, self.d, self.G
+        if not all(0.0 < v < math.inf for v in (fc, d, G)):
+            raise ValueError("fc, d, G must all be positive and finite")
+        try:
+            lam_over = _SPEED_OF_LIGHT / (4.0 * math.pi * fc * d)
+        except ZeroDivisionError:  # 4 pi fc d underflows to 0
+            lam_over = math.inf
+        ell = lam_over * lam_over * G
+        if not 0.0 < ell < math.inf:
+            raise ValueError("fc, d, G give a large-scale gain (c / (4 pi fc d))^2 "
+                             f"* G outside the positive doubles, got {ell}")
+        object.__setattr__(self, "ell", ell)
 
 
 @dataclass(frozen=True)

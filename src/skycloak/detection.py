@@ -40,7 +40,6 @@ __all__ = [
     "min_dep",
     "avg_min_dep_quadrature",
     "avg_min_dep_lower_bound",
-    "phi",
     "phi_inverse",
 ]
 
@@ -197,10 +196,10 @@ def avg_min_dep_lower_bound(pa: float, ell_aw: float, pj_hat: float, g_uw: float
     doubles), -inf where r is 0 (no jamming, or r below the doubles).
     """
     r = _ratio(pa, ell_aw, pj_hat, g_uw)
-    return CovertBound(value_lb=1.0 - phi(gamma.theta / r if r else math.inf, gamma))
+    return CovertBound(value_lb=1.0 - _phi(gamma.theta / r if r else math.inf, gamma))
 
 
-def phi(x: float, gamma: GammaApprox) -> float:
+def _phi(x: float, gamma: GammaApprox) -> float:
     """Bound-gap function phi(x) = alpha * (exp(-mu/x) + x) for a float
     x in [0, inf], with phi(0) = 0 its limit (else ValueError).
 
@@ -219,7 +218,7 @@ def phi(x: float, gamma: GammaApprox) -> float:
 
 
 def phi_inverse(eps: float, gamma: GammaApprox) -> float:
-    """Inverse of ``phi`` on its increasing branch, to the last double.
+    """Inverse of ``_phi`` on its increasing branch, to the last double.
 
     Returns the largest double x with ``phi(x) <= eps``, so the cap it
     sets is never on the wrong side of the bound. Requires
@@ -230,7 +229,7 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
     Since phi(x) > alpha*x the root lies below eps/alpha; Newton steps
     from there land within a few doubles of it, and steps of one double,
     down while phi(x) > eps and then up while the next double's phi is
-    still at most eps, settle it, every verdict coming from ``phi``
+    still at most eps, settle it, every verdict coming from ``_phi``
     itself. The steps end because phi does not fall on doubles, phi(0) = 0
     <= eps and phi(eps/alpha) > eps.
     """
@@ -252,8 +251,8 @@ def phi_inverse(eps: float, gamma: GammaApprox) -> float:
         if xn == x:
             break
         x = xn
-    while phi(x, gamma) > eps:
+    while _phi(x, gamma) > eps:
         x = math.nextafter(x, 0.0)
-    while phi(up := math.nextafter(x, math.inf), gamma) <= eps:
+    while _phi(up := math.nextafter(x, math.inf), gamma) <= eps:
         x = up
     return x

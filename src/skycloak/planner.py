@@ -71,7 +71,6 @@ __all__ = [
     "PowerAllocation",
     "Solution",
     "ValidationReport",
-    "bob_rate",
     "constraint_residuals",
     "power_subproblem",
     "bcd_optimize",
@@ -237,7 +236,7 @@ def _lift(point2d) -> np.ndarray:
     return np.array([p[0], p[1], 0.0])
 
 
-def bob_rate(s: Scenario, pl: UavPlacement, powers: PowerAllocation) -> float:
+def _bob_rate(s: Scenario, pl: UavPlacement, powers: PowerAllocation) -> float:
     """Bob's rate at mean satellite fading under peak residual jamming."""
     g_ub = uav_gain(pl, s.bob, s.budget.beta0_chi)
     g_ab = s.sat.ell * s.sr.mean_power
@@ -467,20 +466,19 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation,
     Stops when the gain drops below ``_SCA_TOL`` (m^2) or after ``_SCA_MAX``
     rounds.
 
-    The incumbent typically sits exactly on the covertness and UE-rate ball
-    boundaries right after a power step, so the start point is nudged to a
-    max-slack interior point first; if the feasible set has no interior the
-    placement cannot move and q0 is returned unchanged.
+    The incumbent sits on the covertness and UE-rate ball boundaries right
+    after a power step, so the rounds start from the max-slack interior
+    point of the feasible set, anchored at the incumbent; if the set has
+    no interior the placement cannot move and q0 is returned unchanged.
 
-    The first round starts the barrier solver cold from this start point
-    (the incumbent, or the max-slack point it was nudged to). Every later
-    round starts from the previous round's central point at the second
-    barrier weight, at that weight: the rounds share one constraint
-    stack and only the linearization point moves, so that point lies
-    near the new round's central path. The previous round's optimum
-    would not do: it sits about 1e-9 from the boundary, where the first
-    centring would spend its Newton steps dragging it back inside. A
-    round that leaves no such point (that centring did not end centred,
+    The first round starts the barrier solver cold from that max-slack
+    point. Every later round starts from the previous round's central
+    point at the second barrier weight, at that weight: the rounds share
+    one constraint stack and only the linearization point moves, so that
+    point lies near the new round's central path. The previous round's
+    optimum would not do: it sits about 1e-9 from the boundary, where the
+    first centring would spend its Newton steps dragging it back inside.
+    A round that leaves no such point (that centring did not end centred,
     or the point is not strictly interior) lets the next round start
     cold.
     """
@@ -497,11 +495,9 @@ def placement_subproblem(s: Scenario, powers: PowerAllocation,
         return float(np.sum((x - b_bar) ** 2))
 
     start_val = true_obj(x0)
-    if worst <= 1e-7:
-        x_int, slack = max_slack_point(cons, x0)
-        if slack <= 1e-9:
-            return q0  # boundary point with no interior: nothing can move
-        x0 = x_int
+    x0, slack = max_slack_point(cons, x0)
+    if slack <= 1e-9:
+        return q0  # no interior: nothing can move
     x, warm = x0, None
     val = true_obj(x)
     for _ in range(_SCA_MAX):
@@ -603,7 +599,7 @@ def bcd_optimize(s: Scenario) -> Solution:
     that jamming is not stopped at the satellite cap: UE powers at their
     rate floors, the whole residual as jamming, and Pa at its covertness
     cap or Pa_max. Each outer iteration runs the placement step (kept only
-    when it does not reduce Bob's rate at the current powers, which makes
+    when it strictly raises Bob's rate at the current powers, which makes
     the rate trace nondecreasing by construction) and then the exact
     power step. Stops when the rate changes by less than ``s.delta`` or
     after ``s.i_max`` iterations.
@@ -612,15 +608,21 @@ def bcd_optimize(s: Scenario) -> Solution:
     try:
         pl = _initial_placement(s)
         powers = _split_power(s, pl, cap_jamming=False)
-        rb = bob_rate(s, pl, powers)
+        rb = _bob_rate(s, pl, powers)
         trace.append(rb)
         status = "iteration-capped"
         for _ in range(s.i_max):
             pl_new = placement_subproblem(s, powers, pl)
-            if bob_rate(s, pl_new, powers) > rb:
+            # a tie keeps the old placement: at P_tot >= 1e50 W the
+            # uncapped start split makes Bob's rate 0.0 at every
+            # placement, and the stock scene then plans 0.18274 with
+            # ties dropped but 0.17730 with them kept. The one cost seen
+            # is base 254 of the 400-scene corpus, 4.976725631752839
+            # against 4.976727167797847 with ties kept
+            if _bob_rate(s, pl_new, powers) > rb:
                 pl = pl_new
             powers = power_subproblem(s, pl)
-            rb, rb_old = bob_rate(s, pl, powers), rb
+            rb, rb_old = _bob_rate(s, pl, powers), rb
             trace.append(rb)
             if abs(rb - rb_old) < s.delta:
                 status = "converged"
@@ -674,28 +676,27 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
         y0 = x0 - o
         if not cons.rows(y0)[3]:
             raise PlannerInfeasible(*_no_room(s))
+        # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and
+        # lam) is unchanged but the Dinkelbach residual f - lam*g then
+        # lives in watts, matching delta. Each is expanded as const + c.y +
+        # a ||y||^2, by sum_k ||y - u_k||^2 = K ||y||^2 - 2 y.sum_k u_k +
+        # sum_k ||u_k||^2
+        kappa, xi = s.kappa, s.xi_coeff
+        centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3) - o
+        w_bar = _lift(s.willie) - o
+        d0 = float(np.sum((y0 - w_bar) ** 2))
+        k = kappa * xi / d0
+        f_obj = QuadraticObjective(
+            2.0 * k * centers.sum(axis=0),
+            const=kappa * s.P_tot / d0 - k * float(np.sum(centers ** 2)), a=-k * s.K)
+        g_obj = QuadraticObjective(-2.0 / d0 * w_bar,
+                                   const=float(w_bar @ w_bar) / d0, a=1.0 / d0)
+        res = dinkelbach(f_obj, g_obj, cons, y0,
+                         delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
+        if res.lam <= 0.0:
+            raise PlannerInfeasible(*_FLOORS_IN_CONES)
     except PlannerInfeasible as e:
         return Solution(None, None, math.nan, [], "infeasible", str(e))
-
-    # divide f and g by D0 = ||x0 - w||^2 so g(x0) = 1; the ratio (and lam)
-    # is unchanged but the Dinkelbach residual f - lam*g then lives in
-    # watts, matching delta. Each is expanded as const + c.y + a ||y||^2,
-    # by sum_k ||y - u_k||^2 = K ||y||^2 - 2 y.sum_k u_k + sum_k ||u_k||^2
-    kappa, xi = s.kappa, s.xi_coeff
-    centers = np.array([_lift(u) for u in s.ues]).reshape(-1, 3) - o
-    w_bar = _lift(s.willie) - o
-    d0 = float(np.sum((y0 - w_bar) ** 2))
-    k = kappa * xi / d0
-    f_obj = QuadraticObjective(
-        2.0 * k * centers.sum(axis=0),
-        const=kappa * s.P_tot / d0 - k * float(np.sum(centers ** 2)), a=-k * s.K)
-    g_obj = QuadraticObjective(-2.0 / d0 * w_bar,
-                               const=float(w_bar @ w_bar) / d0, a=1.0 / d0)
-    res = dinkelbach(f_obj, g_obj, cons, y0,
-                     delta=s.delta, i_max=s.i_max, lam_max=s.Pa_max)
-    if res.lam <= 0.0:
-        return Solution(None, None, math.nan, [], "infeasible",
-                        str(PlannerInfeasible(*_FLOORS_IN_CONES)))
 
     pl = UavPlacement(q=res.x[:2] + o[:2], H=float(res.x[2]))
     powers = power_subproblem(s, pl)
@@ -703,7 +704,7 @@ def perfect_cancellation_optimize(s: Scenario) -> Solution:
     trace = [covert_rate(min(l, s.Pa_max), g_ab, 0.0, powers.Pj_hat, 1.0,
                          s.sigma_b2)
              for l in res.lam_trace]
-    rb = bob_rate(s, pl, powers)
+    rb = _bob_rate(s, pl, powers)
     return Solution(pl, powers, rb, trace,
                     "converged" if res.converged else "iteration-capped")
 

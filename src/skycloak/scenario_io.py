@@ -24,8 +24,7 @@ import numpy as np
 from .channel import SHADOWING_ROWS, SatelliteLink, SRParams, UavLinkBudget
 from .planner import Scenario
 
-__all__ = ["ScenarioError", "LoadedScenario", "load_scenario", "scenario_hash",
-           "dbm_to_watts", "db_to_linear"]
+__all__ = ["ScenarioError", "LoadedScenario", "load_scenario"]
 
 
 class ScenarioError(ValueError):
@@ -33,18 +32,18 @@ class ScenarioError(ValueError):
     value out of the model's range."""
 
 
-def dbm_to_watts(x: float) -> float:
+def _dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
 
 
-def db_to_linear(x: float) -> float:
+def _db_to_linear(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
 _FREQ = {"Hz": lambda v: v, "GHz": lambda v: v * 1e9}
 _DIST = {"m": lambda v: v, "km": lambda v: v * 1e3}
-_POWER = {"W": lambda v: v, "dBm": dbm_to_watts}
-_GAIN = {"linear": lambda v: v, "dB": db_to_linear, "dBi": db_to_linear}
+_POWER = {"W": lambda v: v, "dBm": _dbm_to_watts}
+_GAIN = {"linear": lambda v: v, "dB": _db_to_linear, "dBi": _db_to_linear}
 _ANGLE = {"rad": lambda v: v, "deg": math.radians}
 
 
@@ -241,19 +240,16 @@ class LoadedScenario(NamedTuple):
     hash: str             # canonical-JSON SHA-256 of the file contents
 
 
-def scenario_hash(raw: dict) -> str:
-    """SHA-256 of the sorted-key JSON, so stable under field reordering."""
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     """Parse a scenario file (path, JSON string content not accepted) or dict.
 
     ``seed`` overrides the file's ``rng_seed`` for UE sampling and any
     downstream Monte Carlo, and like it must be a nonnegative integer, not
     a bool. Raises ScenarioError on any unknown field, missing field,
-    unmappable unit, bad seed or value out of the model's range."""
+    unmappable unit, bad seed or value out of the model's range.
+
+    The returned ``hash`` is the SHA-256 of the contents as sorted-key JSON,
+    so it is stable under field reordering."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -267,5 +263,6 @@ def load_scenario(source, seed: int | None = None) -> LoadedScenario:
     file_seed = kw.pop(_SEED.arg)
     seed = file_seed if seed is None else _SEED.read(seed, _SEED.key)
     kw["ues"] = kw["ues"](seed)
+    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return LoadedScenario(scenario=_model(Scenario, **kw), seed=seed,
-                          hash=scenario_hash(raw))
+                          hash=hashlib.sha256(canon.encode("utf-8")).hexdigest())

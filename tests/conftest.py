@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skycloak import planner, solvers
 from skycloak.planner import bcd_optimize, perfect_cancellation_optimize
 from skycloak.scenario_io import load_scenario
+from skycloak.solvers import _barrier_maximize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,6 +122,37 @@ def default_scenario_dict(varpi=0.1, seed=12) -> dict:
     d["varpi"] = varpi
     d["rng_seed"] = seed
     return d
+
+
+# BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
+# varpi = 0 scenarios that run 2 or 3 Dinkelbach rounds
+WARM_CASES = [pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}")
+              for base in (2, 9, 15)] + [
+              pytest.param((0.0,), base, id=f"cancel-{base}")
+              for base in (3, 35, 80)]
+
+
+def plan_with_barrier(monkeypatch, plan, s, barrier=_barrier_maximize):
+    """(plan(s), the ``info`` of each barrier solve it makes), with every
+    solve made by ``barrier`` in place of ``_barrier_maximize`` in both
+    ``solvers`` and ``planner``."""
+    infos = []
+
+    def recorded(*args, **kwargs):
+        x, info = barrier(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_barrier_maximize", recorded)
+        m.setattr(planner, "_barrier_maximize", recorded)
+        return plan(s), infos
+
+
+def cold_barrier(*args, _warm=None, **kwargs):
+    """``_barrier_maximize`` with the warm point withheld: with it, a plan
+    runs the planners' own loops with every round started cold."""
+    return _barrier_maximize(*args, **kwargs)
 
 
 def ks_statistic(samples, cdf) -> float:

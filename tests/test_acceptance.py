@@ -17,11 +17,12 @@ import pytest
 
 from conftest import (default_scenario_dict, ks_statistic, radiometer_errors,
                       sr_cdf)
+from skycloak import planner
 from skycloak.channel import (SHADOWING_ROWS, UavPlacement, gamma_from_sr,
                               sample_sr_power, uav_gain)
 from skycloak.detection import (avg_min_dep_lower_bound,
                                 avg_min_dep_quadrature, min_dep, phi_inverse)
-from skycloak.planner import (bob_rate, constraint_residuals,
+from skycloak.planner import (constraint_residuals,
                               perfect_cancellation_optimize,
                               power_subproblem, validate_solution)
 from skycloak.scenario_io import load_scenario
@@ -114,7 +115,7 @@ def test_acceptance_5_power_lp_against_grid():
         if not s.H_min <= H <= s.H_max:
             continue
         pl = UavPlacement(q=q, H=H)
-        lp_sinr = 2.0 ** bob_rate(s, pl, power_subproblem(s, pl)) - 1.0
+        lp_sinr = 2.0 ** planner._bob_rate(s, pl, power_subproblem(s, pl)) - 1.0
 
         d2 = np.sum((s.ues - q[None, :]) ** 2, axis=1) + H * H
         prem = s.P_tot - float(np.sum(s.xi_coeff * d2))

@@ -13,11 +13,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import ks_statistic, simpson, sr_cdf, sr_pdf
-from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
-                              LIGHT_SHADOWING, SHADOWING_ROWS, SPEED_OF_LIGHT,
-                              SRParams, UavPlacement, covert_rate,
-                              gamma_from_sr, sample_sr_power,
-                              satellite_large_scale, uav_gain, ue_rate)
+from skycloak.channel import (SHADOWING_ROWS, SatelliteLink, SRParams,
+                              UavPlacement, covert_rate, gamma_from_sr,
+                              sample_sr_power, uav_gain, ue_rate)
 from skycloak.detection import avg_min_dep_quadrature
 
 # (alpha, theta, mu) of the Gamma surrogate per shadowing row
@@ -88,7 +86,7 @@ def test_cdf_reference_values():
 
 
 def test_cdf_basic_shape():
-    p = LIGHT_SHADOWING
+    p = SHADOWING_ROWS["light"]
     assert sr_cdf(0.0, p) == 0.0
     x = np.linspace(0.0, 20.0, 400)
     c = sr_cdf(x, p)
@@ -97,7 +95,7 @@ def test_cdf_basic_shape():
 
 
 def test_pdf_reference_and_consistency():
-    p = LIGHT_SHADOWING
+    p = SHADOWING_ROWS["light"]
     for x, want in PDF_LIGHT_REF.items():
         assert sr_pdf(x, p) == pytest.approx(want, rel=1e-12)
     # pdf is the derivative of the cdf
@@ -108,7 +106,7 @@ def test_pdf_reference_and_consistency():
 
 
 def test_pdf_normalization_and_mean():
-    for params in (LIGHT_SHADOWING, AVERAGE_SHADOWING):
+    for params in (SHADOWING_ROWS["light"], SHADOWING_ROWS["average"]):
         total = simpson(lambda x: sr_pdf(x, params), 0.0, 60.0, n=8192)
         mean = simpson(lambda x: x * sr_pdf(x, params), 0.0, 60.0, n=8192)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -116,7 +114,7 @@ def test_pdf_normalization_and_mean():
 
 
 def test_sampler_moments():
-    p = LIGHT_SHADOWING
+    p = SHADOWING_ROWS["light"]
     rng = np.random.default_rng(2024)
     x = sample_sr_power(p, rng, 1_000_000)
     assert np.all(x >= 0.0)
@@ -153,7 +151,7 @@ def test_sampler_construction_and_stream_use(name):
 def test_heavy_row_is_exactly_exponential():
     # m = 1 makes zeta exponential, so the line-of-sight term is a complex
     # Gaussian too and the power is exponential with the total mean power
-    p = HEAVY_SHADOWING
+    p = SHADOWING_ROWS["heavy"]
     scale = p.mean_power
     x = np.linspace(0.01, 1.0, 50)
     assert_allclose(sr_cdf(x, p), 1.0 - np.exp(-x / scale),
@@ -185,21 +183,21 @@ def test_m1_branch_edge_meets_the_general_law():
                                     (1e-200, 1e-100, 1e10)])  # overflows
 def test_satellite_large_scale_outside_the_doubles_raises(fc, d, G):
     with pytest.raises(ValueError, match="outside the positive doubles"):
-        satellite_large_scale(fc, d, G)
+        SatelliteLink(fc, d, G)
 
 
 def test_satellite_large_scale_value_and_scaling():
-    ell = satellite_large_scale(2.0e9, 500.0e3, 1000.0)
-    want = 1000.0 * (SPEED_OF_LIGHT / (4.0 * math.pi * 2.0e9 * 500.0e3)) ** 2
-    assert ell == pytest.approx(want, rel=1e-15)
-    assert ell == pytest.approx(5.6914336571490745e-13, rel=1e-12)
+    def ell(fc, d, G):
+        return SatelliteLink(fc, d, G).ell
+
+    base = ell(2.0e9, 500.0e3, 1000.0)
+    want = 1000.0 * (299_792_458.0 / (4.0 * math.pi * 2.0e9 * 500.0e3)) ** 2
+    assert base == pytest.approx(want, rel=1e-15)
+    assert base == pytest.approx(5.6914336571490745e-13, rel=1e-12)
     # inverse-square in distance and frequency, linear in gain
-    assert satellite_large_scale(2.0e9, 1000.0e3, 1000.0) == pytest.approx(
-        ell / 4.0, rel=1e-12)
-    assert satellite_large_scale(4.0e9, 500.0e3, 1000.0) == pytest.approx(
-        ell / 4.0, rel=1e-12)
-    assert satellite_large_scale(2.0e9, 500.0e3, 2000.0) == pytest.approx(
-        2.0 * ell, rel=1e-12)
+    assert ell(2.0e9, 1000.0e3, 1000.0) == pytest.approx(base / 4.0, rel=1e-12)
+    assert ell(4.0e9, 500.0e3, 1000.0) == pytest.approx(base / 4.0, rel=1e-12)
+    assert ell(2.0e9, 500.0e3, 2000.0) == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_uav_gain_inverse_square():

@@ -1,6 +1,8 @@
 """Command-line interface: files, formats, exit codes, determinism."""
 
+import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -738,6 +740,35 @@ def test_readme_library_use(monkeypatch, capsys):
     plan, check = capsys.readouterr().out.splitlines()
     assert plan.startswith("converged 0.17726849774036732 ")
     assert check.endswith(" True")
+
+
+def test_every_public_name_has_a_caller():
+    # each name in a module's __all__ is referred to by another skycloak
+    # module, by perfbench (also as a traced name's string) or by a README
+    # code span, unless it is an error or result that a public function
+    # raises or returns
+    def refs(path, strings=False):
+        kinds = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+        if strings:
+            kinds[ast.Constant] = "value"
+        return {getattr(n, kinds[type(n)])
+                for n in ast.walk(ast.parse(path.read_text())) if type(n) in kinds}
+
+    readme = (REPO_ROOT / "README.md").read_text()
+    known = {"SolverError", "DinkelbachResult", "SeriesConvergenceError",
+             "PlannerInfeasible"}
+    known |= {w for _, span in re.findall(r"(`+)(.+?)\1", readme, re.S)
+              for w in re.findall(r"\w+", span)}
+    for path in (REPO_ROOT / "perfbench").glob("*.py"):
+        known |= refs(path, strings=True)
+    package = sorted((REPO_ROOT / "src" / "skycloak").glob("*.py"))
+    uncalled = []
+    for path in package:
+        public = getattr(importlib.import_module(f"skycloak.{path.stem}"),
+                         "__all__", ())
+        called = known.union(*(refs(p) for p in package if p != path))
+        uncalled += [f"{path.stem}.{name}" for name in public if name not in called]
+    assert uncalled == []
 
 
 def test_import_leaves_scipy_unloaded():

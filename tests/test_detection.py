@@ -9,13 +9,10 @@ from numpy.testing import assert_allclose
 
 from conftest import radiometer_errors, simpson, sr_pdf
 from skycloak import detection
-from skycloak.channel import (AVERAGE_SHADOWING, HEAVY_SHADOWING,
-                              LIGHT_SHADOWING, SHADOWING_ROWS, SRParams,
-                              gamma_from_sr)
-from skycloak.detection import (SeriesConvergenceError,
+from skycloak.channel import SHADOWING_ROWS, SRParams, gamma_from_sr
+from skycloak.detection import (SeriesConvergenceError, _phi as phi,
                                 avg_min_dep_lower_bound,
-                                avg_min_dep_quadrature, min_dep, phi,
-                                phi_inverse)
+                                avg_min_dep_quadrature, min_dep, phi_inverse)
 
 # phi_inverse reference roots of alpha*(exp(-mu/x) + x) = eps, computed
 # at 40-digit precision from the frozen surrogate parameters
@@ -114,7 +111,7 @@ def test_min_dep_is_global_over_threshold_grid():
 
 def test_quadrature_matches_independent_integrator():
     # E[max(0, 1 - X/r)] via fixed-grid Simpson on the exact density
-    for params in (LIGHT_SHADOWING, AVERAGE_SHADOWING):
+    for params in (SHADOWING_ROWS["light"], SHADOWING_ROWS["average"]):
         for r in (0.5, 2.0, 8.0):
             got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, params)
             want = simpson(lambda x: (1.0 - x / r) * sr_pdf(x, params),
@@ -123,7 +120,7 @@ def test_quadrature_matches_independent_integrator():
 
 
 def test_quadrature_scale_invariance_and_edges():
-    params = LIGHT_SHADOWING
+    params = SHADOWING_ROWS["light"]
     base = avg_min_dep_quadrature(1.0, 1.0, 3.0, 1.0, params)
     # only the ratio pj_hat*g_uw/(pa*ell_aw) matters
     assert avg_min_dep_quadrature(2.0, 0.5, 3.0, 1.0, params) == pytest.approx(
@@ -140,9 +137,9 @@ def test_quadrature_scale_invariance_and_edges():
 def test_quadrature_heavy_row_exact_exponential():
     # m = 1 makes the fading exponential with mean mu = 2b + omega, where
     # E[(1 - X/r)^+] = 1 - (mu/r) * (1 - exp(-r/mu)) in closed form
-    mu = HEAVY_SHADOWING.mean_power
+    mu = SHADOWING_ROWS["heavy"].mean_power
     for r in np.logspace(-2.0, math.log10(300.0), 60):
-        got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, HEAVY_SHADOWING)
+        got = avg_min_dep_quadrature(1.0, 1.0, r, 1.0, SHADOWING_ROWS["heavy"])
         want = 1.0 + (mu / r) * math.expm1(-r / mu)
         assert abs(got - want) <= 1e-14, r
 
@@ -188,8 +185,8 @@ def quadrature_at_m1(pa, ell_aw, pj_hat, g_uw, p):
 
 @pytest.mark.parametrize("params", list(SHADOWING_ROWS.values()) + [
     SRParams(b=0.25, m=2.5, omega=1.0), SRParams(b=0.05, m=5.0, omega=3.0),
-    SRParams(b=HEAVY_SHADOWING.b, m=float(np.nextafter(1.0, 2.0)),
-             omega=HEAVY_SHADOWING.omega)],
+    SRParams(b=SHADOWING_ROWS["heavy"].b, m=float(np.nextafter(1.0, 2.0)),
+             omega=SHADOWING_ROWS["heavy"].omega)],
     ids=list(SHADOWING_ROWS) + ["b0.25-m2.5", "b0.05-m5", "heavy-m1+ulp"])
 def test_quadrature_float_series_has_numpy_scalar_bits(params):
     # the m = 1 row sums no series: its bits are the closed form's
@@ -357,8 +354,8 @@ def test_quadrature_accuracy_at_the_operating_ratios(name):
 
 
 @pytest.mark.parametrize("params, ratio, tol", [
-    (LIGHT_SHADOWING, 1.87e-4, 1e-11),
-    (LIGHT_SHADOWING, 1e-5, 1e-9),
+    (SHADOWING_ROWS["light"], 1.87e-4, 1e-11),
+    (SHADOWING_ROWS["light"], 1e-5, 1e-9),
     (SRParams(b=0.05, m=5.0, omega=3.0), 4.6e-5, 1e-10),
 ], ids=["light-1.87e-4", "light-1e-5", "m5-4.6e-5"])
 def test_quadrature_accuracy_at_small_ratios(params, ratio, tol):
@@ -489,14 +486,14 @@ def test_phi_inverse_matches_bisection_in_few_phi_calls(monkeypatch):
             want = bisect_phi_inverse(eps, g)
             calls.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(detection, "phi", counted)
+                mp.setattr(detection, "_phi", counted)
                 got = phi_inverse(eps, g)
             assert got == want, (params, eps)
             assert 0 < len(calls) <= 12, (params, eps, len(calls))
 
 
 def test_phi_inverse_rejects_out_of_range():
-    g = gamma_from_sr(LIGHT_SHADOWING)
+    g = gamma_from_sr(SHADOWING_ROWS["light"])
     with pytest.raises(ValueError):
         phi_inverse(0.0, g)
     with pytest.raises(ValueError):
@@ -517,8 +514,8 @@ def test_phi_inverse_near_the_least_double(name):
 
 
 FINITE_CHECKED = [
-    (avg_min_dep_quadrature, LIGHT_SHADOWING),
-    (avg_min_dep_lower_bound, gamma_from_sr(LIGHT_SHADOWING)),
+    (avg_min_dep_quadrature, SHADOWING_ROWS["light"]),
+    (avg_min_dep_lower_bound, gamma_from_sr(SHADOWING_ROWS["light"])),
 ]
 
 
@@ -541,7 +538,7 @@ def test_covert_constraint_boundary():
     # at the ratio phi_inverse sets, the bound is 1 - eps to solver
     # precision (which side it falls on is a coin flip at this knife
     # edge); 2% more jamming clears it, 2% less falls short
-    g = gamma_from_sr(LIGHT_SHADOWING)
+    g = gamma_from_sr(SHADOWING_ROWS["light"])
     eps = 0.01
     r = g.theta / phi_inverse(eps, g)
     b = avg_min_dep_lower_bound(1.0, 1.0, r, 1.0, g)
@@ -553,7 +550,7 @@ def test_covert_constraint_boundary():
 def test_quadrature_equals_mc_estimate():
     # cross-check the deterministic integral against a large MC draw
     from skycloak.channel import sample_sr_power
-    params = AVERAGE_SHADOWING
+    params = SHADOWING_ROWS["average"]
     r = 2.5
     rng = np.random.default_rng(123)
     x = sample_sr_power(params, rng, 400_000)

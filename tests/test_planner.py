@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import benchmark_corpus, default_scenario_dict
+from conftest import (WARM_CASES, benchmark_corpus, cold_barrier,
+                      default_scenario_dict, plan_with_barrier)
 from skycloak import planner, solvers
-from skycloak.channel import (HEAVY_SHADOWING, UavPlacement, gamma_from_sr,
+from skycloak.channel import (SHADOWING_ROWS, UavPlacement, gamma_from_sr,
                               sample_sr_power, uav_gain)
 from skycloak.detection import CovertBound, phi_inverse
 from skycloak.planner import (PowerAllocation, Solution, ValidationReport,
-                              bcd_optimize, bob_rate, constraint_residuals,
+                              bcd_optimize, constraint_residuals,
                               optimize, perfect_cancellation_optimize,
                               placement_subproblem, power_subproblem,
                               validate_solution)
@@ -153,7 +154,7 @@ def test_power_subproblem_satellite_cap_binds(default_scenario, bcd_solution):
     assert pw.Pj_hat == pytest.approx(s.Pa_max / ups, rel=1e-12)
     assert pw.total == pytest.approx(s.P_tot, rel=1e-12)
     assert max(constraint_residuals(s, pl, pw).values()) <= 1e-9
-    sinr = 2.0 ** bob_rate(s, pl, pw) - 1.0
+    sinr = 2.0 ** planner._bob_rate(s, pl, pw) - 1.0
     best = grid_sinr(s, pl)
     assert abs(sinr - best) / best <= 0.01
 
@@ -269,10 +270,10 @@ def test_bcd_is_a_fixed_point(default_scenario, bcd_solution):
     s, sol = default_scenario, bcd_solution
     # the exact power step reproduces the converged rate
     pw = power_subproblem(s, sol.placement)
-    assert bob_rate(s, sol.placement, pw) == pytest.approx(sol.Rb, abs=1e-9)
+    assert planner._bob_rate(s, sol.placement, pw) == pytest.approx(sol.Rb, abs=1e-9)
     # the placement step finds no further room worth more than the stop gap
     pl = placement_subproblem(s, sol.powers, sol.placement)
-    assert bob_rate(s, pl, sol.powers) <= sol.Rb + 1e-5
+    assert planner._bob_rate(s, pl, sol.powers) <= sol.Rb + 1e-5
 
 
 def test_bcd_infeasible_reports():
@@ -502,19 +503,9 @@ def test_perfect_cancellation_powers_are_the_power_step(perfect_scenario,
         assert sol.powers.Pa == pw.Pa
 
 
-def newton_steps_of(monkeypatch, plan, s):
-    """Total Newton steps of every barrier solve that ``plan(s)`` makes."""
-    steps = []
-
-    def counted(*args, **kwargs):
-        x, info = _barrier_maximize(*args, **kwargs)
-        steps.append(info["newton_steps"])
-        return x, info
-
-    monkeypatch.setattr(solvers, "_barrier_maximize", counted)
-    monkeypatch.setattr(planner, "_barrier_maximize", counted)
-    plan(s)
-    return sum(steps)
+def newton_steps(infos):
+    """Total Newton steps of the barrier solves with these ``info``s."""
+    return sum(info["newton_steps"] for info in infos)
 
 
 def steep_cone_scenario(varpi):
@@ -528,17 +519,17 @@ def steep_cone_scenario(varpi):
 def test_newton_step_budget_on_the_stock_scenarios(monkeypatch, default_scenario,
                                                    perfect_scenario):
     # counts stable across machines; a change must not raise them
-    assert newton_steps_of(monkeypatch, bcd_optimize, default_scenario) <= 244
-    assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           perfect_scenario) <= 40
+    def steps(plan, s):
+        return newton_steps(plan_with_barrier(monkeypatch, plan, s)[1])
+
+    assert steps(bcd_optimize, default_scenario) <= 244
+    assert steps(perfect_cancellation_optimize, perfect_scenario) <= 40
     # the closed-form start is already capped: Dinkelbach runs 0 rounds
-    assert newton_steps_of(monkeypatch, perfect_cancellation_optimize,
-                           near_singular_scenario()) == 0
+    assert steps(perfect_cancellation_optimize, near_singular_scenario()) == 0
     # the steep cones' "infeasible" verdict is decided in closed form
     for varpi in (0.1, 0.0):
-        s = steep_cone_scenario(varpi)
-        assert optimize(s).status == "infeasible"
-        assert newton_steps_of(monkeypatch, optimize, s) <= 11
+        sol, infos = plan_with_barrier(monkeypatch, optimize, steep_cone_scenario(varpi))
+        assert sol.status == "infeasible" and newton_steps(infos) <= 11
 
 
 # ---------------------------------------------------------------------------
@@ -626,20 +617,6 @@ def test_enclosing_circle_scales_by_powers_of_two_exactly():
     assert planner._enclosing_circle([[1e300, 0.0], [-1e300, 0.0]]) == (0.0, 0.0, 1e300)
 
 
-def barrier_solves_of(monkeypatch, plan, s):
-    """(plan(s), number of barrier solves it makes)."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _barrier_maximize(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(solvers, "_barrier_maximize", counted)
-        m.setattr(planner, "_barrier_maximize", counted)
-        return plan(s), len(calls)
-
-
 def plan_without_certificate(monkeypatch, s):
     """``optimize(s)`` with an infinite certificate margin, so that no
     cone verdict comes from the closed form."""
@@ -688,9 +665,9 @@ def test_certificate_agrees_with_the_barrier_at_the_cone_boundary(
             # cones that reach R * (1 + delta) at H_max
             s = dataclasses.replace(s0, H_max=reach * (1.0 + delta)
                                     * math.tan(s0.budget.phi_min))
-            sol, solves = barrier_solves_of(monkeypatch, optimize, s)
+            sol, solves = plan_with_barrier(monkeypatch, optimize, s)
             if delta <= -1e-6:
-                assert sol.status == "infeasible" and solves == 0, (base, delta)
+                assert sol.status == "infeasible" and not solves, (base, delta)
             if sol.placement is not None:
                 assert max(constraint_residuals(
                     s, sol.placement, sol.powers).values()) <= 1e-8, (base, delta)
@@ -746,8 +723,8 @@ def test_certificate_covers_the_budget_ball(monkeypatch, base):
     s = load_scenario(benchmark_corpus(base + 1, (0.0,))[base]).scenario
     reach = brute_enclosing_radius(s.ground_nodes) * math.tan(s.budget.phi_min)
     assert max(s.H_min, reach) < s.H_max
-    sol, solves = barrier_solves_of(monkeypatch, optimize, s)
-    assert solves == 0
+    sol, solves = plan_with_barrier(monkeypatch, optimize, s)
+    assert not solves
     assert plan_bits(sol) == plan_bits(plan_without_certificate(monkeypatch, s))
     assert sol.message == str(planner.PlannerInfeasible(*planner._FLOORS_IN_CONES))
 
@@ -813,9 +790,9 @@ def test_cancel_verdict_matches_the_max_slack_oracle():
     for base in (0, 2, 6, 8, 15, 20, 21, 22, 23)])
 def test_cone_verdicts_make_no_barrier_solve(monkeypatch, varpis, base):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    sol, solves = barrier_solves_of(monkeypatch, optimize, s)
+    sol, solves = plan_with_barrier(monkeypatch, optimize, s)
     assert sol.status == "infeasible"
-    assert solves == 0
+    assert not solves
 
 
 def stalled_centring_scenario():
@@ -859,99 +836,28 @@ def stalled_centring_scenario():
 def test_stalled_centring_ends_early(monkeypatch):
     # a centring that only creeps at floating-point resolution ends at
     # once instead of running to the Newton-step cap
-    s = stalled_centring_scenario()
-    sol = bcd_optimize(s)
+    sol, infos = plan_with_barrier(monkeypatch, bcd_optimize,
+                                   stalled_centring_scenario())
     assert sol.status == "converged"
     assert sol.Rb == pytest.approx(0.39023270176823177, rel=1e-9)
-    assert newton_steps_of(monkeypatch, bcd_optimize, s) <= 400
+    assert newton_steps(infos) <= 400
 
 
 # ---------------------------------------------------------------------------
 # warm-started SCA and Dinkelbach rounds
 
 
-def cold_placement_subproblem(s, powers, q0):
-    """Reference placement step: every SCA round starts the barrier
-    solver cold, at its first weight, from the nudged start point."""
-    cons = planner._placement_constraints(s, powers)
-    x0 = q0.lifted
-    margins = cons.margin(x0)
-    worst = margins.min()
-    if worst < -1e-8:
-        raise planner.PlannerInfeasible(
-            "placement start", f"constraint {margins.argmin()} margin {worst:.3e}")
-    b_bar = np.array([s.bob[0], s.bob[1], 0.0])
-
-    def true_obj(x):
-        return float(np.sum((x - b_bar) ** 2))
-
-    start_val = true_obj(x0)
-    if worst <= 1e-7:
-        x_int, slack = solvers.max_slack_point(cons, x0)
-        if slack <= 1e-9:
-            return q0
-        x0 = x_int
-    x, val = x0, true_obj(x0)
-    for _ in range(planner._SCA_MAX):
-        grad = 2.0 * (x - b_bar)
-        grad /= np.linalg.norm(grad)
-        y, _ = _barrier_maximize(solvers.QuadraticObjective(grad), cons, x0,
-                                 tol=1e-7)
-        new_val = true_obj(y)
-        improvement = new_val - val
-        if new_val > val:
-            x, val = y, new_val
-        if improvement < planner._SCA_TOL:
-            break
-    if val <= start_val:
-        return q0
-    return UavPlacement(q=x[:2], H=float(x[2]))
-
-
-def cold_dinkelbach(f, g, cons, x0, delta=1e-6, i_max=50, lam_max=math.inf):
-    """Reference Dinkelbach iteration: every round starts the barrier
-    solver cold, at its first weight, from the previous round's answer."""
-    x = np.asarray(x0, dtype=float).copy()
-    lam = f.value(x) / g.value(x)
-    trace = [lam]
-    if lam >= lam_max:
-        return solvers.DinkelbachResult(x, lam, True, trace)
-    for _ in range(i_max):
-        obj = solvers.QuadraticObjective(f.c - lam * g.c, f.const - lam * g.const,
-                                         f.a - lam * g.a)
-        x, _ = _barrier_maximize(obj, cons, x, tol=solvers._GAP_TOL)
-        fv, gv = f.value(x), g.value(x)
-        F, lam = fv - lam * gv, fv / gv
-        trace.append(lam)
-        if abs(F) < delta or lam >= lam_max:
-            return solvers.DinkelbachResult(x, lam, True, trace)
-    return solvers.DinkelbachResult(x, lam, False, trace)
-
-
-def cold_plan(monkeypatch, s):
-    """``optimize(s)`` with the reference cold-start loops."""
-    with monkeypatch.context() as m:
-        m.setattr(planner, "placement_subproblem", cold_placement_subproblem)
-        m.setattr(planner, "dinkelbach", cold_dinkelbach)
-        return optimize(s)
-
-
-# BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
-# varpi = 0 scenarios that run 2 or 3 Dinkelbach rounds
-WARM_CASES = [pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}")
-              for base in (2, 9, 15)] + [
-              pytest.param((0.0,), base, id=f"cancel-{base}")
-              for base in (3, 35, 80)]
-
-
 @pytest.mark.parametrize("varpis, base", WARM_CASES)
 def test_warm_started_rounds_match_cold_start_loops(monkeypatch, varpis, base):
+    # the reference is the planners' own loops with every round started
+    # cold; the warm starts must save Newton steps, not change the plan
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    sol = optimize(s)
-    ref = cold_plan(monkeypatch, s)
+    sol, warm = plan_with_barrier(monkeypatch, optimize, s)
+    ref, cold = plan_with_barrier(monkeypatch, optimize, s, cold_barrier)
     assert ref.status == "converged" and len(ref.trace) > 2
     assert sol.status == ref.status
     assert sol.Rb == pytest.approx(ref.Rb, rel=1e-9)
+    assert newton_steps(warm) < newton_steps(cold)
 
 
 @pytest.mark.parametrize("varpis, base", [WARM_CASES[0], WARM_CASES[3]])
@@ -959,7 +865,7 @@ def test_warm_started_rounds_match_cold_start_loops(monkeypatch, varpis, base):
 def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
                                                         base, warm):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    ref = cold_plan(monkeypatch, s)
+    ref, _ = plan_with_barrier(monkeypatch, optimize, s, cold_barrier)
 
     def spoiled(*args, **kwargs):
         x, info = _barrier_maximize(*args, **kwargs)
@@ -968,9 +874,7 @@ def test_rounds_without_a_usable_warm_point_start_cold(monkeypatch, varpis,
         info["warm"] = None if warm == "not centred" else x + 1e6
         return x, info
 
-    monkeypatch.setattr(solvers, "_barrier_maximize", spoiled)
-    monkeypatch.setattr(planner, "_barrier_maximize", spoiled)
-    sol = optimize(s)
+    sol, _ = plan_with_barrier(monkeypatch, optimize, s, spoiled)
     assert (sol.status, sol.Rb, sol.trace) == (ref.status, ref.Rb, ref.trace)
     assert np.array_equal(sol.placement.lifted, ref.placement.lifted)
 
@@ -1089,10 +993,10 @@ def test_bcd_warm_rounds_on_a_slow_corpus_scenario(monkeypatch):
         "i_max": 50,
         "rng_seed": 0,
     }).scenario
-    sol = bcd_optimize(s)
+    sol, infos = plan_with_barrier(monkeypatch, bcd_optimize, s)
     assert sol.status == "converged"
     assert sol.Rb == pytest.approx(0.621797251726282, rel=1e-9)
-    assert newton_steps_of(monkeypatch, bcd_optimize, s) <= 1000
+    assert newton_steps(infos) <= 1000
 
 
 def smoke_corpus(n=12, seed=2024):
@@ -1379,8 +1283,8 @@ def test_monte_carlo_passes_hold_three_fills(request, name):
 
 def test_scenario_gamma_follows_sr(default_scenario):
     # the surrogate is derived from sr, never carried over from a copy
-    heavy = dataclasses.replace(default_scenario, sr=HEAVY_SHADOWING)
-    assert heavy.gamma == gamma_from_sr(HEAVY_SHADOWING)
+    heavy = dataclasses.replace(default_scenario, sr=SHADOWING_ROWS["heavy"])
+    assert heavy.gamma == gamma_from_sr(SHADOWING_ROWS["heavy"])
     assert heavy.gamma != default_scenario.gamma
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(default_scenario, gamma=heavy.gamma)

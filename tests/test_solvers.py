@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import benchmark_corpus
+from conftest import WARM_CASES, benchmark_corpus, plan_with_barrier
 from skycloak import planner, solvers
 from skycloak.scenario_io import load_scenario
 from skycloak.solvers import (ConeConstraint, DinkelbachResult,
@@ -916,35 +916,16 @@ def test_barrier_matches_the_reference_bit_for_bit():
                               reference_barrier_maximize(other, cons, x, **kw))
 
 
-def plan_and_steps(monkeypatch, s, barrier):
-    """``planner.optimize(s)`` with every barrier solve made by ``barrier``,
-    and the solves' total Newton steps."""
-    steps = []
-
-    def counted(*args, **kwargs):
-        x, info = barrier(*args, **kwargs)
-        steps.append(info["newton_steps"])
-        return x, info
-
-    with monkeypatch.context() as mp:
-        mp.setattr(solvers, "_barrier_maximize", counted)
-        mp.setattr(planner, "_barrier_maximize", counted)
-        sol = planner.optimize(s)
-    return sol, sum(steps)
-
-
-# BCD scenarios with the most SCA rounds of the 24-scenario corpus, and
-# varpi = 0 scenarios that run 2 or 3 Dinkelbach rounds
-@pytest.mark.parametrize("varpis, base", [
-    pytest.param((0.01, 0.1, 1.0), base, id=f"bcd-{base}") for base in (2, 9, 15)
-] + [pytest.param((0.0,), base, id=f"cancel-{base}") for base in (3, 35, 80)])
+@pytest.mark.parametrize("varpis, base", WARM_CASES)
 def test_corpus_plans_match_the_reference_barrier(monkeypatch, varpis, base):
     s = load_scenario(benchmark_corpus(base + 1, varpis)[base]).scenario
-    got = plan_and_steps(monkeypatch, s, _barrier_maximize)
-    want = plan_and_steps(monkeypatch, s, reference_barrier_maximize)
-    (sol, steps), (ref, ref_steps) = got, want
-    assert (sol.status, sol.message, sol.iterations, steps) == \
-        (ref.status, ref.message, ref.iterations, ref_steps)
+    sol, infos = plan_with_barrier(monkeypatch, planner.optimize, s)
+    ref, ref_infos = plan_with_barrier(monkeypatch, planner.optimize, s,
+                                       reference_barrier_maximize)
+    assert (sol.status, sol.message, sol.iterations) == \
+        (ref.status, ref.message, ref.iterations)
+    assert [i["newton_steps"] for i in infos] == \
+        [i["newton_steps"] for i in ref_infos]
     assert same_bits(sol.trace, ref.trace) and same_bits(sol.Rb, ref.Rb)
     assert same_bits(sol.placement.lifted, ref.placement.lifted)
     for field in ("Pk", "Pj_hat", "Pa"):
